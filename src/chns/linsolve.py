@@ -1,9 +1,11 @@
-"""Sparse-matrix storage conventions and the Krylov solvers used by the scheme.
+"""Sparse-matrix storage conventions and the linear solvers used by the scheme.
 
 Matrices are scipy CSR (row_offsets = indptr, column_indices = indices,
-values = data). Solvers are iterative only, with diagonal preconditioning;
-every solve re-verifies its residual with one explicit matrix-vector
-product before returning.
+values = data). Solvers are Krylov methods with diagonal preconditioning;
+a nonsymmetric solve that BiCGStab gives up on is finished by GMRES
+preconditioned with sparse LU factors of the matrix. Every solve
+re-verifies its residual with one explicit matrix-vector product before
+returning.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ class SolverError(RuntimeError):
 class SolverConfig:
     rel_tolerance: float = 1e-10
     max_iterations: int | None = None  # defaults to 10 * n
-    method: str = "auto"
 
     def __post_init__(self):
         if not 0.0 < self.rel_tolerance < 1.0:
@@ -167,38 +168,64 @@ def _bicgstab(a, b, dinv, tol, max_it):
     raise SolverError("bicgstab did not converge", np.linalg.norm(b - a @ x) / bnorm)
 
 
-def _gmres_fallback(a, b, dinv, tol, max_it, x0=None):
-    """Restarted GMRES used when the primary nonsymmetric solver gives up."""
+@dataclass
+class LuFactors:
+    """Holder for the LU factors of one matrix, made when first needed.
+
+    Empty until BiCGStab gives up on the matrix; once filled, solves that
+    pass the holder skip BiCGStab and go straight to the factors. Keep one
+    holder per matrix (the scheme keeps one per `Operators`).
+    """
+
+    lu: object = None  # scipy SuperLU
+
+
+def _factorize(a: sp.csr_matrix):
+    """Sparse LU with an ordering suited to a structurally symmetric pattern."""
     import scipy.sparse.linalg as spla
 
-    m = spla.LinearOperator(a.shape, matvec=lambda v: dinv * v)
+    try:
+        return spla.splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
+                         options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        # no iterate exists yet: the residual is that of the zero start
+        raise SolverError(f"LU factorization failed: {exc}", 1.0) from exc
+
+
+def _gmres_fallback(a, b, tol, max_it, factors: LuFactors):
+    """GMRES preconditioned by LU factors of `a`, factoring into `factors` if empty."""
+    import scipy.sparse.linalg as spla
+
+    if factors.lu is None:
+        factors.lu = _factorize(a)
     count = {"n": 0}
 
     def cb(_):
         count["n"] += 1
 
-    x = x0
-    for rtol in (1e-13, 1e-15):
-        x, _ = spla.gmres(a, b, x0=x, rtol=rtol, atol=0.0, restart=100,
-                          maxiter=max(1, max_it // 100), M=m,
-                          callback=cb, callback_type="pr_norm")
-        res = np.linalg.norm(b - a @ x)
-        if res <= tol:
-            return x, count["n"]
-    raise SolverError("gmres fallback did not converge",
-                      np.linalg.norm(b - a @ x) / np.linalg.norm(b))
+    x, _ = spla.gmres(a, b, rtol=0.0, atol=tol, restart=10, maxiter=max(1, max_it // 10),
+                      M=spla.LinearOperator(a.shape, matvec=factors.lu.solve),
+                      callback=cb, callback_type="pr_norm")
+    res = np.linalg.norm(b - a @ x)
+    if not res <= tol:
+        raise SolverError("gmres fallback did not converge", res / np.linalg.norm(b))
+    return x, count["n"]
 
 
 def solve_general(a: sp.csr_matrix, b: np.ndarray, config: SolverConfig | None = None,
-                  info: dict | None = None) -> np.ndarray:
-    """Krylov solve of a square nonsymmetric system with Jacobi preconditioning.
+                  info: dict | None = None, factors: LuFactors | None = None) -> np.ndarray:
+    """Solve a square nonsymmetric system.
 
-    Stabilized bi-conjugate gradients is the primary method; if it breaks
-    down or stagnates, the solve is redone with restarted GMRES. The
-    returned residual always satisfies ||b - Ax|| <= tol * ||b||, verified
-    by an explicit multiplication.
+    Jacobi-preconditioned stabilized bi-conjugate gradients is the first
+    attempt; if it breaks down or stagnates, GMRES preconditioned by LU
+    factors of `a` finishes the solve. Pass a `LuFactors` holder kept with
+    `a` to build the factors once and skip BiCGStab on every later solve;
+    without one, the factors are made for this solve only. The returned
+    residual always satisfies ||b - Ax|| <= tol * ||b||, verified by an
+    explicit multiplication.
     """
     config = config or SolverConfig()
+    factors = factors if factors is not None else LuFactors()
     b = np.asarray(b, dtype=float)
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
@@ -206,14 +233,16 @@ def solve_general(a: sp.csr_matrix, b: np.ndarray, config: SolverConfig | None =
             info["iterations"] = 0
         return np.zeros_like(b)
 
-    dinv = _inv_diagonal(a)
     tol = config.rel_tolerance * bnorm
     max_it = config.iterations_for(b.shape[0])
-    try:
-        # give the cheap method a bounded attempt before the robust one
-        x, k = _bicgstab(a, b, dinv, tol, min(max_it, max(300, b.shape[0] // 4)))
-    except SolverError:
-        x, k = _gmres_fallback(a, b, dinv, tol, max_it)
+    if factors.lu is None:
+        try:
+            # give the cheap method a bounded attempt before the robust one
+            x, k = _bicgstab(a, b, _inv_diagonal(a), tol, min(max_it, max(300, b.shape[0] // 4)))
+        except SolverError:
+            x, k = _gmres_fallback(a, b, tol, max_it, factors)
+    else:
+        x, k = _gmres_fallback(a, b, tol, max_it, factors)
     if info is not None:
         info["iterations"] = k
     return x

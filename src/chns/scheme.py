@@ -27,7 +27,7 @@ import scipy.sparse as sp
 from . import assembly as asm
 from .assembly import AssembledForms, DirichletOperator
 from .fem import FeSpace, interpolate
-from .linsolve import SolverConfig, solve_general, solve_neumann_zero_mean, solve_spd
+from .linsolve import LuFactors, SolverConfig, solve_general, solve_neumann_zero_mean, solve_spd
 from .mesh import Mesh
 
 
@@ -124,6 +124,8 @@ class Operators:
     velocity: DirichletOperator     # m_v / tau + nu k_v, boundary rows eliminated
     projection: DirichletOperator   # m_v with boundary rows eliminated
     config: SolverConfig
+    # LU factors of a_ch, made the first time BiCGStab gives up on it
+    ch_factors: LuFactors = field(default_factory=LuFactors)
 
 
 def build_operators(p1: FeSpace, p2v: FeSpace, params: Params,
@@ -195,8 +197,8 @@ def ch_split_solve(ops: Operators, params: Params, phi_n: np.ndarray,
     rhs1 = np.concatenate([-conv_scalar / sqrt_e1, params.lam * fprime_vec / sqrt_e1])
 
     info0, info1 = {}, {}
-    x0 = solve_general(ops.a_ch, rhs0, ops.config, info0)
-    x1 = solve_general(ops.a_ch, rhs1, ops.config, info1)
+    x0 = solve_general(ops.a_ch, rhs0, ops.config, info0, ops.ch_factors)
+    x1 = solve_general(ops.a_ch, rhs1, ops.config, info1, ops.ch_factors)
     if iterations is not None:
         iterations["ch_x0"] = info0["iterations"]
         iterations["ch_x1"] = info1["iterations"]

@@ -1,13 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from chns import assembly as asm
+from chns import linsolve
+from chns.experiments import relaxation_params
 from chns.fem import build_space, interpolate
 from chns.linsolve import SolverConfig, SolverError, solve_general, \
     solve_neumann_zero_mean, solve_spd, spmv
 from chns.mesh import build_uniform_mesh
-from chns.scheme import Params, build_operators
+from chns.scheme import Params, build_operators, ch_split_solve
 
 
 def test_config_validation():
@@ -132,3 +136,55 @@ def test_general_zero_diagonal_is_handled():
     a = sp.csr_matrix(np.array([[0.0, 2.0], [3.0, 0.0]]))
     x = solve_general(a, np.array([2.0, 3.0]))
     assert np.allclose(x, [1.0, 1.0], atol=1e-9)
+
+
+def test_general_singular_matrix_raises_solver_error():
+    # BiCGStab gives up on the inconsistent system; the LU breakdown must
+    # surface as the documented SolverError, not scipy's RuntimeError
+    a = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
+    with pytest.raises(SolverError, match="factorization") as err:
+        solve_general(a, np.array([1.0, 0.0]))
+    assert err.value.residual == 1.0
+
+
+def test_ch_factors_built_once_and_reused(monkeypatch):
+    # at nx=32 BiCGStab gives up on the relaxation CH block for random data
+    mesh = build_uniform_mesh(32, 32)
+    p1 = build_space(mesh, "p1")
+    p2v = build_space(mesh, "p2vec")
+    params = relaxation_params()
+    ops = build_operators(p1, p2v, params)
+    calls = {"_bicgstab": 0, "_factorize": 0}
+
+    def counted(name):
+        fn = getattr(linsolve, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(linsolve, name, wrapper)
+
+    counted("_bicgstab")
+    counted("_factorize")
+    rng = np.random.default_rng(31)
+    tol = ops.config.rel_tolerance
+    for _ in range(2):
+        b = rng.standard_normal(ops.a_ch.shape[0])
+        x = solve_general(ops.a_ch, b, ops.config, factors=ops.ch_factors)
+        assert np.linalg.norm(b - ops.a_ch @ x) <= tol * np.linalg.norm(b)
+        # the first solve tries BiCGStab and factors; the second uses the factors
+        assert calls == {"_bicgstab": 1, "_factorize": 1}
+    factors = ops.ch_factors.lu
+    assert factors is not None
+
+    # another tau is another Operators, with factors of its own
+    params2 = replace(params, tau=2.0 * params.tau)
+    ops2 = build_operators(p1, p2v, params2)
+    n = p1.ndofs
+    iterations = {}
+    ch_split_solve(ops2, params2, rng.standard_normal(n), rng.standard_normal(n),
+                   rng.standard_normal(n), None, 1.0, iterations)
+    assert calls == {"_bicgstab": 2, "_factorize": 2}
+    assert iterations["ch_x0"] >= 1 and iterations["ch_x1"] >= 1
+    assert ops2.ch_factors.lu is not None and ops2.ch_factors.lu is not factors
+    assert ops.ch_factors.lu is factors
