@@ -1,7 +1,10 @@
 """Galerkin matrices, load vectors, boundary conditions, norms, and energies.
 
-All assembly is vectorized over triangles; accumulation order is fixed, so
-assembled objects are bit-reproducible for a given mesh.
+All assembly is vectorized over triangles. The per-step field evaluations
+and load vectors are BLAS matrix products on reference tables computed once
+per space and quadrature rule. Their rounding depends on the BLAS kernel, so
+assembled objects are bit-reproducible for a given mesh, numpy/BLAS build,
+machine and BLAS thread count.
 """
 
 from __future__ import annotations
@@ -40,6 +43,24 @@ def _geometry(mesh: Mesh) -> dict:
     return geom
 
 
+def _points(mesh: Mesh, rule) -> tuple[np.ndarray, np.ndarray]:
+    """Physical quadrature points (x, y), each (nt, nq), shared by every space on the mesh.
+
+    The arrays are read-only, so `mms` may key its cached trigonometric
+    factors on them.
+    """
+    key = ("points", rule.exactness_degree)
+    xy = mesh._cache.get(key)
+    if xy is None:
+        geom = _geometry(mesh)
+        pts = geom["origin"][:, None, :] + np.einsum("tcd,qd->tqc", geom["jac"], rule.points[:, 1:])
+        xy = tuple(np.ascontiguousarray(pts[..., c]) for c in range(2))
+        for a in xy:
+            a.setflags(write=False)
+        mesh._cache[key] = xy
+    return xy
+
+
 def _tables(space: FeSpace, degree: int) -> dict:
     """Per-(space, rule) quadrature tables: weights, physical points, basis data."""
     key = ("tables", degree)
@@ -51,61 +72,95 @@ def _tables(space: FeSpace, degree: int) -> dict:
             vals, gref = p1_tables(rule.points)
         else:
             vals, gref = p2_tables(rule.points)
-        # physical gradients: grad_i = J^{-T} gref_i per triangle
-        gphys = np.einsum("qid,tdc->tqic", gref, geom["inv"])
-        xy = geom["origin"][:, None, :] + np.einsum("tcd,qd->tqc", geom["jac"], rule.points[:, 1:])
+        x, y = _points(space.mesh, rule)
+        nq, nloc = vals.shape
         tab = {
             "rule": rule,
             "wdet": rule.weights[None, :] * geom["det"][:, None],  # (nt, nq)
-            "x": xy[..., 0],
-            "y": xy[..., 1],
+            "x": x,
+            "y": y,
             "vals": vals,       # (nq, nloc)
-            "grads": gphys,     # (nt, nq, nloc, 2)
+            # reference gradients as one GEMM operand: column d * nq + q
+            "gref": np.ascontiguousarray(gref.transpose(1, 2, 0).reshape(nloc, 2 * nq)),
+            "inv": geom["inv"],  # (nt, 2, 2) inverse Jacobians
         }
         space._cache[key] = tab
     return tab
 
 
+def _basis_gradients(tab: dict) -> np.ndarray:
+    """Physical basis gradients grad_i = J^{-T} gref_i at every point: (nt, nq, nloc, 2).
+
+    Made on demand for the set-up matrices and not kept: the time loop never
+    reads them, and at nx=64 the P2 array alone holds 5.5 MB.
+    """
+    nloc, nq = tab["gref"].shape[0], tab["vals"].shape[0]
+    gref = tab["gref"].reshape(nloc, 2, 1, nq).transpose(3, 0, 2, 1)  # (nq, nloc, 1, 2)
+    inv = tab["inv"][:, None, None]  # (nt, 1, 1, 2, 2)
+    # C order: the set-up einsums follow their inputs' layout, and the matrices' last bits with it
+    out = np.multiply(gref[..., 0], inv[..., 0, :], out=np.empty((inv.shape[0], nq, nloc, 2)))
+    out += gref[..., 1] * inv[..., 1, :]
+    return out
+
+
+def _cell_dofs(space: FeSpace) -> np.ndarray:
+    """Global dof of each (cell, component, local basis function): (nt, ncomp, nloc)."""
+    dofs = space._cache.get("cell_dofs")
+    if dofs is None:
+        nt, nloc = space.scalar_cell_dofs.shape
+        dofs = np.ascontiguousarray(
+            space.cell_dofs.reshape(nt, nloc, space.ncomp).transpose(0, 2, 1))
+        space._cache["cell_dofs"] = dofs
+    return dofs
+
+
 def _gather(space: FeSpace, coeffs: np.ndarray) -> np.ndarray:
-    """Per-cell coefficient blocks: (nt, nloc) scalar or (nt, nloc, 2) vector."""
+    """Per-cell coefficient blocks as GEMM rows: (nt * ncomp, nloc)."""
     coeffs = np.asarray(coeffs)
     if coeffs.shape[0] != space.ndofs:
         raise ValueError(f"coefficient length {coeffs.shape[0]} != ndofs {space.ndofs}")
-    if space.ncomp == 1:
-        return coeffs[space.scalar_cell_dofs]
-    c = coeffs.reshape(-1, 2)
-    return c[space.scalar_cell_dofs]
+    dofs = _cell_dofs(space)
+    return coeffs[dofs].reshape(-1, dofs.shape[2])
+
+
+def _values(space: FeSpace, coeffs, tab: dict) -> np.ndarray:
+    """Field values at the quadrature points, component-major: (nt, ncomp, nq)."""
+    nq = tab["vals"].shape[0]
+    return (_gather(space, coeffs) @ tab["vals"].T).reshape(-1, space.ncomp, nq)
+
+
+def _gradients(space: FeSpace, coeffs, tab: dict) -> np.ndarray:
+    """Field gradients at the quadrature points: g[t, c, d, q] = d u_c / d x_d."""
+    nq = tab["vals"].shape[0]
+    gref = (_gather(space, coeffs) @ tab["gref"]).reshape(-1, space.ncomp, 2, 1, nq)
+    inv = tab["inv"][:, None, :, :, None]  # (nt, 1, 2, 2, 1)
+    return gref[:, :, 0] * inv[:, :, 0] + gref[:, :, 1] * inv[:, :, 1]
 
 
 def eval_scalar(space: FeSpace, coeffs: np.ndarray, degree: int = ASSEMBLY_DEGREE) -> np.ndarray:
-    tab = _tables(space, degree)
-    return np.einsum("ti,qi->tq", _gather(space, coeffs), tab["vals"])
+    return _values(space, coeffs, _tables(space, degree))[:, 0]
 
 
 def eval_scalar_grad(space: FeSpace, coeffs, degree: int = ASSEMBLY_DEGREE) -> np.ndarray:
-    tab = _tables(space, degree)
-    return np.einsum("ti,tqid->tqd", _gather(space, coeffs), tab["grads"])
+    return _gradients(space, coeffs, _tables(space, degree))[:, 0].transpose(0, 2, 1)
 
 
 def eval_vector(space: FeSpace, coeffs, degree: int = ASSEMBLY_DEGREE) -> np.ndarray:
-    tab = _tables(space, degree)
-    return np.einsum("tic,qi->tqc", _gather(space, coeffs), tab["vals"])
+    return _values(space, coeffs, _tables(space, degree)).transpose(0, 2, 1)
 
 
 def eval_vector_grad(space: FeSpace, coeffs, degree: int = ASSEMBLY_DEGREE) -> np.ndarray:
     """Gradient tensor g[t, q, c, d] = d u_c / d x_d at quadrature points."""
-    tab = _tables(space, degree)
-    return np.einsum("tic,tqid->tqcd", _gather(space, coeffs), tab["grads"])
+    return _gradients(space, coeffs, _tables(space, degree)).transpose(0, 3, 1, 2)
 
 
-def _scatter_scalar(space: FeSpace, cellwise: np.ndarray) -> np.ndarray:
-    return np.bincount(space.scalar_cell_dofs.ravel(), weights=cellwise.ravel(),
+def _load(space: FeSpace, tab: dict, integrand: np.ndarray) -> np.ndarray:
+    """Entries (integrand, basis_i) from quadrature values (nt, nq) or (nt, ncomp, nq)."""
+    wdet = tab["wdet"] if integrand.ndim == 2 else tab["wdet"][:, None]
+    nq = tab["vals"].shape[0]
+    cellwise = (wdet * integrand).reshape(-1, nq) @ tab["vals"]
+    return np.bincount(_cell_dofs(space).ravel(), weights=cellwise.ravel(),
                        minlength=space.ndofs)
-
-
-def _scatter_vector(space: FeSpace, cellwise: np.ndarray) -> np.ndarray:
-    dofs = np.stack([2 * space.scalar_cell_dofs, 2 * space.scalar_cell_dofs + 1], axis=-1)
-    return np.bincount(dofs.ravel(), weights=cellwise.ravel(), minlength=space.ndofs)
 
 
 def _matrix_from_cells(space: FeSpace, elem: np.ndarray) -> sp.csr_matrix:
@@ -135,7 +190,8 @@ def assemble_mass(space: FeSpace) -> sp.csr_matrix:
 
 def assemble_stiffness(space: FeSpace) -> sp.csr_matrix:
     tab = _tables(space, ASSEMBLY_DEGREE)
-    elem = np.einsum("tq,tqid,tqjd->tij", tab["wdet"], tab["grads"], tab["grads"])
+    grads = _basis_gradients(tab)
+    elem = np.einsum("tq,tqid,tqjd->tij", tab["wdet"], grads, grads)
     k = _matrix_from_cells(space, elem)
     return _expand_vector(k) if space.ncomp == 2 else k
 
@@ -145,7 +201,7 @@ def assemble_pressure_gradient(p2v: FeSpace, p1: FeSpace) -> sp.csr_matrix:
     tab2 = _tables(p2v, ASSEMBLY_DEGREE)
     tab1 = _tables(p1, ASSEMBLY_DEGREE)
     # P1 gradients are constant per triangle
-    gradp1 = tab1["grads"][:, 0]  # (nt, 3, 2)
+    gradp1 = _basis_gradients(tab1)[:, 0]  # (nt, 3, 2)
     intn2 = np.einsum("tq,qm->tm", tab2["wdet"], tab2["vals"])
     elem = np.einsum("tm,tkc->tmck", intn2, gradp1)  # (nt, 6, 2, 3)
     vdofs = np.stack([2 * p2v.scalar_cell_dofs, 2 * p2v.scalar_cell_dofs + 1], axis=-1)
@@ -158,7 +214,7 @@ def assemble_divergence(p1: FeSpace, p2v: FeSpace) -> sp.csr_matrix:
     """D[k, i] = (div v_i, q_k); div_load(u) is then D @ u."""
     tab2 = _tables(p2v, ASSEMBLY_DEGREE)
     tab1 = _tables(p1, ASSEMBLY_DEGREE)
-    elem = np.einsum("tq,qk,tqmc->tkmc", tab2["wdet"], tab1["vals"], tab2["grads"])
+    elem = np.einsum("tq,qk,tqmc->tkmc", tab2["wdet"], tab1["vals"], _basis_gradients(tab2))
     vdofs = np.stack([2 * p2v.scalar_cell_dofs, 2 * p2v.scalar_cell_dofs + 1], axis=-1)
     rows = np.repeat(p1.scalar_cell_dofs, 12, axis=1).ravel()
     cols = np.tile(vdofs.reshape(-1, 12), (1, 3)).ravel()
@@ -198,15 +254,12 @@ def assemble_forms(p1: FeSpace, p2v: FeSpace) -> AssembledForms:
 def assemble_load(space: FeSpace, f, degree: int = ASSEMBLY_DEGREE) -> np.ndarray:
     """Entries (f, basis_i); f(x, y) vectorized, pair-valued for vector spaces."""
     tab = _tables(space, degree)
+    shape = tab["x"].shape
     if space.ncomp == 1:
-        vals = np.asarray(f(tab["x"], tab["y"]))
-        cellwise = np.einsum("tq,tq,qi->ti", tab["wdet"], vals, tab["vals"])
-        return _scatter_scalar(space, cellwise)
+        return _load(space, tab, np.broadcast_to(f(tab["x"], tab["y"]), shape))
     fx, fy = f(tab["x"], tab["y"])
-    vals = np.stack([np.broadcast_to(fx, tab["x"].shape),
-                     np.broadcast_to(fy, tab["x"].shape)], axis=-1)
-    cellwise = np.einsum("tq,tqc,qi->tic", tab["wdet"], vals, tab["vals"])
-    return _scatter_vector(space, cellwise)
+    return _load(space, tab, np.stack([np.broadcast_to(fx, shape),
+                                       np.broadcast_to(fy, shape)], axis=1))
 
 
 def convective_load_scalar(p2v: FeSpace, p1: FeSpace, u, phi) -> np.ndarray:
@@ -214,44 +267,39 @@ def convective_load_scalar(p2v: FeSpace, p1: FeSpace, u, phi) -> np.ndarray:
     if np.asarray(u).shape[0] != p2v.ndofs or np.asarray(phi).shape[0] != p1.ndofs:
         raise ValueError("coefficient lengths do not match the spaces")
     tab1 = _tables(p1, ASSEMBLY_DEGREE)
-    uq = eval_vector(p2v, u)
-    gphi = eval_scalar_grad(p1, phi)
-    integrand = np.einsum("tqc,tqc->tq", uq, gphi)
-    cellwise = np.einsum("tq,tq,qi->ti", tab1["wdet"], integrand, tab1["vals"])
-    return _scatter_scalar(p1, cellwise)
+    uq = _values(p2v, u, _tables(p2v, ASSEMBLY_DEGREE))
+    gphi = _gradients(p1, phi, tab1)[:, 0]
+    integrand = uq[:, 0] * gphi[:, 0] + uq[:, 1] * gphi[:, 1]
+    return _load(p1, tab1, integrand)
 
 
 def convective_load_vector(p2v: FeSpace, u) -> np.ndarray:
     """Entries ((u_h . grad) u_h, v_i) against the vector basis."""
     tab = _tables(p2v, ASSEMBLY_DEGREE)
-    uq = eval_vector(p2v, u)
-    gu = eval_vector_grad(p2v, u)
-    integrand = np.einsum("tqd,tqcd->tqc", uq, gu)
-    cellwise = np.einsum("tq,tqc,qi->tic", tab["wdet"], integrand, tab["vals"])
-    return _scatter_vector(p2v, cellwise)
+    uq = _values(p2v, u, tab)
+    gu = _gradients(p2v, u, tab)
+    integrand = uq[:, None, 0] * gu[:, :, 0] + uq[:, None, 1] * gu[:, :, 1]
+    return _load(p2v, tab, integrand)
 
 
 def mu_grad_phi_load(p2v: FeSpace, p1: FeSpace, mu, phi) -> np.ndarray:
     """Entries (mu_h grad phi_h, v_i), the capillary force against the vector basis."""
-    tab = _tables(p2v, ASSEMBLY_DEGREE)
-    muq = eval_scalar(p1, mu)
-    gphi = eval_scalar_grad(p1, phi)
-    integrand = muq[..., None] * gphi
-    cellwise = np.einsum("tq,tqc,qi->tic", tab["wdet"], integrand, tab["vals"])
-    return _scatter_vector(p2v, cellwise)
+    tab1 = _tables(p1, ASSEMBLY_DEGREE)
+    muq = _values(p1, mu, tab1)
+    gphi = _gradients(p1, phi, tab1)[:, 0]
+    return _load(p2v, _tables(p2v, ASSEMBLY_DEGREE), muq * gphi)
 
 
 def fprime(v: np.ndarray, eps: float, gamma: float) -> np.ndarray:
     """Derivative of the stabilized free-energy density F = G - (gamma/2) v^2."""
-    return (v ** 3 - v) / eps ** 2 - gamma * v
+    # v * v * v, not v ** 3: numpy sends a cube to pow(), ten times slower
+    return (v * v * v - v) / eps ** 2 - gamma * v
 
 
 def fprime_load(p1: FeSpace, phi, eps: float, gamma: float) -> np.ndarray:
     """Entries (F'(phi_h), w_i), evaluating phi_h pointwise at quadrature nodes."""
     tab = _tables(p1, ASSEMBLY_DEGREE)
-    phiq = eval_scalar(p1, phi)
-    cellwise = np.einsum("tq,tq,qi->ti", tab["wdet"], fprime(phiq, eps, gamma), tab["vals"])
-    return _scatter_scalar(p1, cellwise)
+    return _load(p1, tab, fprime(_values(p1, phi, tab)[:, 0], eps, gamma))
 
 
 def grad_p_load(forms: AssembledForms, p: np.ndarray) -> np.ndarray:

@@ -155,22 +155,18 @@ def splitmix64_stream(seed: int, count: int) -> np.ndarray:
     """Deterministic uniform stream in [0, 1) from a 64-bit mixing generator.
 
     The generator is fixed here (not delegated to a library) so traces are
-    reproducible across platforms and library versions.
+    reproducible across platforms and library versions. Value i mixes the
+    state seed + (i + 1) * golden (mod 2^64); all values are made at once in
+    uint64 arithmetic, which wraps.
     """
-    out = np.empty(count)
-    state = np.uint64(seed)
     golden = np.uint64(0x9E3779B97F4A7C15)
     c1 = np.uint64(0xBF58476D1CE4E5B9)
     c2 = np.uint64(0x94D049BB133111EB)
-    with np.errstate(over="ignore"):
-        for i in range(count):
-            state = state + golden
-            z = state
-            z = (z ^ (z >> np.uint64(30))) * c1
-            z = (z ^ (z >> np.uint64(27))) * c2
-            z = z ^ (z >> np.uint64(31))
-            out[i] = float(z) / 2.0 ** 64
-    return out
+    z = np.uint64(seed) + np.arange(1, count + 1, dtype=np.uint64) * golden
+    z = (z ^ (z >> np.uint64(30))) * c1
+    z = (z ^ (z >> np.uint64(27))) * c2
+    z = z ^ (z >> np.uint64(31))
+    return z.astype(np.float64) / 2.0 ** 64
 
 
 def random_phase_field(seed: int, ndofs: int, amplitude: float = 0.1) -> np.ndarray:
@@ -370,7 +366,7 @@ def _grad_load(p1, grad) -> np.ndarray:
     gx, gy = grad(tab["x"], tab["y"])
     g = np.stack([np.broadcast_to(gx, tab["x"].shape),
                   np.broadcast_to(gy, tab["x"].shape)], axis=-1)
-    cellwise = np.einsum("tq,tqd,tqid->ti", tab["wdet"], g, tab["grads"])
+    cellwise = np.einsum("tq,tqd,tqid->ti", tab["wdet"], g, asm._basis_gradients(tab))
     return np.bincount(p1.scalar_cell_dofs.ravel(), weights=cellwise.ravel(),
                        minlength=p1.ndofs)
 

@@ -132,7 +132,8 @@ def _bicgstab(a, b, dinv, tol, max_it):
         if not np.isfinite(rnorm) or rnorm > 1e8 * bnorm:
             raise SolverError("bicgstab diverged", rnorm / bnorm)
         scale = np.linalg.norm(r_shadow) * rnorm
-        if abs(rho_new) < 1e-30 * max(scale, 1e-300) or abs(omega) < 1e-300:
+        # exact zeros are tested apart: the relative thresholds underflow to 0.0
+        if rho_new == 0.0 or abs(rho_new) < 1e-30 * max(scale, 1e-300) or abs(omega) < 1e-300:
             restart()
             continue
         beta = (rho_new / rho) * (alpha / omega)
@@ -141,7 +142,8 @@ def _bicgstab(a, b, dinv, tol, max_it):
         phat = dinv * p
         v = a @ phat
         denom = r_shadow @ v
-        if abs(denom) < 1e-30 * max(np.linalg.norm(r_shadow) * np.linalg.norm(v), 1e-300):
+        scale = np.linalg.norm(r_shadow) * np.linalg.norm(v)
+        if denom == 0.0 or abs(denom) < 1e-30 * max(scale, 1e-300):
             restart()
             continue
         alpha = rho / denom

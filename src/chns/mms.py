@@ -9,11 +9,65 @@ pointwise residuals of the coupled model in these fields.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 PI = np.pi
+
+
+class _Trig(NamedTuple):
+    """sin and cos of pi x, pi y, 2 pi x and 2 pi y: every space factor of the case."""
+
+    sx: np.ndarray
+    cx: np.ndarray
+    sy: np.ndarray
+    cy: np.ndarray
+    s2x: np.ndarray
+    c2x: np.ndarray
+    s2y: np.ndarray
+    c2y: np.ndarray
+
+
+# (id(x), id(y)) -> (weakref to x, weakref to y, factors)
+_TRIG_CACHE: dict[tuple[int, int], tuple] = {}
+
+
+def _trig_eval(x, y) -> _Trig:
+    return _Trig(np.sin(PI * x), np.cos(PI * x), np.sin(PI * y), np.cos(PI * y),
+                 np.sin(2 * PI * x), np.cos(2 * PI * x), np.sin(2 * PI * y), np.cos(2 * PI * y))
+
+
+def _frozen(a) -> bool:
+    return isinstance(a, np.ndarray) and a.flags.owndata and not a.flags.writeable
+
+
+def _drop(key, entry) -> None:
+    if _TRIG_CACHE.get(key) is entry:
+        del _TRIG_CACHE[key]
+
+
+def _trig(x, y) -> _Trig:
+    """Space factors at (x, y), kept while x and y live if both are frozen.
+
+    Frozen means read-only arrays that own their data, such as the
+    quadrature points of the assembly tables, so the values behind a kept
+    entry cannot change. An entry is dropped when either array is freed,
+    and a lookup checks both arrays' identity, so an array never gets
+    another array's factors and fresh arrays leave nothing behind.
+    """
+    if not (_frozen(x) and _frozen(y)):
+        return _trig_eval(x, y)
+    key = (id(x), id(y))
+    entry = _TRIG_CACHE.get(key)
+    if entry is None or entry[0]() is not x or entry[1]() is not y:
+        entry = (weakref.ref(x), weakref.ref(y), _trig_eval(x, y))
+        _TRIG_CACHE[key] = entry
+        weakref.finalize(x, _drop, key, entry)
+        weakref.finalize(y, _drop, key, entry)
+    return entry[2]
 
 
 @dataclass
@@ -35,16 +89,23 @@ class MmsCase:
 
 
 def trig_case(params) -> MmsCase:
-    """The standard trigonometric case on the unit square."""
+    """The standard trigonometric case on the unit square.
+
+    Every field is polynomial in sin t, cos t and the space factors of
+    `_trig`, so on the kept quadrature points a time step evaluates no
+    trigonometric function of space.
+    """
     lam, eps, mob, nu = params.lam, params.eps, params.mobility, params.nu
     gamma = params.gamma
 
     def ax(x, y):
-        return np.cos(PI * x) * np.cos(PI * y)
+        tg = _trig(x, y)
+        return tg.cx * tg.cy
 
     def grad_ax(x, y):
-        return (-PI * np.sin(PI * x) * np.cos(PI * y),
-                -PI * np.cos(PI * x) * np.sin(PI * y))
+        tg = _trig(x, y)
+        return (-PI * tg.sx * tg.cy,
+                -PI * tg.cx * tg.sy)
 
     def phi(t, x, y):
         return 2.0 + np.sin(t) * ax(x, y)
@@ -56,7 +117,7 @@ def trig_case(params) -> MmsCase:
 
     def mu(t, x, y):
         f = phi(t, x, y)
-        return lam * (2.0 * PI ** 2 * np.sin(t) * ax(x, y) + (f ** 3 - f) / eps ** 2)
+        return lam * (2.0 * PI ** 2 * np.sin(t) * ax(x, y) + (f * f * f - f) / eps ** 2)
 
     def grad_mu(t, x, y):
         f = phi(t, x, y)
@@ -69,45 +130,49 @@ def trig_case(params) -> MmsCase:
         s = np.sin(t)
         f = phi(t, x, y)
         a = ax(x, y)
-        grad_a_sq = PI ** 2 * (np.sin(PI * x) ** 2 * np.cos(PI * y) ** 2
-                               + np.cos(PI * x) ** 2 * np.sin(PI * y) ** 2)
+        tg = _trig(x, y)
+        grad_a_sq = PI ** 2 * (tg.sx ** 2 * tg.cy ** 2 + tg.cx ** 2 * tg.sy ** 2)
         return lam * (-4.0 * PI ** 4 * s * a
                       + ((3.0 * f ** 2 - 1.0) * (-2.0 * PI ** 2 * s * a)
                          + 6.0 * f * s ** 2 * grad_a_sq) / eps ** 2)
 
     def u(t, x, y):
         s = np.sin(t)
-        return (PI * np.sin(PI * x) ** 2 * np.sin(2 * PI * y) * s,
-                -PI * np.sin(PI * y) ** 2 * np.sin(2 * PI * x) * s)
+        tg = _trig(x, y)
+        return (PI * tg.sx ** 2 * tg.s2y * s,
+                -PI * tg.sy ** 2 * tg.s2x * s)
 
     def u_t(t, x, y):
         c = np.cos(t)
-        return (PI * np.sin(PI * x) ** 2 * np.sin(2 * PI * y) * c,
-                -PI * np.sin(PI * y) ** 2 * np.sin(2 * PI * x) * c)
+        tg = _trig(x, y)
+        return (PI * tg.sx ** 2 * tg.s2y * c,
+                -PI * tg.sy ** 2 * tg.s2x * c)
 
     def grad_u(t, x, y):
         s = np.sin(t)
-        d1x = PI ** 2 * np.sin(2 * PI * x) * np.sin(2 * PI * y) * s
-        d1y = 2 * PI ** 2 * np.sin(PI * x) ** 2 * np.cos(2 * PI * y) * s
-        d2x = -2 * PI ** 2 * np.sin(PI * y) ** 2 * np.cos(2 * PI * x) * s
-        d2y = -PI ** 2 * np.sin(2 * PI * y) * np.sin(2 * PI * x) * s
+        tg = _trig(x, y)
+        d1x = PI ** 2 * tg.s2x * tg.s2y * s
+        d1y = 2 * PI ** 2 * tg.sx ** 2 * tg.c2y * s
+        d2x = -2 * PI ** 2 * tg.sy ** 2 * tg.c2x * s
+        d2y = -PI ** 2 * tg.s2y * tg.s2x * s
         return ((d1x, d1y), (d2x, d2y))
 
     def laplace_u(t, x, y):
         s = np.sin(t)
-        l1 = 2 * PI ** 3 * s * np.sin(2 * PI * y) * (np.cos(2 * PI * x)
-                                                     - 2 * np.sin(PI * x) ** 2)
-        l2 = -2 * PI ** 3 * s * np.sin(2 * PI * x) * (np.cos(2 * PI * y)
-                                                      - 2 * np.sin(PI * y) ** 2)
+        tg = _trig(x, y)
+        l1 = 2 * PI ** 3 * s * tg.s2y * (tg.c2x - 2 * tg.sx ** 2)
+        l2 = -2 * PI ** 3 * s * tg.s2x * (tg.c2y - 2 * tg.sy ** 2)
         return l1, l2
 
     def p(t, x, y):
-        return np.cos(PI * x) * np.sin(PI * y) * np.sin(t)
+        tg = _trig(x, y)
+        return tg.cx * tg.sy * np.sin(t)
 
     def grad_p(t, x, y):
         s = np.sin(t)
-        return (-PI * np.sin(PI * x) * np.sin(PI * y) * s,
-                PI * np.cos(PI * x) * np.cos(PI * y) * s)
+        tg = _trig(x, y)
+        return (-PI * tg.sx * tg.sy * s,
+                PI * tg.cx * tg.cy * s)
 
     def g_phi(t, x, y):
         u1, u2 = u(t, x, y)

@@ -72,3 +72,103 @@ def picard_step(state, params, ops, forcing=None, tol=1e-12, max_iter=400):
         if done:
             break
     return {"phi": phi, "mu": mu, "u_tilde": u_tilde, "r": r, "rho": rho}
+
+
+# ---------------------------------------------------------------------------
+# einsum forms of the per-step field evaluations and loads
+
+
+def _einsum_gather(space, coeffs):
+    """Per-cell coefficients: (nt, nloc) scalar or (nt, nloc, 2) vector."""
+    coeffs = np.asarray(coeffs)
+    if space.ncomp == 1:
+        return coeffs[space.scalar_cell_dofs]
+    return coeffs.reshape(-1, 2)[space.scalar_cell_dofs]
+
+
+def _einsum_scatter(space, cellwise):
+    dofs = space.scalar_cell_dofs
+    if space.ncomp == 2:
+        dofs = np.stack([2 * dofs, 2 * dofs + 1], axis=-1)
+    return np.bincount(dofs.ravel(), weights=cellwise.ravel(), minlength=space.ndofs)
+
+
+def einsum_eval_scalar(space, coeffs, degree=5):
+    tab = asm._tables(space, degree)
+    return np.einsum("ti,qi->tq", _einsum_gather(space, coeffs), tab["vals"])
+
+
+def einsum_eval_scalar_grad(space, coeffs, degree=5):
+    tab = asm._tables(space, degree)
+    return np.einsum("ti,tqid->tqd", _einsum_gather(space, coeffs), asm._basis_gradients(tab))
+
+
+def einsum_eval_vector(space, coeffs, degree=5):
+    tab = asm._tables(space, degree)
+    return np.einsum("tic,qi->tqc", _einsum_gather(space, coeffs), tab["vals"])
+
+
+def einsum_eval_vector_grad(space, coeffs, degree=5):
+    tab = asm._tables(space, degree)
+    return np.einsum("tic,tqid->tqcd", _einsum_gather(space, coeffs), asm._basis_gradients(tab))
+
+
+def einsum_load(space, integrand, degree=5):
+    """Entries (integrand, basis_i) from values (nt, nq) or (nt, nq, 2)."""
+    tab = asm._tables(space, degree)
+    if space.ncomp == 1:
+        cellwise = np.einsum("tq,tq,qi->ti", tab["wdet"], integrand, tab["vals"])
+    else:
+        cellwise = np.einsum("tq,tqc,qi->tic", tab["wdet"], integrand, tab["vals"])
+    return _einsum_scatter(space, cellwise)
+
+
+def einsum_assemble_load(space, f, degree=5):
+    tab = asm._tables(space, degree)
+    if space.ncomp == 1:
+        return einsum_load(space, np.broadcast_to(f(tab["x"], tab["y"]), tab["x"].shape), degree)
+    fx, fy = f(tab["x"], tab["y"])
+    vals = np.stack([np.broadcast_to(fx, tab["x"].shape),
+                     np.broadcast_to(fy, tab["x"].shape)], axis=-1)
+    return einsum_load(space, vals, degree)
+
+
+def einsum_convective_load_scalar(p2v, p1, u, phi):
+    integrand = np.einsum("tqc,tqc->tq", einsum_eval_vector(p2v, u), einsum_eval_scalar_grad(p1, phi))
+    return einsum_load(p1, integrand)
+
+
+def einsum_convective_load_vector(p2v, u):
+    integrand = np.einsum("tqd,tqcd->tqc", einsum_eval_vector(p2v, u), einsum_eval_vector_grad(p2v, u))
+    return einsum_load(p2v, integrand)
+
+
+def einsum_mu_grad_phi_load(p2v, p1, mu, phi):
+    integrand = einsum_eval_scalar(p1, mu)[..., None] * einsum_eval_scalar_grad(p1, phi)
+    return einsum_load(p2v, integrand)
+
+
+def einsum_fprime_load(p1, phi, eps, gamma):
+    return einsum_load(p1, asm.fprime(einsum_eval_scalar(p1, phi), eps, gamma))
+
+
+# ---------------------------------------------------------------------------
+# scalar form of the splitmix64 stream
+
+
+def splitmix64_scalar(seed, count):
+    """One 64-bit state advanced and mixed per value, in numpy uint64 scalars."""
+    out = np.empty(count)
+    state = np.uint64(seed)
+    golden = np.uint64(0x9E3779B97F4A7C15)
+    c1 = np.uint64(0xBF58476D1CE4E5B9)
+    c2 = np.uint64(0x94D049BB133111EB)
+    with np.errstate(over="ignore"):
+        for i in range(count):
+            state = state + golden
+            z = state
+            z = (z ^ (z >> np.uint64(30))) * c1
+            z = (z ^ (z >> np.uint64(27))) * c2
+            z = z ^ (z >> np.uint64(31))
+            out[i] = float(z) / 2.0 ** 64
+    return out

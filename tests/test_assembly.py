@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import oracles
 from chns import assembly as asm
 from chns.fem import build_space, interpolate
 from chns.mesh import Mesh, build_uniform_mesh
@@ -301,3 +302,74 @@ def test_error_of_in_space_reference():
     coeffs = interpolate(p1, f)
     assert asm.l2_error(p1, coeffs, f) <= 1e-12
     assert asm.h1_error(p1, coeffs, f, g) <= 1e-12
+
+
+# -- the BLAS kernels against their einsum forms ---------------------------
+
+
+@pytest.fixture(scope="module")
+def jittered_spaces():
+    """Spaces on a mesh whose interior vertices are moved, so every triangle
+    has its own inverse Jacobian."""
+    mesh = build_uniform_mesh(5, 5)
+    interior = np.setdiff1d(np.arange(mesh.num_vertices), mesh.boundary_vertices)
+    vertices = mesh.vertices.copy()
+    vertices[interior] += np.random.default_rng(11).uniform(-0.04, 0.04, (interior.size, 2))
+    jittered = Mesh(vertices=vertices, triangles=mesh.triangles.copy(),
+                    edges=mesh.edges.copy(), edge_triangles=mesh.edge_triangles.copy(),
+                    boundary_vertices=mesh.boundary_vertices.copy(),
+                    boundary_edges=mesh.boundary_edges.copy(), h=mesh.h)
+    geom = asm._geometry(jittered)
+    assert geom["det"].min() > 0.0
+    assert len(np.unique(geom["inv"].round(12), axis=0)) == jittered.num_triangles
+    return {kind: build_space(jittered, kind) for kind in ("p1", "p2", "p2vec")}
+
+
+def _relative_gap(got, want):
+    assert got.shape == want.shape
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+@pytest.mark.parametrize("degree", [5, 8])
+@pytest.mark.parametrize("kind", ["p1", "p2", "p2vec"])
+def test_field_evaluation_matches_einsum_oracle(jittered_spaces, kind, degree):
+    space = jittered_spaces[kind]
+    coeffs = np.random.default_rng(3).standard_normal(space.ndofs)
+    if space.ncomp == 1:
+        pairs = [(asm.eval_scalar, oracles.einsum_eval_scalar),
+                 (asm.eval_scalar_grad, oracles.einsum_eval_scalar_grad)]
+    else:
+        pairs = [(asm.eval_vector, oracles.einsum_eval_vector),
+                 (asm.eval_vector_grad, oracles.einsum_eval_vector_grad)]
+    for fast, oracle in pairs:
+        assert _relative_gap(fast(space, coeffs, degree), oracle(space, coeffs, degree)) <= 1e-13
+
+
+@pytest.mark.parametrize("degree", [5, 8])
+@pytest.mark.parametrize("kind", ["p1", "p2", "p2vec"])
+def test_assemble_load_matches_einsum_oracle(jittered_spaces, kind, degree):
+    space = jittered_spaces[kind]
+    if space.ncomp == 1:
+        def f(x, y):
+            return np.exp(x) * np.cos(3.0 * y)
+    else:
+        def f(x, y):
+            return np.exp(x) * np.cos(3.0 * y), x * y - 0.3
+    assert _relative_gap(asm.assemble_load(space, f, degree),
+                         oracles.einsum_assemble_load(space, f, degree)) <= 1e-13
+
+
+def test_nonlinear_loads_match_einsum_oracle(jittered_spaces):
+    p1, p2v = jittered_spaces["p1"], jittered_spaces["p2vec"]
+    rng = np.random.default_rng(17)
+    u = rng.standard_normal(p2v.ndofs)
+    phi, mu = rng.standard_normal((2, p1.ndofs))
+    cases = [
+        (asm.convective_load_scalar(p2v, p1, u, phi),
+         oracles.einsum_convective_load_scalar(p2v, p1, u, phi)),
+        (asm.convective_load_vector(p2v, u), oracles.einsum_convective_load_vector(p2v, u)),
+        (asm.mu_grad_phi_load(p2v, p1, mu, phi), oracles.einsum_mu_grad_phi_load(p2v, p1, mu, phi)),
+        (asm.fprime_load(p1, phi, 0.04, 1.0), oracles.einsum_fprime_load(p1, phi, 0.04, 1.0)),
+    ]
+    for fast, oracle in cases:
+        assert _relative_gap(fast, oracle) <= 1e-13

@@ -29,6 +29,16 @@ def test_splitmix_stream_deterministic_and_uniform():
     assert abs(a.mean() - 0.5) < 0.05
 
 
+def test_splitmix_stream_matches_scalar_generator():
+    from oracles import splitmix64_scalar
+
+    for seed in (0, 1, 2024, 2 ** 63 + 5, 2 ** 64 - 1):
+        for count in (0, 1, 2, 97):
+            fast, slow = splitmix64_stream(seed, count), splitmix64_scalar(seed, count)
+            assert fast.dtype == slow.dtype and fast.shape == (count,)
+            assert np.array_equal(fast, slow)
+
+
 def test_random_phase_field_amplitude():
     phi = random_phase_field(7, 1000)
     assert np.abs(phi).max() <= 0.1

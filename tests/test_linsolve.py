@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -140,11 +141,16 @@ def test_general_zero_diagonal_is_handled():
 
 def test_general_singular_matrix_raises_solver_error():
     # BiCGStab gives up on the inconsistent system; the LU breakdown must
-    # surface as the documented SolverError, not scipy's RuntimeError
+    # surface as the documented SolverError, not scipy's RuntimeError.
+    # Its second iteration meets an exactly zero denominator with ||v|| = 0,
+    # which must restart rather than divide by zero.
     a = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
-    with pytest.raises(SolverError, match="factorization") as err:
-        solve_general(a, np.array([1.0, 0.0]))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(SolverError, match="factorization") as err:
+            solve_general(a, np.array([1.0, 0.0]))
     assert err.value.residual == 1.0
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_ch_factors_built_once_and_reused(monkeypatch):

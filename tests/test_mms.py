@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from chns import assembly as asm
+from chns import mms
 from chns.fem import build_space, interpolate
 from chns.mesh import build_uniform_mesh
 from chns.mms import finite_difference_forcing, mms_forcing, trig_case
@@ -109,3 +110,69 @@ def test_gradients_match_finite_differences(case):
     fd2y = (case.u(t, x, y + d)[1] - case.u(t, x, y - d)[1]) / (2 * d)
     assert np.abs(fd1x - d1x).max() <= 1e-5 * max(np.abs(d1x).max(), 1.0)
     assert np.abs(fd2y - d2y).max() <= 1e-5 * max(np.abs(d2y).max(), 1.0)
+
+
+# -- the kept space factors of the trigonometric case ----------------------
+
+
+def _frozen(values):
+    a = np.array(values, dtype=float)
+    a.setflags(write=False)
+    return a
+
+
+def _flat(value):
+    if isinstance(value, tuple):
+        return [leaf for item in value for leaf in _flat(item)]
+    return [np.asarray(value, dtype=float)]
+
+
+def test_cached_fields_match_uncached(case):
+    tab = asm._tables(build_space(build_uniform_mesh(6, 6), "p1"), 8)
+    x, y = tab["x"], tab["y"]
+    for t in (0.0, 0.03, 0.1, 1.7):
+        for name in case.__dataclass_fields__:
+            field = getattr(case, name)
+            cached = _flat(field(t, x, y))
+            assert (id(x), id(y)) in mms._TRIG_CACHE
+            # writeable copies are never kept, so this evaluates sin and cos afresh
+            fresh = _flat(field(t, x.copy(), y.copy()))
+            assert len(cached) == len(fresh)
+            for a, b in zip(cached, fresh):
+                np.testing.assert_array_max_ulp(a, b, maxulp=4)
+
+
+def test_new_coordinate_arrays_get_their_own_factors(case):
+    rng = np.random.default_rng(41)
+    values = rng.uniform(0.0, 1.0, (20, 2, 64))
+    seen, reused = set(), 0
+    for xs, ys in values:
+        # freeing the previous pair lets the allocator hand its ids to this one
+        x, y = _frozen(xs), _frozen(ys)
+        reused += (id(x), id(y)) in seen
+        seen.add((id(x), id(y)))
+        np.testing.assert_array_equal(case.p(0.2, x, y), case.p(0.2, xs, ys))
+        del x, y
+    assert reused > 0
+    # arrays that can change are evaluated afresh on every call
+    xs, ys = rng.uniform(0.0, 1.0, (2, 64))
+    before = case.phi(0.2, xs, ys)
+    xs += 0.25
+    assert not np.array_equal(case.phi(0.2, xs, ys), before)
+    view, y = np.broadcast_to(xs, xs.shape), _frozen(ys)  # the view is read-only, its base is not
+    case.phi(0.2, view, y)
+    assert (id(view), id(y)) not in mms._TRIG_CACHE
+
+
+def test_cache_stays_bounded(case):
+    params = Params()
+    tab = asm._tables(build_space(build_uniform_mesh(4, 4), "p1"), 5)
+    rng = np.random.default_rng(43)
+    baseline = len(mms._TRIG_CACHE)
+    for _ in range(30):
+        finite_difference_forcing(case, params, 0.05, tab["x"], tab["y"])
+        x, y = _frozen(rng.uniform(0.0, 1.0, 16)), _frozen(rng.uniform(0.0, 1.0, 16))
+        finite_difference_forcing(case, params, 0.05, x, y)
+    del x, y
+    # only the tables' own points are still alive
+    assert len(mms._TRIG_CACHE) <= baseline + 1
