@@ -95,11 +95,16 @@ def _basis_gradients(tab: dict) -> np.ndarray:
     reads them, and at nx=64 the P2 array alone holds 5.5 MB.
     """
     nloc, nq = tab["gref"].shape[0], tab["vals"].shape[0]
-    gref = tab["gref"].reshape(nloc, 2, 1, nq).transpose(3, 0, 2, 1)  # (nq, nloc, 1, 2)
-    inv = tab["inv"][:, None, None]  # (nt, 1, 1, 2, 2)
+    gref = tab["gref"].reshape(nloc, 2, nq).transpose(1, 2, 0).reshape(2, nq * nloc)  # [d, (q, i)]
+    inv = tab["inv"]  # (nt, 2, 2)
+    nt = inv.shape[0]
     # C order: the set-up einsums follow their inputs' layout, and the matrices' last bits with it
-    out = np.multiply(gref[..., 0], inv[..., 0, :], out=np.empty((inv.shape[0], nq, nloc, 2)))
-    out += gref[..., 1] * inv[..., 1, :]
+    out = np.empty((nt, nq, nloc, 2))
+    for e in range(2):
+        # one outer product per term keeps the inner loops long
+        comp = np.multiply.outer(inv[:, 0, e], gref[0])
+        comp += np.multiply.outer(inv[:, 1, e], gref[1])
+        out[..., e] = comp.reshape(nt, nq, nloc)
     return out
 
 
@@ -173,8 +178,22 @@ def _matrix_from_cells(space: FeSpace, elem: np.ndarray) -> sp.csr_matrix:
 
 
 def _expand_vector(m_scalar: sp.csr_matrix) -> sp.csr_matrix:
-    # interleaved (x, y) components share the scalar sparsity blockwise
-    return sp.kron(m_scalar, sp.eye(2), format="csr")
+    """The interleaved vector form kron(m_scalar, I2): row 2i + c holds row i at columns 2j + c."""
+    indptr, indices, data = m_scalar.indptr, m_scalar.indices, m_scalar.data
+    n = m_scalar.shape[0]
+    out_indptr = np.empty(2 * n + 1, dtype=indptr.dtype)
+    out_indptr[0::2] = 2 * indptr
+    out_indptr[1::2] = indptr[:-1] + indptr[1:]
+    # entry k of row i lands at indptr[i] + k for c = 0, one row length further for c = 1
+    row_nnz = np.diff(indptr)
+    row = np.repeat(np.arange(n), row_nnz)
+    pos = np.arange(m_scalar.nnz) + indptr[row]
+    pos = np.concatenate([pos, pos + row_nnz[row]])
+    out_indices = np.empty(2 * m_scalar.nnz, dtype=indices.dtype)
+    out_indices[pos] = np.concatenate([2 * indices, 2 * indices + 1])
+    out_data = np.empty(2 * m_scalar.nnz, dtype=data.dtype)
+    out_data[pos] = np.concatenate([data, data])
+    return sp.csr_matrix((out_data, out_indices, out_indptr), shape=(2 * n, 2 * m_scalar.shape[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -188,20 +207,22 @@ def assemble_mass(space: FeSpace) -> sp.csr_matrix:
     return _expand_vector(m) if space.ncomp == 2 else m
 
 
-def assemble_stiffness(space: FeSpace) -> sp.csr_matrix:
+def _stiffness(space: FeSpace, grads: np.ndarray) -> sp.csr_matrix:
     tab = _tables(space, ASSEMBLY_DEGREE)
-    grads = _basis_gradients(tab)
     elem = np.einsum("tq,tqid,tqjd->tij", tab["wdet"], grads, grads)
     k = _matrix_from_cells(space, elem)
     return _expand_vector(k) if space.ncomp == 2 else k
 
 
-def assemble_pressure_gradient(p2v: FeSpace, p1: FeSpace) -> sp.csr_matrix:
+def assemble_stiffness(space: FeSpace) -> sp.csr_matrix:
+    return _stiffness(space, _basis_gradients(_tables(space, ASSEMBLY_DEGREE)))
+
+
+def _pressure_gradient(p2v: FeSpace, p1: FeSpace, grads1: np.ndarray) -> sp.csr_matrix:
     """G[i, k] = (grad q_k, v_i) for pressure basis q_k, velocity basis v_i."""
     tab2 = _tables(p2v, ASSEMBLY_DEGREE)
-    tab1 = _tables(p1, ASSEMBLY_DEGREE)
     # P1 gradients are constant per triangle
-    gradp1 = _basis_gradients(tab1)[:, 0]  # (nt, 3, 2)
+    gradp1 = grads1[:, 0]  # (nt, 3, 2)
     intn2 = np.einsum("tq,qm->tm", tab2["wdet"], tab2["vals"])
     elem = np.einsum("tm,tkc->tmck", intn2, gradp1)  # (nt, 6, 2, 3)
     vdofs = np.stack([2 * p2v.scalar_cell_dofs, 2 * p2v.scalar_cell_dofs + 1], axis=-1)
@@ -210,11 +231,11 @@ def assemble_pressure_gradient(p2v: FeSpace, p1: FeSpace) -> sp.csr_matrix:
     return sp.coo_matrix((elem.ravel(), (rows, cols)), shape=(p2v.ndofs, p1.ndofs)).tocsr()
 
 
-def assemble_divergence(p1: FeSpace, p2v: FeSpace) -> sp.csr_matrix:
+def _divergence(p1: FeSpace, p2v: FeSpace, grads2: np.ndarray) -> sp.csr_matrix:
     """D[k, i] = (div v_i, q_k); div_load(u) is then D @ u."""
     tab2 = _tables(p2v, ASSEMBLY_DEGREE)
     tab1 = _tables(p1, ASSEMBLY_DEGREE)
-    elem = np.einsum("tq,qk,tqmc->tkmc", tab2["wdet"], tab1["vals"], _basis_gradients(tab2))
+    elem = np.einsum("tq,qk,tqmc->tkmc", tab2["wdet"], tab1["vals"], grads2)
     vdofs = np.stack([2 * p2v.scalar_cell_dofs, 2 * p2v.scalar_cell_dofs + 1], axis=-1)
     rows = np.repeat(p1.scalar_cell_dofs, 12, axis=1).ravel()
     cols = np.tile(vdofs.reshape(-1, 12), (1, 3)).ravel()
@@ -235,14 +256,23 @@ class AssembledForms:
 
 
 def assemble_forms(p1: FeSpace, p2v: FeSpace) -> AssembledForms:
+    # each space's basis gradients serve its two matrices, then are dropped
+    grads1 = _basis_gradients(_tables(p1, ASSEMBLY_DEGREE))
+    k_p1 = _stiffness(p1, grads1)
+    grad_coupling = _pressure_gradient(p2v, p1, grads1)
+    del grads1
+    grads2 = _basis_gradients(_tables(p2v, ASSEMBLY_DEGREE))
+    k_v = _stiffness(p2v, grads2)
+    div_coupling = _divergence(p1, p2v, grads2)
+    del grads2
     m_p1 = assemble_mass(p1)
     return AssembledForms(
         m_p1=m_p1,
-        k_p1=assemble_stiffness(p1),
+        k_p1=k_p1,
         m_v=assemble_mass(p2v),
-        k_v=assemble_stiffness(p2v),
-        grad_coupling=assemble_pressure_gradient(p2v, p1),
-        div_coupling=assemble_divergence(p1, p2v),
+        k_v=k_v,
+        grad_coupling=grad_coupling,
+        div_coupling=div_coupling,
         lumped_p1=np.asarray(m_p1.sum(axis=1)).ravel(),
     )
 
@@ -317,15 +347,30 @@ def div_load(forms: AssembledForms, u: np.ndarray) -> np.ndarray:
 
 
 def _eliminated_matrix(a: sp.csr_matrix, dofs: np.ndarray) -> sp.csr_matrix:
+    """`a` without the rows and columns of the (distinct) `dofs`, plus a unit diagonal there."""
+    if not a.has_canonical_format:
+        a = a.copy()
+        a.sum_duplicates()
     n = a.shape[0]
     keep = np.ones(n, dtype=bool)
     keep[dofs] = False
-    coo = a.tocoo()
-    m = keep[coo.row] & keep[coo.col]
-    rows = np.concatenate([coo.row[m], dofs])
-    cols = np.concatenate([coo.col[m], dofs])
-    vals = np.concatenate([coo.data[m], np.ones(len(dofs))])
-    return sp.csr_matrix((vals, (rows, cols)), shape=a.shape)
+    row = np.repeat(np.arange(n), np.diff(a.indptr))
+    m = keep[row] & keep[a.indices]
+    # an eliminated row keeps no entry of `a`, only its unit diagonal
+    row_nnz = np.bincount(row[m], minlength=n)
+    row_nnz[dofs] = 1
+    indptr = np.zeros(n + 1, dtype=a.indptr.dtype)
+    np.cumsum(row_nnz, out=indptr[1:])
+    unit = indptr[dofs]
+    rest = np.ones(indptr[-1], dtype=bool)
+    rest[unit] = False
+    indices = np.empty(indptr[-1], dtype=a.indices.dtype)
+    indices[unit] = dofs
+    indices[rest] = a.indices[m]
+    data = np.empty(indptr[-1], dtype=np.result_type(a.dtype, np.float64))
+    data[unit] = 1.0
+    data[rest] = a.data[m]
+    return sp.csr_matrix((data, indices, indptr), shape=a.shape)
 
 
 class DirichletOperator:
@@ -344,14 +389,6 @@ class DirichletOperator:
             out -= self._columns @ values
             out[self.dofs] = values
         return out
-
-
-def apply_dirichlet(matrix: sp.csr_matrix, rhs: np.ndarray, dofs, values):
-    """One-shot symmetric elimination; see DirichletOperator for the reusable form."""
-    dofs = np.asarray(dofs, dtype=np.int64)
-    values = np.broadcast_to(np.asarray(values, dtype=float), dofs.shape)
-    op = DirichletOperator(matrix, dofs)
-    return op.matrix, op.prepare_rhs(rhs, values)
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,12 @@ import os
 import sys
 
 from . import experiments as ex
+from .assembly import NonpositiveEnergyError
 from .config import ConfigError, parse_config
 from .io import ensure_dir, write_energy_csv, write_error_table_csv, \
     write_h1_error_table_csv, write_vtk_snapshot
+from .linsolve import SolverError
+from .scheme import ReductionError
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -75,12 +78,12 @@ def _run_relax(cfg):
     _write_snapshots(run, out)
     verdict = "nonincreasing" if run.trace.monotone() else "NOT monotone"
     print(f"relaxation energy trace: {verdict}")
-    return 0
+    return 0 if run.trace.monotone() else 1
 
 
-def _run_stability(cfg, tau_list):
+def _run_stability(cfg):
     out = ensure_dir(cfg.out_dir)
-    runs = ex.run_stability_sweep(tau_list, cfg.seed, cfg.nx, cfg.t_end,
+    runs = ex.run_stability_sweep(cfg.tau_list, cfg.seed, cfg.nx, cfg.t_end,
                                   params=cfg.params())
     ok = True
     for tau, run in runs.items():
@@ -96,27 +99,35 @@ def _selftest() -> int:
     return selftest.run()
 
 
+def _numbers(text: str, kind, flag: str) -> list:
+    """Comma-separated numbers of one type; anything else is a ConfigError."""
+    try:
+        return [kind(v) for v in str(text).split(",")]
+    except ValueError:
+        raise ConfigError(f"{flag} expects comma-separated {kind.__name__} values, "
+                          f"got {text!r}") from None
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     if args.command == "selftest":
         return _selftest()
 
     overrides = {"out_dir": args.out, "seed": args.seed, "t_end": args.t_end}
-    tau_list = None
-    if args.tau:
-        taus = [float(v) for v in str(args.tau).split(",")]
-        if args.command == "stability":
-            tau_list = taus
-        else:
-            overrides["tau"] = taus[0]
-    if args.nx:
-        nxs = [int(v) for v in str(args.nx).split(",")]
-        if args.command == "converge":
-            overrides["levels"] = nxs
-        else:
-            overrides["nx"] = nxs[0]
-
     try:
+        if args.tau:
+            taus = _numbers(args.tau, float, "--tau")
+            if args.command == "stability":
+                overrides["tau_list"] = taus
+            else:
+                overrides["tau"] = taus[0]
+        if args.nx:
+            nxs = _numbers(args.nx, int, "--nx")
+            if args.command == "converge":
+                overrides["levels"] = nxs
+            else:
+                overrides["nx"] = nxs[0]
+
         cfg = parse_config(args.config, kind=args.command, overrides=overrides)
         if args.command == "converge":
             return _run_converge(cfg)
@@ -124,10 +135,13 @@ def main(argv=None) -> int:
             return _run_coarsen(cfg)
         if args.command == "relax":
             return _run_relax(cfg)
-        return _run_stability(cfg, tau_list or cfg.tau_list)
+        return _run_stability(cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (SolverError, ReductionError, NonpositiveEnergyError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -97,9 +97,16 @@ def parse_config(path: str | None = None, kind: str | None = None,
     explicit_shift = "c1" in data or "gamma" in data
     if explicit_shift and cfg.c1 <= cfg.gamma:
         raise ConfigError(f"c1 must exceed gamma, got c1={cfg.c1}, gamma={cfg.gamma}")
-    for key in ("mobility", "lam", "nu", "eps", "gamma", "c1", "c2", "t_end"):
+    for key in ("mobility", "lam", "nu", "eps", "gamma", "c1", "c2", "t_end", "tau", "tau_factor"):
         if getattr(cfg, key) <= 0:
             raise ConfigError(f"{key} must be positive")
+    if any(t <= 0 for t in cfg.tau_list):
+        raise ConfigError("every tau in tau_list must be positive")
+    taus = cfg.tau_list if cfg.kind == "stability" else [cfg.tau]
+    if cfg.kind != "converge" and any(t > cfg.t_end for t in taus):
+        raise ConfigError(f"time step exceeds the final time {cfg.t_end}")
+    if cfg.nx < 1 or any(n < 1 for n in cfg.levels):
+        raise ConfigError("mesh subdivisions (nx, levels) must be at least 1")
     if cfg.kind == "converge" and list(cfg.levels) != sorted(cfg.levels):
         raise ConfigError("levels must be sorted coarse to fine")
     return cfg

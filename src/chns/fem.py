@@ -165,13 +165,12 @@ def build_space(mesh: Mesh, kind: str) -> FeSpace:
         bdofs = mesh.boundary_vertices.copy()
     elif kind in ("p2", "p2vec"):
         nv = mesh.num_vertices
-        edge_index = {tuple(e): i for i, e in enumerate(map(tuple, mesh.edges))}
-        scalar_dofs = np.empty((mesh.num_triangles, 6), dtype=np.int64)
-        scalar_dofs[:, :3] = mesh.triangles
-        for t, (a, b, c) in enumerate(mesh.triangles):
-            scalar_dofs[t, 3] = nv + edge_index[tuple(sorted((a, b)))]
-            scalar_dofs[t, 4] = nv + edge_index[tuple(sorted((b, c)))]
-            scalar_dofs[t, 5] = nv + edge_index[tuple(sorted((c, a)))]
+        # mesh edges are sorted by (low, high) vertex pair, so by low * nv + high
+        edge_keys = mesh.edges[:, 0] * nv + mesh.edges[:, 1]
+        tris = mesh.triangles
+        a, b = tris, tris[:, [1, 2, 0]]  # local edges (0,1), (1,2), (2,0)
+        keys = np.minimum(a, b) * nv + np.maximum(a, b)
+        scalar_dofs = np.concatenate([tris, nv + np.searchsorted(edge_keys, keys)], axis=1)
         midpoints = 0.5 * (mesh.vertices[mesh.edges[:, 0]] + mesh.vertices[mesh.edges[:, 1]])
         coords = np.vstack([mesh.vertices, midpoints])
         bdofs = np.concatenate([mesh.boundary_vertices, nv + mesh.boundary_edges])

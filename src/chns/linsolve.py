@@ -39,23 +39,40 @@ class SolverConfig:
         return self.max_iterations if self.max_iterations is not None else 10 * n
 
 
-def spmv(a: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
-    if a.shape[1] != x.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} @ {x.shape}")
-    return a @ x
+@dataclass
+class Factors:
+    """Solver data of one matrix, each part made the first time a solve needs it.
+
+    `dinv` is the inverse diagonal (the Jacobi preconditioner). `lu` holds
+    sparse LU factors, made only when BiCGStab gives up on the matrix; once
+    filled, solves that pass the holder skip BiCGStab and go straight to the
+    factors. Keep one holder per matrix (the scheme keeps one per matrix of
+    its `Operators`) and pass it to every solve with that matrix.
+    """
+
+    dinv: np.ndarray | None = None
+    lu: object = None  # scipy SuperLU
 
 
-def _inv_diagonal(a: sp.csr_matrix) -> np.ndarray:
+def _inv_diagonal(a: sp.csr_matrix, factors: Factors | None = None) -> np.ndarray:
+    if factors is not None and factors.dinv is not None:
+        return factors.dinv
     d = a.diagonal().copy()
     # zero (or denormal) diagonal entries fall back to the identity scaling
     bad = np.abs(d) < 1e-300
     d[bad] = 1.0
-    return 1.0 / d
+    dinv = 1.0 / d
+    if factors is not None:
+        factors.dinv = dinv
+    return dinv
 
 
 def solve_spd(a: sp.csr_matrix, b: np.ndarray, config: SolverConfig | None = None,
-              info: dict | None = None) -> np.ndarray:
-    """Conjugate gradients with Jacobi preconditioning for SPD systems."""
+              info: dict | None = None, factors: Factors | None = None) -> np.ndarray:
+    """Conjugate gradients with Jacobi preconditioning for SPD systems.
+
+    Pass the `Factors` holder kept with `a` to extract its diagonal once.
+    """
     config = config or SolverConfig()
     b = np.asarray(b, dtype=float)
     bnorm = np.linalg.norm(b)
@@ -64,7 +81,7 @@ def solve_spd(a: sp.csr_matrix, b: np.ndarray, config: SolverConfig | None = Non
             info["iterations"] = 0
         return np.zeros_like(b)
 
-    dinv = _inv_diagonal(a)
+    dinv = _inv_diagonal(a, factors)
     x = np.zeros_like(b)
     r = b.copy()
     z = dinv * r
@@ -99,87 +116,99 @@ def solve_spd(a: sp.csr_matrix, b: np.ndarray, config: SolverConfig | None = Non
 
 def _bicgstab(a, b, dinv, tol, max_it):
     """Stabilized bi-conjugate gradients; restarts the shadow residual on
-    near-breakdown instead of failing outright. Returns (x, iterations)."""
+    near-breakdown instead of failing outright. Returns (x, iterations).
+
+    The vector updates write into work vectors made once per call; each
+    keeps the floating-point operations, and their order, of the textbook
+    expressions in its comment.
+    """
     bnorm = np.linalg.norm(b)
     x = np.zeros_like(b)
     r = b.copy()
     r_shadow = r.copy()
+    shadow_norm = np.linalg.norm(r_shadow)  # constant between restarts
+    rnorm = np.linalg.norm(r)               # kept in step with r
     rho = alpha = omega = 1.0
     v = np.zeros_like(b)
     p = np.zeros_like(b)
+    phat, s, shat, work, work2 = (np.empty_like(b) for _ in range(5))
     restarts = 0
     best = np.inf
+
+    def restart():
+        nonlocal rho, alpha, omega, v, restarts, best, shadow_norm, rnorm
+        np.subtract(b, a @ x, out=r)
+        rnorm = np.linalg.norm(r)
+        if not np.isfinite(rnorm) or (rnorm >= best and restarts > 2):
+            raise SolverError("bicgstab stagnated", rnorm / bnorm)
+        best = min(best, rnorm)
+        restarts += 1
+        r_shadow[:] = r
+        shadow_norm = np.linalg.norm(r_shadow)
+        rho = alpha = omega = 1.0
+        v = np.zeros_like(b)
+        p.fill(0.0)
 
     k = 0
     while k < max_it:
         k += 1
         rho_new = r_shadow @ r
-
-        def restart():
-            nonlocal r, r_shadow, rho, alpha, omega, v, p, restarts, best
-            r = b - a @ x
-            res = np.linalg.norm(r)
-            if not np.isfinite(res) or (res >= best and restarts > 2):
-                raise SolverError("bicgstab stagnated", res / bnorm)
-            best = min(best, res)
-            restarts += 1
-            r_shadow = r.copy()
-            rho = alpha = omega = 1.0
-            v = np.zeros_like(b)
-            p = np.zeros_like(b)
-
-        rnorm = np.linalg.norm(r)
         if not np.isfinite(rnorm) or rnorm > 1e8 * bnorm:
             raise SolverError("bicgstab diverged", rnorm / bnorm)
-        scale = np.linalg.norm(r_shadow) * rnorm
+        scale = shadow_norm * rnorm
         # exact zeros are tested apart: the relative thresholds underflow to 0.0
         if rho_new == 0.0 or abs(rho_new) < 1e-30 * max(scale, 1e-300) or abs(omega) < 1e-300:
             restart()
             continue
         beta = (rho_new / rho) * (alpha / omega)
         rho = rho_new
-        p = r + beta * (p - omega * v)
-        phat = dinv * p
+        # p = r + beta * (p - omega * v)
+        np.multiply(v, omega, out=work)
+        p -= work
+        p *= beta
+        p += r
+        np.multiply(dinv, p, out=phat)
         v = a @ phat
         denom = r_shadow @ v
-        scale = np.linalg.norm(r_shadow) * np.linalg.norm(v)
+        scale = shadow_norm * np.linalg.norm(v)
         if denom == 0.0 or abs(denom) < 1e-30 * max(scale, 1e-300):
             restart()
             continue
         alpha = rho / denom
-        s = r - alpha * v
+        # s = r - alpha * v
+        np.multiply(v, alpha, out=work)
+        np.subtract(r, work, out=s)
         if np.linalg.norm(s) <= tol:
-            x += alpha * phat
-            r = b - a @ x
-            if np.linalg.norm(r) <= tol:
+            # x += alpha * phat
+            np.multiply(phat, alpha, out=work)
+            x += work
+            np.subtract(b, a @ x, out=r)
+            rnorm = np.linalg.norm(r)
+            if rnorm <= tol:
                 return x, k
             continue
-        shat = dinv * s
+        np.multiply(dinv, s, out=shat)
         t = a @ shat
         tt = t @ t
         if tt < 1e-300:
             restart()
             continue
         omega = (t @ s) / tt
-        x += alpha * phat + omega * shat
-        r = s - omega * t
-        if np.linalg.norm(r) <= tol:
-            r = b - a @ x
-            if np.linalg.norm(r) <= tol:
+        # x += alpha * phat + omega * shat
+        np.multiply(phat, alpha, out=work)
+        np.multiply(shat, omega, out=work2)
+        work += work2
+        x += work
+        # r = s - omega * t
+        np.multiply(t, omega, out=work)
+        np.subtract(s, work, out=r)
+        rnorm = np.linalg.norm(r)
+        if rnorm <= tol:
+            np.subtract(b, a @ x, out=r)
+            rnorm = np.linalg.norm(r)
+            if rnorm <= tol:
                 return x, k
     raise SolverError("bicgstab did not converge", np.linalg.norm(b - a @ x) / bnorm)
-
-
-@dataclass
-class LuFactors:
-    """Holder for the LU factors of one matrix, made when first needed.
-
-    Empty until BiCGStab gives up on the matrix; once filled, solves that
-    pass the holder skip BiCGStab and go straight to the factors. Keep one
-    holder per matrix (the scheme keeps one per `Operators`).
-    """
-
-    lu: object = None  # scipy SuperLU
 
 
 def _factorize(a: sp.csr_matrix):
@@ -194,7 +223,7 @@ def _factorize(a: sp.csr_matrix):
         raise SolverError(f"LU factorization failed: {exc}", 1.0) from exc
 
 
-def _gmres_fallback(a, b, tol, max_it, factors: LuFactors):
+def _gmres_fallback(a, b, tol, max_it, factors: Factors):
     """GMRES preconditioned by LU factors of `a`, factoring into `factors` if empty."""
     import scipy.sparse.linalg as spla
 
@@ -215,19 +244,19 @@ def _gmres_fallback(a, b, tol, max_it, factors: LuFactors):
 
 
 def solve_general(a: sp.csr_matrix, b: np.ndarray, config: SolverConfig | None = None,
-                  info: dict | None = None, factors: LuFactors | None = None) -> np.ndarray:
+                  info: dict | None = None, factors: Factors | None = None) -> np.ndarray:
     """Solve a square nonsymmetric system.
 
     Jacobi-preconditioned stabilized bi-conjugate gradients is the first
     attempt; if it breaks down or stagnates, GMRES preconditioned by LU
-    factors of `a` finishes the solve. Pass a `LuFactors` holder kept with
-    `a` to build the factors once and skip BiCGStab on every later solve;
-    without one, the factors are made for this solve only. The returned
-    residual always satisfies ||b - Ax|| <= tol * ||b||, verified by an
-    explicit multiplication.
+    factors of `a` finishes the solve. Pass the `Factors` holder kept with
+    `a` to extract its diagonal once, and to build the LU factors once and
+    skip BiCGStab on every later solve; without one, both are made for this
+    solve only. The returned residual always satisfies
+    ||b - Ax|| <= tol * ||b||, verified by an explicit multiplication.
     """
     config = config or SolverConfig()
-    factors = factors if factors is not None else LuFactors()
+    factors = factors if factors is not None else Factors()
     b = np.asarray(b, dtype=float)
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
@@ -240,7 +269,8 @@ def solve_general(a: sp.csr_matrix, b: np.ndarray, config: SolverConfig | None =
     if factors.lu is None:
         try:
             # give the cheap method a bounded attempt before the robust one
-            x, k = _bicgstab(a, b, _inv_diagonal(a), tol, min(max_it, max(300, b.shape[0] // 4)))
+            x, k = _bicgstab(a, b, _inv_diagonal(a, factors), tol,
+                             min(max_it, max(300, b.shape[0] // 4)))
         except SolverError:
             x, k = _gmres_fallback(a, b, tol, max_it, factors)
     else:
@@ -252,13 +282,15 @@ def solve_general(a: sp.csr_matrix, b: np.ndarray, config: SolverConfig | None =
 
 def solve_neumann_zero_mean(k_mat: sp.csr_matrix, b: np.ndarray, mass_row_sums: np.ndarray,
                             config: SolverConfig | None = None,
-                            info: dict | None = None) -> np.ndarray:
+                            info: dict | None = None,
+                            factors: Factors | None = None) -> np.ndarray:
     """Solve a singular Neumann system whose kernel is the constants.
 
     The right-hand side is first projected orthogonal to the constant
     vector (required for solvability), conjugate gradients run in that
     complement, and the solution is shifted so its mass-weighted mean
     sum_i psi_i (1, q_i) vanishes, i.e. the field integrates to zero.
+    Pass the `Factors` holder kept with `k_mat` to extract its diagonal once.
     """
     config = config or SolverConfig()
     b = np.asarray(b, dtype=float)
@@ -272,7 +304,7 @@ def solve_neumann_zero_mean(k_mat: sp.csr_matrix, b: np.ndarray, mass_row_sums: 
             info["iterations"] = 0
         return np.zeros_like(b)
 
-    dinv = _inv_diagonal(k_mat)
+    dinv = _inv_diagonal(k_mat, factors)
 
     def project(v):
         return v - v.sum() / n

@@ -53,17 +53,11 @@ def build_uniform_mesh(nx: int, ny: int,
     xg, yg = np.meshgrid(xs, ys)
     vertices = np.column_stack([xg.ravel(), yg.ravel()])
 
-    tris = np.empty((2 * nx * ny, 3), dtype=np.int64)
-    k = 0
-    for j in range(ny):
-        for i in range(nx):
-            v00 = j * (nx + 1) + i
-            v10 = v00 + 1
-            v01 = v00 + (nx + 1)
-            v11 = v01 + 1
-            tris[k] = (v00, v10, v11)
-            tris[k + 1] = (v00, v11, v01)
-            k += 2
+    # cell (i, j), cell-major, has corners v00 = j (nx + 1) + i, v10 = v00 + 1,
+    # v01 = v00 + nx + 1, v11 = v01 + 1 and triangles (v00, v10, v11), (v00, v11, v01)
+    v00 = (np.arange(ny, dtype=np.int64)[:, None] * (nx + 1) + np.arange(nx)).ravel()
+    v01 = v00 + (nx + 1)
+    tris = np.stack([v00, v00 + 1, v01 + 1, v00, v01 + 1, v01], axis=1).reshape(-1, 3)
 
     edges, edge_tris = _edge_table(tris)
     boundary_edges = np.flatnonzero(edge_tris[:, 1] < 0)
@@ -86,18 +80,26 @@ def build_uniform_mesh(nx: int, ny: int,
 
 
 def _edge_table(tris: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unique sorted vertex pairs plus the (at most two) triangles sharing each."""
-    raw = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-    raw = np.sort(raw, axis=1)
-    edges, inverse = np.unique(raw, axis=0, return_inverse=True)
+    """Unique sorted vertex pairs plus the (at most two) triangles sharing each.
 
-    edge_tris = np.full((edges.shape[0], 2), -1, dtype=np.int64)
-    tri_of_raw = np.tile(np.arange(tris.shape[0]), 3)
-    for e, t in zip(inverse, tri_of_raw):
-        if edge_tris[e, 0] < 0:
-            edge_tris[e, 0] = t
-        else:
-            edge_tris[e, 1] = t
+    Edges are ordered by their (low, high) vertex pair; each edge lists first
+    the triangle whose edge slot comes first in the order (all slot-0 edges,
+    then slot 1, then slot 2, each by triangle).
+    """
+    nt = tris.shape[0]
+    nv = int(tris.max()) + 1
+    raw = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
+    keys = raw.min(axis=1) * nv + raw.max(axis=1)
+    keys, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    edges = np.stack([keys // nv, keys % nv], axis=1)
+
+    edge_tris = np.full((keys.shape[0], 2), -1, dtype=np.int64)
+    edge_tris[:, 0] = first % nt
+    # raw slots grouped by edge, in slot order within each group
+    order = np.argsort(inverse, kind="stable")
+    grouped = inverse[order]
+    second = np.flatnonzero(grouped[1:] == grouped[:-1]) + 1
+    edge_tris[grouped[second], 1] = order[second] % nt
     return edges, edge_tris
 
 

@@ -27,7 +27,7 @@ import scipy.sparse as sp
 from . import assembly as asm
 from .assembly import AssembledForms, DirichletOperator
 from .fem import FeSpace, interpolate
-from .linsolve import LuFactors, SolverConfig, solve_general, solve_neumann_zero_mean, solve_spd
+from .linsolve import Factors, SolverConfig, solve_general, solve_neumann_zero_mean, solve_spd
 from .mesh import Mesh
 
 
@@ -124,8 +124,12 @@ class Operators:
     velocity: DirichletOperator     # m_v / tau + nu k_v, boundary rows eliminated
     projection: DirichletOperator   # m_v with boundary rows eliminated
     config: SolverConfig
-    # LU factors of a_ch, made the first time BiCGStab gives up on it
-    ch_factors: LuFactors = field(default_factory=LuFactors)
+    # solver data per matrix: its Jacobi diagonal, and for a_ch the LU
+    # factors made the first time BiCGStab gives up on it
+    ch_factors: Factors = field(default_factory=Factors)
+    velocity_factors: Factors = field(default_factory=Factors)
+    projection_factors: Factors = field(default_factory=Factors)
+    pressure_factors: Factors = field(default_factory=Factors)  # k_p1
 
 
 def build_operators(p1: FeSpace, p2v: FeSpace, params: Params,
@@ -222,11 +226,11 @@ def velocity_split_solve(ops: Operators, params: Params, u_n: np.ndarray,
         rhs0 += g_u_load
     infos = [{}, {}, {}]
     y0 = solve_spd(ops.velocity.matrix, ops.velocity.prepare_rhs(rhs0, bc_values),
-                   ops.config, infos[0])
+                   ops.config, infos[0], ops.velocity_factors)
     y1 = solve_spd(ops.velocity.matrix, ops.velocity.prepare_rhs(capillary / sqrt_e1),
-                   ops.config, infos[1])
+                   ops.config, infos[1], ops.velocity_factors)
     y2 = solve_spd(ops.velocity.matrix, ops.velocity.prepare_rhs(-convection / sqrt_e2),
-                   ops.config, infos[2])
+                   ops.config, infos[2], ops.velocity_factors)
     if iterations is not None:
         for name, inf in zip(("vel_y0", "vel_y1", "vel_y2"), infos):
             iterations[name] = inf["iterations"]
@@ -333,12 +337,12 @@ def pressure_correction(ops: Operators, params: Params, u_tilde: np.ndarray,
     infos = [{}, {}]
     rhs = -asm.div_load(ops.forms, u_tilde) / tau
     psi = solve_neumann_zero_mean(ops.forms.k_p1, rhs, ops.forms.lumped_p1,
-                                  ops.config, infos[0])
+                                  ops.config, infos[0], ops.pressure_factors)
     p_new = zero_mean(ops.forms, p_n + psi)
     rhs_u = ops.forms.m_v @ u_tilde - tau * (ops.forms.grad_coupling @ psi)
     bvals = u_tilde[ops.p2v.boundary_dofs]
     u_new = solve_spd(ops.projection.matrix, ops.projection.prepare_rhs(rhs_u, bvals),
-                      ops.config, infos[1])
+                      ops.config, infos[1], ops.projection_factors)
     if iterations is not None:
         iterations["pressure"] = infos[0]["iterations"]
         iterations["mass_projection"] = infos[1]["iterations"]

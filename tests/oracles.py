@@ -1,9 +1,12 @@
 """Independent reference computations the tests check the solver against."""
 
 import numpy as np
+import scipy.sparse as sp
 
 from chns import assembly as asm
-from chns.linsolve import SolverConfig, solve_general, solve_spd
+from chns.fem import FeSpace
+from chns.linsolve import SolverConfig, SolverError, solve_general, solve_spd
+from chns.mesh import Mesh, mesh_size
 
 
 def picard_step(state, params, ops, forcing=None, tol=1e-12, max_iter=400):
@@ -172,3 +175,215 @@ def splitmix64_scalar(seed, count):
             z = z ^ (z >> np.uint64(31))
             out[i] = float(z) / 2.0 ** 64
     return out
+
+
+# ---------------------------------------------------------------------------
+# loop, dict, kron and COO forms of the set-up path
+
+#: (nx, ny, rect) of the meshes the vectorized set-up must reproduce bit for bit
+SETUP_SHAPES = [(1, 1, (0.0, 0.0, 1.0, 1.0)), (5, 3, (0.0, 0.0, 1.0, 1.0)),
+                (17, 9, (0.0, 0.0, 1.0, 1.0)), (64, 64, (0.0, 0.0, 1.0, 1.0)),
+                (7, 4, (-0.5, 0.25, 1.5, 0.75))]
+
+
+def identical(a, b):
+    """Same dtype, shape and values; for CSR matrices, the same three arrays."""
+    if sp.issparse(a):
+        return a.shape == b.shape and all(identical(getattr(a, f), getattr(b, f))
+                                          for f in ("data", "indices", "indptr"))
+    return a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def loop_uniform_mesh(nx, ny, rect=(0.0, 0.0, 1.0, 1.0)):
+    """build_uniform_mesh with triangles and edge incidences filled cell by cell."""
+    x0, y0, x1, y1 = rect
+    xg, yg = np.meshgrid(np.linspace(x0, x1, nx + 1), np.linspace(y0, y1, ny + 1))
+    vertices = np.column_stack([xg.ravel(), yg.ravel()])
+    tris = np.empty((2 * nx * ny, 3), dtype=np.int64)
+    k = 0
+    for j in range(ny):
+        for i in range(nx):
+            v00 = j * (nx + 1) + i
+            v10 = v00 + 1
+            v01 = v00 + (nx + 1)
+            v11 = v01 + 1
+            tris[k] = (v00, v10, v11)
+            tris[k + 1] = (v00, v11, v01)
+            k += 2
+
+    raw = np.sort(np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]]), axis=1)
+    edges, inverse = np.unique(raw, axis=0, return_inverse=True)
+    edge_tris = np.full((edges.shape[0], 2), -1, dtype=np.int64)
+    for e, t in zip(inverse.ravel(), np.tile(np.arange(tris.shape[0]), 3)):
+        if edge_tris[e, 0] < 0:
+            edge_tris[e, 0] = t
+        else:
+            edge_tris[e, 1] = t
+    boundary_edges = np.flatnonzero(edge_tris[:, 1] < 0)
+    mesh = Mesh(vertices=vertices, triangles=tris, edges=edges, edge_triangles=edge_tris,
+                boundary_vertices=np.unique(edges[boundary_edges].ravel()),
+                boundary_edges=boundary_edges, h=0.0)
+    mesh.h = mesh_size(mesh)
+    return mesh
+
+
+def dict_space(mesh, kind):
+    """build_space with the P2 edge dofs looked up per triangle in a dict."""
+    if kind == "p1":
+        scalar_dofs = mesh.triangles.copy()
+        coords = mesh.vertices.copy()
+        bdofs = mesh.boundary_vertices.copy()
+    else:
+        nv = mesh.num_vertices
+        edge_index = {tuple(e): i for i, e in enumerate(map(tuple, mesh.edges))}
+        scalar_dofs = np.empty((mesh.num_triangles, 6), dtype=np.int64)
+        scalar_dofs[:, :3] = mesh.triangles
+        for t, (a, b, c) in enumerate(mesh.triangles):
+            scalar_dofs[t, 3] = nv + edge_index[tuple(sorted((a, b)))]
+            scalar_dofs[t, 4] = nv + edge_index[tuple(sorted((b, c)))]
+            scalar_dofs[t, 5] = nv + edge_index[tuple(sorted((c, a)))]
+        midpoints = 0.5 * (mesh.vertices[mesh.edges[:, 0]] + mesh.vertices[mesh.edges[:, 1]])
+        coords = np.vstack([mesh.vertices, midpoints])
+        bdofs = np.sort(np.concatenate([mesh.boundary_vertices, nv + mesh.boundary_edges]))
+    if kind == "p2vec":
+        cell_dofs = np.stack([2 * scalar_dofs, 2 * scalar_dofs + 1], axis=-1)
+        cell_dofs = cell_dofs.reshape(scalar_dofs.shape[0], -1)
+        bdofs = np.sort(np.concatenate([2 * bdofs, 2 * bdofs + 1]))
+        coords = np.repeat(coords, 2, axis=0)
+        ndofs, ncomp = 2 * (coords.shape[0] // 2), 2
+    else:
+        cell_dofs = scalar_dofs
+        ndofs, ncomp = coords.shape[0], 1
+    return FeSpace(kind=kind, mesh=mesh, ndofs=ndofs, ncomp=ncomp, cell_dofs=cell_dofs,
+                   boundary_dofs=bdofs, dof_coords=coords, scalar_cell_dofs=scalar_dofs)
+
+
+def kron_expand_vector(m_scalar):
+    return sp.kron(m_scalar, sp.eye(2), format="csr")
+
+
+def broadcast_basis_gradients(tab):
+    """asm._basis_gradients as one broadcast multiply-add over (nt, nq, nloc, 2)."""
+    nloc, nq = tab["gref"].shape[0], tab["vals"].shape[0]
+    gref = tab["gref"].reshape(nloc, 2, 1, nq).transpose(3, 0, 2, 1)  # (nq, nloc, 1, 2)
+    inv = tab["inv"][:, None, None]  # (nt, 1, 1, 2, 2)
+    out = np.multiply(gref[..., 0], inv[..., 0, :], out=np.empty((inv.shape[0], nq, nloc, 2)))
+    out += gref[..., 1] * inv[..., 1, :]
+    return out
+
+
+def kron_assemble_forms(p1, p2v):
+    """assemble_forms with basis gradients made per matrix and vector blocks by kron."""
+    tab1, tab2 = asm._tables(p1, 5), asm._tables(p2v, 5)
+
+    def mass(space, tab):
+        m = asm._matrix_from_cells(space, np.einsum("tq,qi,qj->tij", tab["wdet"],
+                                                    tab["vals"], tab["vals"]))
+        return kron_expand_vector(m) if space.ncomp == 2 else m
+
+    def stiffness(space, tab):
+        g = broadcast_basis_gradients(tab)
+        k = asm._matrix_from_cells(space, np.einsum("tq,tqid,tqjd->tij", tab["wdet"], g, g))
+        return kron_expand_vector(k) if space.ncomp == 2 else k
+
+    vdofs = np.stack([2 * p2v.scalar_cell_dofs, 2 * p2v.scalar_cell_dofs + 1], axis=-1)
+    intn2 = np.einsum("tq,qm->tm", tab2["wdet"], tab2["vals"])
+    elem = np.einsum("tm,tkc->tmck", intn2, broadcast_basis_gradients(tab1)[:, 0])
+    rows = np.repeat(vdofs.reshape(-1, 12), 3, axis=1).ravel()
+    cols = np.tile(p1.scalar_cell_dofs, (1, 12)).ravel()
+    grad = sp.coo_matrix((elem.ravel(), (rows, cols)), shape=(p2v.ndofs, p1.ndofs)).tocsr()
+    elem = np.einsum("tq,qk,tqmc->tkmc", tab2["wdet"], tab1["vals"],
+                     broadcast_basis_gradients(tab2))
+    rows = np.repeat(p1.scalar_cell_dofs, 12, axis=1).ravel()
+    cols = np.tile(vdofs.reshape(-1, 12), (1, 3)).ravel()
+    div = sp.coo_matrix((elem.ravel(), (rows, cols)), shape=(p1.ndofs, p2v.ndofs)).tocsr()
+    m_p1 = mass(p1, tab1)
+    return asm.AssembledForms(m_p1=m_p1, k_p1=stiffness(p1, tab1), m_v=mass(p2v, tab2),
+                              k_v=stiffness(p2v, tab2), grad_coupling=grad, div_coupling=div,
+                              lumped_p1=np.asarray(m_p1.sum(axis=1)).ravel())
+
+
+def coo_eliminated_matrix(a, dofs):
+    """Symmetric elimination through a COO round trip."""
+    keep = np.ones(a.shape[0], dtype=bool)
+    keep[dofs] = False
+    coo = a.tocoo()
+    m = keep[coo.row] & keep[coo.col]
+    rows = np.concatenate([coo.row[m], dofs])
+    cols = np.concatenate([coo.col[m], dofs])
+    vals = np.concatenate([coo.data[m], np.ones(len(dofs))])
+    return sp.csr_matrix((vals, (rows, cols)), shape=a.shape)
+
+
+# ---------------------------------------------------------------------------
+# BiCGStab with a fresh vector per update
+
+
+def bicgstab_loop(a, b, dinv, tol, max_it):
+    """The textbook-expression form of linsolve._bicgstab. Returns (x, iterations)."""
+    bnorm = np.linalg.norm(b)
+    x = np.zeros_like(b)
+    r = b.copy()
+    r_shadow = r.copy()
+    rho = alpha = omega = 1.0
+    v = np.zeros_like(b)
+    p = np.zeros_like(b)
+    restarts = 0
+    best = np.inf
+
+    def restart():
+        nonlocal r, r_shadow, rho, alpha, omega, v, p, restarts, best
+        r = b - a @ x
+        res = np.linalg.norm(r)
+        if not np.isfinite(res) or (res >= best and restarts > 2):
+            raise SolverError("bicgstab stagnated", res / bnorm)
+        best = min(best, res)
+        restarts += 1
+        r_shadow = r.copy()
+        rho = alpha = omega = 1.0
+        v = np.zeros_like(b)
+        p = np.zeros_like(b)
+
+    k = 0
+    while k < max_it:
+        k += 1
+        rho_new = r_shadow @ r
+        rnorm = np.linalg.norm(r)
+        if not np.isfinite(rnorm) or rnorm > 1e8 * bnorm:
+            raise SolverError("bicgstab diverged", rnorm / bnorm)
+        scale = np.linalg.norm(r_shadow) * rnorm
+        if rho_new == 0.0 or abs(rho_new) < 1e-30 * max(scale, 1e-300) or abs(omega) < 1e-300:
+            restart()
+            continue
+        beta = (rho_new / rho) * (alpha / omega)
+        rho = rho_new
+        p = r + beta * (p - omega * v)
+        phat = dinv * p
+        v = a @ phat
+        denom = r_shadow @ v
+        scale = np.linalg.norm(r_shadow) * np.linalg.norm(v)
+        if denom == 0.0 or abs(denom) < 1e-30 * max(scale, 1e-300):
+            restart()
+            continue
+        alpha = rho / denom
+        s = r - alpha * v
+        if np.linalg.norm(s) <= tol:
+            x += alpha * phat
+            r = b - a @ x
+            if np.linalg.norm(r) <= tol:
+                return x, k
+            continue
+        shat = dinv * s
+        t = a @ shat
+        tt = t @ t
+        if tt < 1e-300:
+            restart()
+            continue
+        omega = (t @ s) / tt
+        x += alpha * phat + omega * shat
+        r = s - omega * t
+        if np.linalg.norm(r) <= tol:
+            r = b - a @ x
+            if np.linalg.norm(r) <= tol:
+                return x, k
+    raise SolverError("bicgstab did not converge", np.linalg.norm(b - a @ x) / bnorm)

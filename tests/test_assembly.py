@@ -6,7 +6,7 @@ import oracles
 from chns import assembly as asm
 from chns.fem import build_space, interpolate
 from chns.mesh import Mesh, build_uniform_mesh
-from chns.scheme import Params
+from chns.scheme import Params, build_operators
 
 
 @pytest.fixture(scope="module")
@@ -224,17 +224,15 @@ def test_grad_div_duality(forms4, spaces4_module):
 
 def test_apply_dirichlet_examples():
     a = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    b = np.array([0.0, 5.0])
-    a2, b2 = asm.apply_dirichlet(a, b, np.array([0]), np.array([1.0]))
-    x = np.linalg.solve(a2.toarray(), b2)
+    op = asm.DirichletOperator(a, np.array([0]))
+    b2 = op.prepare_rhs(np.array([0.0, 5.0]), np.array([1.0]))
+    x = np.linalg.solve(op.matrix.toarray(), b2)
     assert x == pytest.approx([1.0, (5.0 - 1.0) / 2.0])
-    assert np.allclose(a2.toarray(), a2.toarray().T)
+    assert np.allclose(op.matrix.toarray(), op.matrix.toarray().T)
 
-    eye = sp.identity(4, format="csr")
-    b = np.arange(4.0)
-    a2, b2 = asm.apply_dirichlet(eye, b, np.array([1, 2]), np.array([9.0, 8.0]))
-    assert np.allclose(a2.toarray(), np.eye(4))
-    assert np.allclose(b2, [0.0, 9.0, 8.0, 3.0])
+    op = asm.DirichletOperator(sp.identity(4, format="csr"), np.array([1, 2]))
+    assert np.allclose(op.matrix.toarray(), np.eye(4))
+    assert np.allclose(op.prepare_rhs(np.arange(4.0), np.array([9.0, 8.0])), [0.0, 9.0, 8.0, 3.0])
 
 
 def test_apply_dirichlet_zero_values(spaces4_module):
@@ -242,9 +240,51 @@ def test_apply_dirichlet_zero_values(spaces4_module):
     k = asm.assemble_stiffness(p1)
     b = asm.assemble_load(p1, lambda x, y: np.ones_like(x))
     dofs = p1.boundary_dofs
-    a2, b2 = asm.apply_dirichlet(k, b, dofs, np.zeros(len(dofs)))
-    x = np.linalg.solve(a2.toarray(), b2)
-    assert np.abs(x[dofs]).max() == 0.0
+    op = asm.DirichletOperator(k, dofs)
+    for b2 in (op.prepare_rhs(b), op.prepare_rhs(b, np.zeros(len(dofs)))):
+        x = np.linalg.solve(op.matrix.toarray(), b2)
+        assert np.abs(x[dofs]).max() == 0.0
+
+
+@pytest.mark.parametrize("nx,ny,rect", oracles.SETUP_SHAPES)
+def test_forms_and_elimination_match_kron_and_coo_oracles(nx, ny, rect):
+    mesh = build_uniform_mesh(nx, ny, rect)
+    p1, p2v = build_space(mesh, "p1"), build_space(mesh, "p2vec")
+    forms = asm.assemble_forms(p1, p2v)
+    ref_mesh = oracles.loop_uniform_mesh(nx, ny, rect)
+    ref = oracles.kron_assemble_forms(oracles.dict_space(ref_mesh, "p1"),
+                                      oracles.dict_space(ref_mesh, "p2vec"))
+    for name in ("m_p1", "k_p1", "m_v", "k_v", "grad_coupling", "div_coupling", "lumped_p1"):
+        assert oracles.identical(getattr(forms, name), getattr(ref, name)), name
+    assert oracles.identical(asm._expand_vector(forms.k_p1), oracles.kron_expand_vector(forms.k_p1))
+    for space in (p1, build_space(mesh, "p2"), p2v):
+        for degree in (5, 8):
+            tab = asm._tables(space, degree)
+            assert oracles.identical(asm._basis_gradients(tab),
+                                     oracles.broadcast_basis_gradients(tab))
+
+    params = Params()
+    ops = build_operators(p1, p2v, params, forms)
+    a_v = (ref.m_v / params.tau + params.nu * ref.k_v).tocsr()
+    for op, a in ((ops.velocity, a_v), (ops.projection, ref.m_v)):
+        dofs = p2v.boundary_dofs
+        assert oracles.identical(op.matrix, oracles.coo_eliminated_matrix(a, dofs))
+        assert oracles.identical(op._columns, a[:, dofs].tocsr())
+
+
+def test_elimination_matches_coo_oracle_on_any_input():
+    base = sp.random(12, 12, density=0.4, random_state=3, format="csr")
+    # every entry split in two, columns descending: duplicates, unsorted
+    row = np.repeat(np.arange(12), np.diff(base.indptr))
+    twice = np.repeat(np.lexsort((-base.indices, row)), 2)
+    split = sp.csr_matrix((base.data[twice] / 2, base.indices[twice], 2 * base.indptr),
+                          shape=(12, 12))
+    assert not split.has_canonical_format
+    integer = sp.csr_matrix(np.random.default_rng(5).integers(-3, 4, (12, 12)))
+    for a in (base, split, integer):
+        for dofs in (np.array([7, 2, 11]), np.array([], dtype=np.int64), np.arange(12)):
+            got = asm.DirichletOperator(a, dofs).matrix
+            assert oracles.identical(got, oracles.coo_eliminated_matrix(a, dofs))
 
 
 def test_discrete_energies_examples(spaces4_module):

@@ -3,9 +3,13 @@ import json
 import numpy as np
 import pytest
 
+from chns import cli
+from chns.assembly import NonpositiveEnergyError
 from chns.cli import main
 from chns.config import ConfigError, parse_config
 from chns.experiments import EnergyTrace, ErrorRecord
+from chns.linsolve import SolverError
+from chns.scheme import ReductionError
 from chns.io import ENERGY_HEADER, write_energy_csv, write_error_table_csv, \
     write_h1_error_table_csv, write_vtk_snapshot
 from chns.mesh import build_uniform_mesh
@@ -203,6 +207,44 @@ def test_cli_relax_runs(tmp_path):
                  "--out", str(out)])
     assert code == 0
     assert (out / "energy.csv").exists()
+
+
+def test_cli_relax_not_monotone_exits_1(tmp_path, monkeypatch):
+    monkeypatch.setattr(EnergyTrace, "monotone", lambda self: False)
+    code = main(["relax", "--nx", "8", "--tau", "1e-2", "--t-end", "0.02",
+                 "--out", str(tmp_path / "rx")])
+    assert code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["coarsen", "--tau", "abc"],
+    ["coarsen", "--nx", "0"],
+    ["coarsen", "--nx", "-3"],
+    ["relax", "--nx", "2.5"],
+    ["converge", "--nx", "4,0"],
+    ["stability", "--tau", "1e-2,-1"],
+    ["coarsen", "--tau", "1", "--t-end", "0.1"],
+    ["stability", "--tau", "1e-2,1", "--t-end", "0.1"],
+])
+def test_cli_bad_numbers_exit_2_with_one_line(argv, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("exc", [SolverError("bicgstab stagnated", 0.5),
+                                 ReductionError("no real root"),
+                                 NonpositiveEnergyError("shifted energies must be positive")],
+                         ids=lambda e: type(e).__name__)
+def test_cli_run_failures_exit_3_with_one_line(exc, tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise exc
+    monkeypatch.setattr(cli.ex, "run_coarsening", fail)
+    assert main(["coarsen", "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: {type(exc).__name__}: {exc}\n"
 
 
 def test_cli_selftest_passes():

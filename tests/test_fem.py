@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from chns.assembly import l2_error
 from chns.fem import build_space, interpolate, p1_basis, p2_basis, triangle_quadrature
 from chns.mesh import build_uniform_mesh
@@ -131,3 +132,13 @@ def test_interpolation_orders():
         rates = [math.log2(a / b) for a, b in zip(errs[kind], errs[kind][1:])]
         for r in rates:
             assert abs(r - order) <= 0.2
+
+
+@pytest.mark.parametrize("nx,ny,rect", oracles.SETUP_SHAPES)
+def test_spaces_match_dict_oracle(nx, ny, rect):
+    mesh = build_uniform_mesh(nx, ny, rect)
+    for kind in ("p1", "p2", "p2vec"):
+        space, ref = build_space(mesh, kind), oracles.dict_space(mesh, kind)
+        assert (space.ndofs, space.ncomp) == (ref.ndofs, ref.ncomp)
+        for name in ("cell_dofs", "boundary_dofs", "dof_coords", "scalar_cell_dofs"):
+            assert oracles.identical(getattr(space, name), getattr(ref, name)), (kind, name)

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import oracles
 from chns import assembly as asm
 from chns import linsolve
-from chns.experiments import relaxation_params
+from chns.experiments import coarsening_params, random_phase_field, relaxation_params
 from chns.fem import build_space, interpolate
 from chns.linsolve import SolverConfig, SolverError, solve_general, \
-    solve_neumann_zero_mean, solve_spd, spmv
+    solve_neumann_zero_mean, solve_spd
 from chns.mesh import build_uniform_mesh
 from chns.scheme import Params, build_operators, ch_split_solve
 
@@ -23,18 +24,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(max_iterations=0)
     assert SolverConfig().iterations_for(7) == 70
-
-
-def test_spmv_examples():
-    eye = sp.identity(3, format="csr")
-    x = np.array([1.0, -2.0, 3.0])
-    assert np.array_equal(spmv(eye, x), x)
-    zero = sp.csr_matrix((3, 3))
-    assert np.array_equal(spmv(zero, x), np.zeros(3))
-    a = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    assert np.array_equal(spmv(a, np.ones(2)), np.array([3.0, 3.0]))
-    with pytest.raises(ValueError):
-        spmv(a, x)
 
 
 def test_cg_identity_and_2x2():
@@ -58,8 +47,7 @@ def test_cg_manufactured_dirichlet_stiffness():
     p1 = build_space(mesh, "p1")
     k = asm.assemble_stiffness(p1)
     field = interpolate(p1, lambda x, y: x * y + 0.3 * x)
-    a2, _ = asm.apply_dirichlet(k, np.zeros(p1.ndofs), p1.boundary_dofs,
-                                field[p1.boundary_dofs])
+    a2 = asm.DirichletOperator(k, p1.boundary_dofs).matrix
     b = a2 @ field
     info = {}
     x = solve_spd(a2, b, SolverConfig(rel_tolerance=1e-12), info)
@@ -194,3 +182,52 @@ def test_ch_factors_built_once_and_reused(monkeypatch):
     assert iterations["ch_x0"] >= 1 and iterations["ch_x1"] >= 1
     assert ops2.ch_factors.lu is not None and ops2.ch_factors.lu is not factors
     assert ops.ch_factors.lu is factors
+
+
+def _bicgstab_outcome(fn, a, b, max_it):
+    try:
+        x, k = fn(a, b, linsolve._inv_diagonal(a), 1e-10 * np.linalg.norm(b), max_it)
+    except SolverError as exc:
+        return str(exc), exc.residual
+    return x.tobytes(), k
+
+
+@pytest.fixture(scope="module")
+def spaces16():
+    mesh = build_uniform_mesh(16, 16)
+    return build_space(mesh, "p1"), build_space(mesh, "p2vec")
+
+
+@pytest.mark.parametrize("params", [coarsening_params(), relaxation_params()],
+                         ids=["coarsen", "relax"])
+def test_bicgstab_iterates_match_loop_oracle(params, spaces16):
+    p1, p2v = spaces16
+    ops = build_operators(p1, p2v, params)
+    n = p1.ndofs
+    phi = random_phase_field(3, n)
+    fp = asm.fprime_load(p1, phi, params.eps, params.gamma)
+    for b in (np.concatenate([ops.forms.m_p1 @ phi / params.tau, np.zeros(n)]),
+              np.concatenate([np.zeros(n), params.lam * fp])):
+        for max_it in (300, 7):  # converged, and stopped by the iteration limit
+            got = _bicgstab_outcome(linsolve._bicgstab, ops.a_ch, b, max_it)
+            assert got == _bicgstab_outcome(oracles.bicgstab_loop, ops.a_ch, b, max_it)
+    # restarts on exact breakdown, then stagnation
+    singular = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
+    got = _bicgstab_outcome(linsolve._bicgstab, singular, np.array([1.0, 0.0]), 50)
+    assert got[0].startswith("bicgstab stagnated")
+    assert got == _bicgstab_outcome(oracles.bicgstab_loop, singular, np.array([1.0, 0.0]), 50)
+
+
+def test_velocity_solves_reuse_the_diagonal_bit_for_bit(spaces16):
+    p1, p2v = spaces16
+    ops = build_operators(p1, p2v, coarsening_params())
+    rng = np.random.default_rng(16)
+    a = ops.velocity.matrix
+    kept = []
+    for _ in range(2):
+        b = ops.velocity.prepare_rhs(rng.standard_normal(p2v.ndofs))
+        x = solve_spd(a, b, ops.config, factors=ops.velocity_factors)
+        assert x.tobytes() == solve_spd(a, b, ops.config).tobytes()
+        kept.append(ops.velocity_factors.dinv)
+    assert kept[0] is not None and kept[1] is kept[0]
+    assert ops.velocity_factors.lu is None

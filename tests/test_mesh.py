@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
+import oracles
 from chns.mesh import build_uniform_mesh, mesh_size, triangle_areas
+
+MESH_ARRAYS = ("vertices", "triangles", "edges", "edge_triangles",
+               "boundary_vertices", "boundary_edges")
 
 
 def test_smallest_mesh_counts():
@@ -86,3 +90,13 @@ def test_invalid_subdivisions(nx, ny):
 def test_degenerate_rectangle():
     with pytest.raises(ValueError):
         build_uniform_mesh(2, 2, rect=(0.0, 0.0, 0.0, 1.0))
+
+
+@pytest.mark.parametrize("nx,ny,rect", oracles.SETUP_SHAPES)
+def test_mesh_matches_loop_oracle(nx, ny, rect):
+    mesh = build_uniform_mesh(nx, ny, rect)
+    ref = oracles.loop_uniform_mesh(nx, ny, rect)
+    for name in MESH_ARRAYS:
+        assert oracles.identical(getattr(mesh, name), getattr(ref, name)), name
+        assert not getattr(mesh, name).flags.writeable, name
+    assert mesh.h == ref.h
