@@ -424,15 +424,6 @@ def l2_norm(space: FeSpace, coeffs, degree: int = NORM_DEGREE) -> float:
     return float(np.sqrt(np.sum(tab["wdet"] * np.sum(vq ** 2, axis=-1))))
 
 
-def h1_seminorm(space: FeSpace, coeffs, degree: int = NORM_DEGREE) -> float:
-    tab = _tables(space, degree)
-    if space.ncomp == 1:
-        g = eval_scalar_grad(space, coeffs, degree)
-        return float(np.sqrt(np.sum(tab["wdet"] * np.sum(g ** 2, axis=-1))))
-    g = eval_vector_grad(space, coeffs, degree)
-    return float(np.sqrt(np.sum(tab["wdet"] * np.sum(g ** 2, axis=(-2, -1)))))
-
-
 def l2_error(space: FeSpace, coeffs, exact=None, degree: int = NORM_DEGREE) -> float:
     """L2 distance between a finite element field and an analytic reference."""
     tab = _tables(space, degree)

@@ -47,20 +47,18 @@ def _run_converge(cfg):
     return 0
 
 
-def _write_snapshots(run, out, prefix=""):
+def _write_snapshots(run, out):
     nv = run.ops.mesh.num_vertices
     for t, state in run.snapshots:
         fields = {"phi": state.phi[:nv], "mu": state.mu[:nv], "p": state.p[:nv],
                   "u": state.u}
-        path = os.path.join(out, f"{prefix}snap_t{t:g}.vtk")
-        write_vtk_snapshot(run.ops.mesh, fields, path)
+        write_vtk_snapshot(run.ops.mesh, fields, os.path.join(out, f"snap_t{t:g}.vtk"))
 
 
 def _run_coarsen(cfg):
     out = ensure_dir(cfg.out_dir)
     run = ex.run_coarsening(cfg.seed, cfg.nx, cfg.tau, cfg.t_end,
-                            snapshot_times=cfg.snapshot_times, params=cfg.params(),
-                            strict_root=cfg.strict_root)
+                            snapshot_times=cfg.snapshot_times, params=cfg.params())
     write_energy_csv(run.trace, os.path.join(out, "energy.csv"))
     _write_snapshots(run, out)
     verdict = "nonincreasing" if run.trace.monotone() else "NOT monotone"
@@ -72,8 +70,7 @@ def _run_relax(cfg):
     out = ensure_dir(cfg.out_dir)
     polygon = cfg.polygon if cfg.polygon is not None else ex.default_cross_polygon()
     run = ex.run_relaxation(polygon, cfg.nx, cfg.tau, cfg.t_end,
-                            snapshot_times=cfg.snapshot_times, params=cfg.params(),
-                            strict_root=cfg.strict_root)
+                            snapshot_times=cfg.snapshot_times, params=cfg.params())
     write_energy_csv(run.trace, os.path.join(out, "energy.csv"))
     _write_snapshots(run, out)
     verdict = "nonincreasing" if run.trace.monotone() else "NOT monotone"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 
 from .scheme import Params
@@ -11,8 +12,6 @@ from .scheme import Params
 class ConfigError(ValueError):
     pass
 
-
-_PARAM_KEYS = ("mobility", "lam", "nu", "eps", "gamma", "c1", "c2", "solver_tol")
 
 _DEFAULTS = {
     "converge": dict(mobility=0.001, lam=0.001, nu=0.1, eps=0.04, gamma=1.0,
@@ -52,23 +51,31 @@ class ExperimentConfig:
     snapshot_times: list = field(default_factory=list)
     out_dir: str = "out"
     solver_tol: float = 1e-10
-    strict_root: bool = False
     polygon: list | None = None
 
     def params(self) -> Params:
-        return Params(mobility=self.mobility, lam=self.lam, nu=self.nu,
-                      eps=self.eps, gamma=self.gamma, c1=self.c1, c2=self.c2,
-                      tau=self.tau, t_end=self.t_end, solver_tol=self.solver_tol)
+        return Params(**{f.name: getattr(self, f.name) for f in fields(Params)})
+
+
+# element types of the list keys that hold numbers
+_ITEM_TYPES = {"tau_list": float, "snapshot_times": float, "levels": int}
+
+
+def _is_a(value, kind: type) -> bool:
+    """isinstance, but an int passes for a float, and a bool or a NaN or inf fails."""
+    kinds = (int, float) if kind is float else kind
+    return isinstance(value, kinds) and not isinstance(value, bool) \
+        and not (isinstance(value, float) and not math.isfinite(value))
 
 
 def parse_config(path: str | None = None, kind: str | None = None,
                  overrides: dict | None = None) -> ExperimentConfig:
     """Build a configuration from defaults, an optional JSON file, and overrides.
 
-    Unknown keys are rejected. The built-in defaults replicate the
-    published experiment settings verbatim; user-supplied stabilization
-    shifts must additionally satisfy c1 > gamma, which those presets are
-    exempt from.
+    Unknown keys and values of the wrong type are rejected. The built-in
+    defaults replicate the published experiment settings verbatim;
+    user-supplied stabilization shifts must additionally satisfy c1 > gamma,
+    which those presets are exempt from.
     """
     data: dict = {}
     if path is not None:
@@ -90,6 +97,15 @@ def parse_config(path: str | None = None, kind: str | None = None,
     unknown = set(data) - known
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    template = ExperimentConfig(kind=kind)
+    for key, value in data.items():
+        default = getattr(template, key)
+        want = list if default is None else type(default)  # polygon: None selects the cross
+        items = _ITEM_TYPES.get(key)
+        if not (_is_a(value, want) or default is value is None) \
+                or items and not all(_is_a(v, items) for v in value):
+            what = f"a list of {items.__name__}" if items else want.__name__
+            raise ConfigError(f"{key} must be {what}, got {value!r}")
 
     merged = {**_DEFAULTS[kind], **data}
     cfg = ExperimentConfig(kind=kind, **merged)

@@ -212,7 +212,7 @@ class RunArtifacts:
 
 
 def _march(ops: Operators, params: Params, state: State, nsteps: int,
-           snapshot_times=(), bc=None, on_step=None, strict_root=False) -> RunArtifacts:
+           snapshot_times=(), bc=None, on_step=None) -> RunArtifacts:
     from .scheme import modified_energy
 
     trace = EnergyTrace()
@@ -223,7 +223,7 @@ def _march(ops: Operators, params: Params, state: State, nsteps: int,
         snaps.append((0.0, state))
         remaining = [t for t in remaining if t > 0.0]
     for n in range(nsteps):
-        state, report = step(state, params, ops, bc=bc, strict_root=strict_root)
+        state, report = step(state, params, ops, bc=bc)
         t = (n + 1) * params.tau
         trace.append(report, n + 1, t)
         while remaining and t >= remaining[0] - 0.5 * params.tau:
@@ -241,7 +241,7 @@ def coarsening_params() -> Params:
 
 def run_coarsening(seed: int, nx: int, tau: float, t_end: float,
                    snapshot_times=(), params: Params | None = None,
-                   on_step=None, strict_root=False) -> RunArtifacts:
+                   on_step=None) -> RunArtifacts:
     """Spinodal decomposition from small random data; energy must decay."""
     prm = replace(params or coarsening_params(), tau=tau, t_end=t_end)
     mesh = build_uniform_mesh(nx, nx)
@@ -253,8 +253,7 @@ def run_coarsening(seed: int, nx: int, tau: float, t_end: float,
     state = init_state(ops, phi0, np.zeros(p2v.ndofs), np.zeros(p1.ndofs), prm,
                        mu0=phi0.copy())
     nsteps = round(t_end / tau)
-    return _march(ops, prm, state, nsteps, snapshot_times, on_step=on_step,
-                  strict_root=strict_root)
+    return _march(ops, prm, state, nsteps, snapshot_times, on_step=on_step)
 
 
 def run_stability_sweep(tau_list, seed: int, nx: int, t_end: float,
@@ -321,7 +320,7 @@ def relaxation_params() -> Params:
 
 def run_relaxation(polygon, nx: int, tau: float, t_end: float,
                    snapshot_times=(), params: Params | None = None,
-                   on_step=None, strict_root=False) -> RunArtifacts:
+                   on_step=None) -> RunArtifacts:
     """Relax a polygonal blob while the boundary drives a rigid rotation."""
     poly = np.asarray(polygon, dtype=float)
     if len(poly) < 3 or not polygon_is_simple(poly):
@@ -339,8 +338,7 @@ def run_relaxation(polygon, nx: int, tau: float, t_end: float,
     phi0 = np.where(inside, 1.0, -1.0)
     state = init_state(ops, phi0, rotation, np.zeros(p1.ndofs), prm)
     nsteps = round(t_end / tau)
-    return _march(ops, prm, state, nsteps, snapshot_times, bc=rotation,
-                  on_step=on_step, strict_root=strict_root)
+    return _march(ops, prm, state, nsteps, snapshot_times, bc=rotation, on_step=on_step)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,12 @@ known, so a step splits each linear solve by superposition:
 * a pressure Poisson solve projects the tentative velocity and updates
   the zero-mean pressure.
 
-Residuals of the original coupled equations are re-checked after every
-step, which ties this decoupled realization to the monolithic statement.
+The explicit data of a step (the shifted energies and the nonlinear,
+pressure and forcing loads at the old level) are assembled in one place,
+`explicit_terms`. `step` re-checks the two scalar equations the reduction
+eliminated (`scalar_equation_residuals`); `scheme_residuals` substitutes a
+completed step into all five coupled equations, which ties this decoupled
+realization to the monolithic statement.
 """
 
 from __future__ import annotations
@@ -54,7 +58,6 @@ class Params:
     tau: float = 1e-3
     t_end: float = 0.1
     solver_tol: float = 1e-10
-    solver_maxit: int | None = None
 
     def __post_init__(self):
         for name in ("mobility", "lam", "nu", "eps", "gamma", "c1", "c2", "tau", "t_end"):
@@ -62,9 +65,6 @@ class Params:
                 raise ValueError(f"parameter {name} must be positive")
         if self.tau > self.t_end:
             raise ValueError("time step exceeds final time")
-
-    def solver_config(self) -> SolverConfig:
-        return SolverConfig(rel_tolerance=self.solver_tol, max_iterations=self.solver_maxit)
 
 
 @dataclass
@@ -146,7 +146,7 @@ def build_operators(p1: FeSpace, p2v: FeSpace, params: Params,
         mesh=p1.mesh, p1=p1, p2v=p2v, forms=forms, a_ch=a_ch,
         velocity=DirichletOperator(a_v, bdofs),
         projection=DirichletOperator(forms.m_v.tocsr(), bdofs),
-        config=params.solver_config(),
+        config=SolverConfig(rel_tolerance=params.solver_tol),
     )
 
 
@@ -184,10 +184,47 @@ def init_state(ops: Operators, phi0, u0, p0, params: Params, mu0=None) -> State:
                  p=p, r=float(np.sqrt(e1h)), rho=float(np.sqrt(e2h)))
 
 
+@dataclass
+class ExplicitTerms:
+    """Data of one step at the old level; the forcing loads are None when unforced."""
+
+    e1h: float                      # E1(phi^n) + c1
+    e2h: float                      # E2(u^n) + c2
+    sqrt_e1: float
+    sqrt_e2: float
+    conv_scalar: np.ndarray         # (u^n . grad phi^n, w)
+    fp: np.ndarray                  # (F'(phi^n), w)
+    capillary: np.ndarray           # (mu^n grad phi^n, v)
+    convection: np.ndarray          # ((u^n . grad) u^n, v)
+    grad_p: np.ndarray              # (grad p^n, v)
+    g_phi_load: np.ndarray | None   # (g_phi(t^{n+1}), w)
+    g_u_load: np.ndarray | None     # (g_u(t^{n+1}), v)
+
+
+def explicit_terms(ops: Operators, params: Params, state: State,
+                   forcing: Forcing | None = None) -> ExplicitTerms:
+    """Assemble the explicit data of the step that starts from state."""
+    # each load is looked up on the assembly module at call time, so a
+    # wrapper installed there sees every call
+    e1h, e2h = asm.compute_discrete_energies(ops.p1, ops.forms.m_v,
+                                             state.phi, state.u, params)
+    terms = ExplicitTerms(
+        e1h=e1h, e2h=e2h, sqrt_e1=np.sqrt(e1h), sqrt_e2=np.sqrt(e2h),
+        conv_scalar=asm.convective_load_scalar(ops.p2v, ops.p1, state.u, state.phi),
+        fp=asm.fprime_load(ops.p1, state.phi, params.eps, params.gamma),
+        capillary=asm.mu_grad_phi_load(ops.p2v, ops.p1, state.mu, state.phi),
+        convection=asm.convective_load_vector(ops.p2v, state.u),
+        grad_p=asm.grad_p_load(ops.forms, state.p),
+        g_phi_load=None, g_u_load=None)
+    if forcing is not None:
+        t_next = (state.step + 1) * params.tau
+        terms.g_phi_load = asm.assemble_load(ops.p1, lambda x, y: forcing.g_phi(t_next, x, y))
+        terms.g_u_load = asm.assemble_load(ops.p2v, lambda x, y: forcing.g_u(t_next, x, y))
+    return terms
+
+
 def ch_split_solve(ops: Operators, params: Params, phi_n: np.ndarray,
-                   conv_scalar: np.ndarray, fprime_vec: np.ndarray,
-                   g_phi_load: np.ndarray | None, sqrt_e1: float,
-                   iterations: dict | None = None):
+                   terms: ExplicitTerms, iterations: dict | None = None):
     """Solve the phase/potential block for the two superposition states.
 
     X0 carries the explicit data (and forcing); X1 carries everything the
@@ -196,9 +233,10 @@ def ch_split_solve(ops: Operators, params: Params, phi_n: np.ndarray,
     """
     n = ops.p1.ndofs
     rhs0 = np.concatenate([ops.forms.m_p1 @ phi_n / params.tau, np.zeros(n)])
-    if g_phi_load is not None:
-        rhs0[:n] += g_phi_load
-    rhs1 = np.concatenate([-conv_scalar / sqrt_e1, params.lam * fprime_vec / sqrt_e1])
+    if terms.g_phi_load is not None:
+        rhs0[:n] += terms.g_phi_load
+    rhs1 = np.concatenate([-terms.conv_scalar / terms.sqrt_e1,
+                           params.lam * terms.fp / terms.sqrt_e1])
 
     info0, info1 = {}, {}
     x0 = solve_general(ops.a_ch, rhs0, ops.config, info0, ops.ch_factors)
@@ -210,10 +248,7 @@ def ch_split_solve(ops: Operators, params: Params, phi_n: np.ndarray,
 
 
 def velocity_split_solve(ops: Operators, params: Params, u_n: np.ndarray,
-                         grad_p: np.ndarray, capillary: np.ndarray,
-                         convection: np.ndarray, g_u_load: np.ndarray | None,
-                         sqrt_e1: float, sqrt_e2: float,
-                         bc_values: np.ndarray | None = None,
+                         terms: ExplicitTerms, bc_values: np.ndarray | None = None,
                          iterations: dict | None = None):
     """Solve the tentative-velocity system for the three superposition states.
 
@@ -221,16 +256,15 @@ def velocity_split_solve(ops: Operators, params: Params, u_n: np.ndarray,
     Y2 (the r- and rho-scaled parts) use homogeneous conditions so the
     combination Y0 + r Y1 + rho Y2 keeps the prescribed trace.
     """
-    rhs0 = ops.forms.m_v @ u_n / params.tau - grad_p
-    if g_u_load is not None:
-        rhs0 += g_u_load
+    rhs0 = ops.forms.m_v @ u_n / params.tau - terms.grad_p
+    if terms.g_u_load is not None:
+        rhs0 += terms.g_u_load
+    rhs = (ops.velocity.prepare_rhs(rhs0, bc_values),
+           ops.velocity.prepare_rhs(terms.capillary / terms.sqrt_e1),
+           ops.velocity.prepare_rhs(-terms.convection / terms.sqrt_e2))
     infos = [{}, {}, {}]
-    y0 = solve_spd(ops.velocity.matrix, ops.velocity.prepare_rhs(rhs0, bc_values),
-                   ops.config, infos[0], ops.velocity_factors)
-    y1 = solve_spd(ops.velocity.matrix, ops.velocity.prepare_rhs(capillary / sqrt_e1),
-                   ops.config, infos[1], ops.velocity_factors)
-    y2 = solve_spd(ops.velocity.matrix, ops.velocity.prepare_rhs(-convection / sqrt_e2),
-                   ops.config, infos[2], ops.velocity_factors)
+    y0, y1, y2 = (solve_spd(ops.velocity.matrix, b, ops.config, info, ops.velocity_factors)
+                  for b, info in zip(rhs, infos))
     if iterations is not None:
         for name, inf in zip(("vel_y0", "vel_y1", "vel_y2"), infos):
             iterations[name] = inf["iterations"]
@@ -274,27 +308,40 @@ def affine_reduction(r_n: float, tau: float, kappa0: float, kappa1: float,
     return (r_n / tau + kappa0) / denom, kappa_rho / denom
 
 
+def closest_ratio_root(roots, velocity_of, m_v: sp.csr_matrix, c2: float):
+    """Pick the root whose ratio rho / sqrt(E2(u_tilde) + c2) lies nearest 1.
+
+    u_tilde = velocity_of(rho); the first of two equally near roots wins.
+    Returns (rho, u_tilde, ratio).
+    """
+    best = None
+    for root in roots:
+        ut = velocity_of(root)
+        ratio = root / np.sqrt(0.5 * (ut @ (m_v @ ut)) + c2)
+        if best is None or abs(ratio - 1.0) < abs(best[2] - 1.0):
+            best = (root, ut, ratio)
+    return best
+
+
 def scalar_reduction(ops: Operators, params: Params, state: State,
-                     splits, vectors, sqrt_e1: float, sqrt_e2: float):
+                     terms: ExplicitTerms, ch, vel):
     """Collapse the discrete auxiliary-variable equations to two scalars.
 
-    The r update is affine in rho (r = alpha + beta rho); the rho update
-    then closes into one quadratic whose real root keeping the ratio
-    rho / sqrt(E2(u_tilde) + c2) nearest 1 is selected.
-
-    Returns (r, rho, u_tilde, diagnostics-dict).
+    ch and vel are the split solutions. The r update is affine in rho
+    (r = alpha + beta rho); the rho update closes into one quadratic whose
+    root is picked by `closest_ratio_root`. Returns (r, rho, u_tilde, diag),
+    diag holding the reduction's StepReport fields.
     """
-    (phi0, mu0), (phi1, mu1) = splits["ch"]
-    y0, y1, y2 = splits["velocity"]
-    conv_scalar, fp, capillary, convection = vectors
+    (phi0, mu0), (phi1, mu1) = ch
+    y0, y1, y2 = vel
     tau, lam = params.tau, params.lam
     m_v = ops.forms.m_v
 
-    kappa1 = ((fp @ phi1) / tau + (conv_scalar @ mu1) / lam
-              - (capillary @ y1) / lam) / (2.0 * sqrt_e1)
-    kappa0 = ((fp @ (phi0 - state.phi)) / tau + (conv_scalar @ mu0) / lam
-              - (capillary @ y0) / lam) / (2.0 * sqrt_e1)
-    kappa_rho = -(capillary @ y2) / (2.0 * lam * sqrt_e1)
+    kappa1 = ((terms.fp @ phi1) / tau + (terms.conv_scalar @ mu1) / lam
+              - (terms.capillary @ y1) / lam) / (2.0 * terms.sqrt_e1)
+    kappa0 = ((terms.fp @ (phi0 - state.phi)) / tau + (terms.conv_scalar @ mu0) / lam
+              - (terms.capillary @ y0) / lam) / (2.0 * terms.sqrt_e1)
+    kappa_rho = -(terms.capillary @ y2) / (2.0 * lam * terms.sqrt_e1)
     alpha, beta = affine_reduction(state.r, tau, kappa0, kappa1, kappa_rho)
 
     z0 = y0 + alpha * y1
@@ -303,25 +350,18 @@ def scalar_reduction(ops: Operators, params: Params, state: State,
     mz1 = m_v @ z1
     du = z0 - state.u
 
-    a2 = 2.0 / tau - (z1 @ mz1) / tau - 2.0 * (convection @ z1) / sqrt_e2
+    a2 = 2.0 / tau - (z1 @ mz1) / tau - 2.0 * (terms.convection @ z1) / terms.sqrt_e2
     a1 = (-2.0 * state.rho / tau - ((du @ mz1) + (z0 @ mz1)) / tau
-          - 2.0 * (convection @ z0) / sqrt_e2)
+          - 2.0 * (terms.convection @ z0) / terms.sqrt_e2)
     a0 = -(du @ mz0) / tau
     disc = a1 * a1 - 4.0 * a2 * a0
     roots = solve_quadratic(a2, a1, a0)
-
-    best = None
-    for root in roots:
-        ut = z0 + root * z1
-        ratio = root / np.sqrt(0.5 * (ut @ (m_v @ ut)) + params.c2)
-        if best is None or abs(ratio - 1.0) < abs(best[2] - 1.0):
-            best = (root, ut, ratio)
-    rho, u_tilde, ratio = best
+    rho, u_tilde, ratio = closest_ratio_root(roots, lambda root: z0 + root * z1,
+                                             m_v, params.c2)
     r = alpha + beta * rho
 
     diag = {"alpha": alpha, "beta": beta, "a2": a2, "a1": a1, "a0": a0,
-            "discriminant": disc, "roots": tuple(roots), "rho": rho,
-            "ratio": ratio, "z0": z0, "z1": z1}
+            "discriminant": disc, "roots": tuple(roots), "root_ratio": ratio}
     return r, rho, u_tilde, diag
 
 
@@ -400,7 +440,7 @@ def _boundary_values(space: FeSpace, bc) -> np.ndarray:
 
 def step(state: State, params: Params, ops: Operators,
          forcing: Forcing | None = None, bc=None,
-         strict_root: bool = False, velocity_frozen: bool = False) -> tuple[State, StepReport]:
+         velocity_frozen: bool = False) -> tuple[State, StepReport]:
     """Advance one time level and report the step diagnostics.
 
     velocity_frozen runs the pure phase-field subsystem: the flow stays at
@@ -408,50 +448,17 @@ def step(state: State, params: Params, ops: Operators,
     checks use.
     """
     tau = params.tau
-    t_next = (state.step + 1) * tau
     iterations: dict = {}
 
-    e1h, e2h = asm.compute_discrete_energies(ops.p1, ops.forms.m_v,
-                                             state.phi, state.u, params)
-    sqrt_e1, sqrt_e2 = np.sqrt(e1h), np.sqrt(e2h)
-
-    conv_scalar = asm.convective_load_scalar(ops.p2v, ops.p1, state.u, state.phi)
-    fp = asm.fprime_load(ops.p1, state.phi, params.eps, params.gamma)
-    capillary = asm.mu_grad_phi_load(ops.p2v, ops.p1, state.mu, state.phi)
-    convection = asm.convective_load_vector(ops.p2v, state.u)
-    grad_p = asm.grad_p_load(ops.forms, state.p)
-    g_phi_load = g_u_load = None
-    if forcing is not None:
-        g_phi_load = asm.assemble_load(ops.p1, lambda x, y: forcing.g_phi(t_next, x, y))
-        g_u_load = asm.assemble_load(ops.p2v, lambda x, y: forcing.g_u(t_next, x, y))
-
-    ch = ch_split_solve(ops, params, state.phi, conv_scalar, fp, g_phi_load,
-                        sqrt_e1, iterations)
+    terms = explicit_terms(ops, params, state, forcing)
+    ch = ch_split_solve(ops, params, state.phi, terms, iterations)
     bc_values = _boundary_values(ops.p2v, bc) if bc is not None else None
     if velocity_frozen:
         zero = np.zeros(ops.p2v.ndofs)
         vel = (zero, zero.copy(), zero.copy())
     else:
-        vel = velocity_split_solve(ops, params, state.u, grad_p, capillary, convection,
-                                   g_u_load, sqrt_e1, sqrt_e2, bc_values, iterations)
-
-    splits = {"ch": ch, "velocity": vel}
-    vectors = (conv_scalar, fp, capillary, convection)
-    r, rho, u_tilde, diag = scalar_reduction(ops, params, state, splits, vectors,
-                                             sqrt_e1, sqrt_e2)
-
-    if strict_root and len(diag["roots"]) > 1:
-        # re-rank the roots with the fully projected end-of-step velocity
-        best = None
-        for root in diag["roots"]:
-            ut = diag["z0"] + root * diag["z1"]
-            u_cand, _, _ = pressure_correction(ops, params, ut, state.p)
-            ratio = root / np.sqrt(0.5 * quad(ops.forms.m_v, u_cand) + params.c2)
-            if best is None or abs(ratio - 1.0) < abs(best[2] - 1.0):
-                best = (root, ut, ratio)
-        rho, u_tilde, diag["ratio"] = best
-        diag["rho"] = rho
-        r = diag["alpha"] + diag["beta"] * rho
+        vel = velocity_split_solve(ops, params, state.u, terms, bc_values, iterations)
+    r, rho, u_tilde, diag = scalar_reduction(ops, params, state, terms, ch, vel)
 
     (phi0, mu0), (phi1, mu1) = ch
     phi_new = phi0 + r * phi1
@@ -463,16 +470,7 @@ def step(state: State, params: Params, ops: Operators,
         u_new, p_new, _psi = pressure_correction(ops, params, u_tilde, state.p, iterations)
     new = State(step=state.step + 1, phi=phi_new, mu=mu_new, u_tilde=u_tilde,
                 u=u_new, p=p_new, r=r, rho=rho)
-
-    # verify the two scalar equations the reduction eliminated
-    lhs_r = (r - state.r) / tau
-    rhs_r = ((fp @ (phi_new - state.phi)) / tau + (conv_scalar @ mu_new) / params.lam
-             - (capillary @ u_tilde) / params.lam) / (2.0 * sqrt_e1)
-    res_r = abs(lhs_r - rhs_r) / max(1.0, abs(lhs_r), abs(rhs_r))
-    lhs_rho = 2.0 * rho * (rho - state.rho) / tau
-    rhs_rho = ((u_tilde - state.u) @ (ops.forms.m_v @ u_tilde)) / tau \
-        + 2.0 * rho * (convection @ u_tilde) / sqrt_e2
-    res_rho = abs(lhs_rho - rhs_rho) / max(1.0, abs(lhs_rho), abs(rhs_rho))
+    res_r, res_rho = scalar_equation_residuals(ops, params, state, new, terms)
 
     energy_before = modified_energy(ops, params, state)
     energy_after = modified_energy(ops, params, new)
@@ -483,16 +481,30 @@ def step(state: State, params: Params, ops: Operators,
 
     report = StepReport(
         energy_before=energy_before, energy_after=energy_after,
-        dissipation=dissipation, identity_residual=residual,
-        a2=diag["a2"], a1=diag["a1"], a0=diag["a0"],
-        discriminant=diag["discriminant"], roots=diag["roots"],
-        chosen_root=rho, root_ratio=diag["ratio"],
-        alpha=diag["alpha"], beta=diag["beta"],
+        dissipation=dissipation, identity_residual=residual, chosen_root=rho,
         r_eq_residual=res_r, rho_eq_residual=res_rho,
         div_norm=float(np.linalg.norm(asm.div_load(ops.forms, u_new))),
-        e1h=e1h, e2h=e2h, iterations=iterations,
+        e1h=terms.e1h, e2h=terms.e2h, iterations=iterations, **diag,
     )
     return new, report
+
+
+def scalar_equation_residuals(ops: Operators, params: Params, old: State, new: State,
+                              terms: ExplicitTerms) -> tuple[float, float]:
+    """Residuals of the r and rho equations that the scalar reduction eliminated.
+
+    Each is |lhs - rhs| / max(1, |lhs|, |rhs|) for the step old -> new.
+    """
+    tau, lam = params.tau, params.lam
+    lhs_r = (new.r - old.r) / tau
+    rhs_r = ((terms.fp @ (new.phi - old.phi)) / tau + (terms.conv_scalar @ new.mu) / lam
+             - (terms.capillary @ new.u_tilde) / lam) / (2.0 * terms.sqrt_e1)
+    res_r = abs(lhs_r - rhs_r) / max(1.0, abs(lhs_r), abs(rhs_r))
+    lhs_rho = 2.0 * new.rho * (new.rho - old.rho) / tau
+    rhs_rho = ((new.u_tilde - old.u) @ (ops.forms.m_v @ new.u_tilde)) / tau \
+        + 2.0 * new.rho * (terms.convection @ new.u_tilde) / terms.sqrt_e2
+    res_rho = abs(lhs_rho - rhs_rho) / max(1.0, abs(lhs_rho), abs(rhs_rho))
+    return res_r, res_rho
 
 
 def scheme_residuals(ops: Operators, params: Params, old: State, new: State,
@@ -500,48 +512,33 @@ def scheme_residuals(ops: Operators, params: Params, old: State, new: State,
     """Relative residuals of the five coupled discrete equations.
 
     Substitutes a completed step back into the monolithic statement; all
-    values should sit at the linear-solver tolerance.
+    values should sit at the linear-solver tolerance. The r and rho entries
+    are those `step` reports.
     """
     tau, lam = params.tau, params.lam
-    t_next = new.step * tau
-    e1h, e2h = asm.compute_discrete_energies(ops.p1, ops.forms.m_v, old.phi, old.u, params)
-    sqrt_e1, sqrt_e2 = np.sqrt(e1h), np.sqrt(e2h)
+    terms = explicit_terms(ops, params, old, forcing)
     f = ops.forms
-
-    conv_scalar = asm.convective_load_scalar(ops.p2v, ops.p1, old.u, old.phi)
-    fp = asm.fprime_load(ops.p1, old.phi, params.eps, params.gamma)
-    capillary = asm.mu_grad_phi_load(ops.p2v, ops.p1, old.mu, old.phi)
-    convection = asm.convective_load_vector(ops.p2v, old.u)
 
     def rel(res, *scales):
         return float(np.linalg.norm(res) / max(1.0, *(np.linalg.norm(s) for s in scales)))
 
-    r1 = f.m_p1 @ (new.phi - old.phi) / tau + (new.r / sqrt_e1) * conv_scalar \
+    r1 = f.m_p1 @ (new.phi - old.phi) / tau + (new.r / terms.sqrt_e1) * terms.conv_scalar \
         + params.mobility * (f.k_p1 @ new.mu)
     if forcing is not None:
-        r1 -= asm.assemble_load(ops.p1, lambda x, y: forcing.g_phi(t_next, x, y))
+        r1 -= terms.g_phi_load
     res_phi = rel(r1, f.m_p1 @ old.phi / tau)
 
     r2 = f.m_p1 @ new.mu - lam * (f.k_p1 @ new.phi) - lam * params.gamma * (f.m_p1 @ new.phi) \
-        - (lam * new.r / sqrt_e1) * fp
+        - (lam * new.r / terms.sqrt_e1) * terms.fp
     res_mu = rel(r2, f.m_p1 @ new.mu, lam * (f.k_p1 @ new.phi))
 
-    r3 = (new.r - old.r) / tau - ((fp @ (new.phi - old.phi)) / tau
-                                  + (conv_scalar @ new.mu) / lam
-                                  - (capillary @ new.u_tilde) / lam) / (2.0 * sqrt_e1)
-    res_r = abs(r3) / max(1.0, abs(new.r - old.r) / tau)
-
-    r4 = f.m_v @ (new.u_tilde - old.u) / tau + (new.rho / sqrt_e2) * convection \
-        + params.nu * (f.k_v @ new.u_tilde) + asm.grad_p_load(f, old.p) \
-        - (new.r / sqrt_e1) * capillary
+    r4 = f.m_v @ (new.u_tilde - old.u) / tau + (new.rho / terms.sqrt_e2) * terms.convection \
+        + params.nu * (f.k_v @ new.u_tilde) + terms.grad_p \
+        - (new.r / terms.sqrt_e1) * terms.capillary
     if forcing is not None:
-        r4 -= asm.assemble_load(ops.p2v, lambda x, y: forcing.g_u(t_next, x, y))
+        r4 -= terms.g_u_load
     interior = np.setdiff1d(np.arange(ops.p2v.ndofs), ops.p2v.boundary_dofs)
     res_u = rel(r4[interior], f.m_v @ old.u / tau)
 
-    r5 = 2.0 * new.rho * (new.rho - old.rho) / tau \
-        - ((new.u_tilde - old.u) @ (f.m_v @ new.u_tilde)) / tau \
-        - 2.0 * new.rho * (convection @ new.u_tilde) / sqrt_e2
-    res_rho = abs(r5) / max(1.0, abs(2.0 * new.rho * (new.rho - old.rho) / tau))
-
+    res_r, res_rho = scalar_equation_residuals(ops, params, old, new, terms)
     return {"phi": res_phi, "mu": res_mu, "r": res_r, "u": res_u, "rho": res_rho}

@@ -7,6 +7,7 @@ from chns import assembly as asm
 from chns.fem import FeSpace
 from chns.linsolve import SolverConfig, SolverError, solve_general, solve_spd
 from chns.mesh import Mesh, mesh_size
+from chns.scheme import closest_ratio_root, explicit_terms
 
 
 def picard_step(state, params, ops, forcing=None, tol=1e-12, max_iter=400):
@@ -18,21 +19,13 @@ def picard_step(state, params, ops, forcing=None, tol=1e-12, max_iter=400):
     of the step, solved without the superposition splitting.
     """
     tau, lam = params.tau, params.lam
-    t_next = (state.step + 1) * tau
     f = ops.forms
-    e1h, e2h = asm.compute_discrete_energies(ops.p1, f.m_v, state.phi, state.u, params)
-    se1, se2 = np.sqrt(e1h), np.sqrt(e2h)
-
-    conv_scalar = asm.convective_load_scalar(ops.p2v, ops.p1, state.u, state.phi)
-    fp = asm.fprime_load(ops.p1, state.phi, params.eps, params.gamma)
-    capillary = asm.mu_grad_phi_load(ops.p2v, ops.p1, state.mu, state.phi)
-    convection = asm.convective_load_vector(ops.p2v, state.u)
-    grad_p = asm.grad_p_load(f, state.p)
-    g_phi_load = np.zeros(ops.p1.ndofs)
-    g_u_load = np.zeros(ops.p2v.ndofs)
-    if forcing is not None:
-        g_phi_load = asm.assemble_load(ops.p1, lambda x, y: forcing.g_phi(t_next, x, y))
-        g_u_load = asm.assemble_load(ops.p2v, lambda x, y: forcing.g_u(t_next, x, y))
+    terms = explicit_terms(ops, params, state, forcing)
+    se1, se2 = terms.sqrt_e1, terms.sqrt_e2
+    conv_scalar, fp, capillary, convection = \
+        terms.conv_scalar, terms.fp, terms.capillary, terms.convection
+    g_phi_load = 0.0 if forcing is None else terms.g_phi_load
+    g_u_load = 0.0 if forcing is None else terms.g_u_load
 
     n = ops.p1.ndofs
     cfg = SolverConfig(rel_tolerance=1e-13)
@@ -46,7 +39,7 @@ def picard_step(state, params, ops, forcing=None, tol=1e-12, max_iter=400):
         x = solve_general(ops.a_ch, rhs, cfg)
         phi, mu = x[:n], x[n:]
 
-        rhs_v = f.m_v @ state.u / tau - grad_p + g_u_load \
+        rhs_v = f.m_v @ state.u / tau - terms.grad_p + g_u_load \
             + (r / se1) * capillary - (rho / se2) * convection
         u_tilde = solve_spd(ops.velocity.matrix, ops.velocity.prepare_rhs(rhs_v), cfg)
 
@@ -62,12 +55,8 @@ def picard_step(state, params, ops, forcing=None, tol=1e-12, max_iter=400):
         sq = np.sqrt(disc)
         q = -0.5 * (a1 + np.copysign(sq, a1)) if a1 != 0.0 else -0.5 * sq
         candidates = [q / a2, a0 / q] if q != 0.0 else [0.0]
-        best = None
-        for root in candidates:
-            ratio = root / np.sqrt(0.5 * (u_tilde @ (f.m_v @ u_tilde)) + params.c2)
-            if best is None or abs(ratio - 1.0) < abs(best[1] - 1.0):
-                best = (root, ratio)
-        rho_new = best[0]
+        rho_new, _, _ = closest_ratio_root(candidates, lambda root: u_tilde,
+                                           f.m_v, params.c2)
 
         done = (abs(r_new - r) <= tol * max(1.0, abs(r))
                 and abs(rho_new - rho) <= tol * max(1.0, abs(rho)))

@@ -52,6 +52,18 @@ def test_unknown_key_rejected(tmp_path):
         parse_config(str(path))
 
 
+@pytest.mark.parametrize("overrides", [{"nx": "abc"}, {"tau": "0.1"}, {"t_end": True},
+                                       {"snapshot_times": "0.1"}, {"out_dir": 3}])
+def test_wrong_type_rejected(overrides):
+    with pytest.raises(ConfigError, match="must be"):
+        parse_config(kind="coarsen", overrides=overrides)
+
+
+def test_integers_accepted_for_numbers():
+    cfg = parse_config(kind="coarsen", overrides={"t_end": 5, "snapshot_times": [1, 2.5]})
+    assert cfg.t_end == 5 and cfg.snapshot_times == [1, 2.5]
+
+
 def test_malformed_file_rejected(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text("{not json")
@@ -225,8 +237,20 @@ def test_cli_relax_not_monotone_exits_1(tmp_path, monkeypatch):
     ["stability", "--tau", "1e-2,-1"],
     ["coarsen", "--tau", "1", "--t-end", "0.1"],
     ["stability", "--tau", "1e-2,1", "--t-end", "0.1"],
+    # a trailing dict is written to a JSON file passed with --config
+    ["coarsen", {"nx": "abc"}],
+    ["coarsen", {"tau": "0.1"}],
+    ["relax", {"nx": 2.5}],
+    ["coarsen", {"seed": True}],
+    ["converge", {"levels": [4, "8"]}],
+    ["coarsen", {"tau": float("nan")}],
+    ["coarsen", {"t_end": float("inf")}],
 ])
 def test_cli_bad_numbers_exit_2_with_one_line(argv, tmp_path, capsys):
+    if isinstance(argv[-1], dict):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(argv[-1]))
+        argv = argv[:-1] + ["--config", str(cfg)]
     assert main(argv + ["--out", str(tmp_path / "o")]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

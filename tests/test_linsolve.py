@@ -13,7 +13,7 @@ from chns.fem import build_space, interpolate
 from chns.linsolve import SolverConfig, SolverError, solve_general, \
     solve_neumann_zero_mean, solve_spd
 from chns.mesh import build_uniform_mesh
-from chns.scheme import Params, build_operators, ch_split_solve
+from chns.scheme import ExplicitTerms, Params, build_operators, ch_split_solve
 
 
 def test_config_validation():
@@ -176,8 +176,12 @@ def test_ch_factors_built_once_and_reused(monkeypatch):
     ops2 = build_operators(p1, p2v, params2)
     n = p1.ndofs
     iterations = {}
-    ch_split_solve(ops2, params2, rng.standard_normal(n), rng.standard_normal(n),
-                   rng.standard_normal(n), None, 1.0, iterations)
+    phi_n = rng.standard_normal(n)
+    terms = ExplicitTerms(e1h=1.0, e2h=1.0, sqrt_e1=1.0, sqrt_e2=1.0,
+                          conv_scalar=rng.standard_normal(n), fp=rng.standard_normal(n),
+                          capillary=None, convection=None, grad_p=None,
+                          g_phi_load=None, g_u_load=None)
+    ch_split_solve(ops2, params2, phi_n, terms, iterations)
     assert calls == {"_bicgstab": 2, "_factorize": 2}
     assert iterations["ch_x0"] >= 1 and iterations["ch_x1"] >= 1
     assert ops2.ch_factors.lu is not None and ops2.ch_factors.lu is not factors

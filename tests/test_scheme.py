@@ -1,14 +1,25 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from chns import assembly as asm
-from chns.experiments import random_phase_field
+from chns.experiments import default_cross_polygon, points_in_polygon, \
+    random_phase_field, relaxation_params
 from chns.fem import build_space, interpolate
 from chns.mesh import build_uniform_mesh
 from chns.mms import trig_case
 from chns.scheme import Forcing, Params, ReductionError, build_operators, \
-    energy_identity_residual, init_state, modified_energy, pressure_correction, \
-    quad, scheme_residuals, solve_quadratic, step
+    energy_identity_residual, explicit_terms, init_state, modified_energy, \
+    pressure_correction, quad, scheme_residuals, solve_quadratic, step
+
+
+def _terms(ops, prm, phi, u=None, mu=None):
+    """Explicit terms of a step from phi, u (default 0), mu (default 0), p = 0."""
+    zero1, zero2 = np.zeros(ops.p1.ndofs), np.zeros(ops.p2v.ndofs)
+    state = init_state(ops, phi, zero2 if u is None else u, zero1, prm,
+                       mu0=zero1 if mu is None else mu)
+    return explicit_terms(ops, prm, state)
 
 
 def test_params_validation():
@@ -64,7 +75,6 @@ def test_build_operators_velocity_spd_and_tau_scaling(small_ops, coarsen_params)
     for _ in range(5):
         x = rng.standard_normal(small_ops.p2v.ndofs)
         assert x @ (small_ops.velocity.matrix @ x) > 0.0
-    from dataclasses import replace
     p1, p2v = small_ops.p1, small_ops.p2v
     ops2 = build_operators(p1, p2v, replace(coarsen_params, tau=2 * coarsen_params.tau))
     interior = np.setdiff1d(np.arange(p2v.ndofs), p2v.boundary_dofs)
@@ -137,17 +147,13 @@ def test_ch_split_residual_at_arbitrary_r(small_ops, coarsen_params):
     ops, prm = small_ops, coarsen_params
     phi0 = random_phase_field(3, ops.p1.ndofs)
     u0 = interpolate(ops.p2v, lambda x, y: (np.sin(np.pi * y) * x * (1 - x), np.zeros_like(x)))
-    e1h, _ = asm.compute_discrete_energies(ops.p1, ops.forms.m_v, phi0,
-                                           np.zeros(ops.p2v.ndofs), prm)
-    conv = asm.convective_load_scalar(ops.p2v, ops.p1, u0, phi0)
-    fp = asm.fprime_load(ops.p1, phi0, prm.eps, prm.gamma)
-    (a0, b0), (a1, b1) = ch_split_solve(ops, prm, phi0, conv, fp, None, np.sqrt(e1h))
+    terms = _terms(ops, prm, phi0, u0)
+    (a0, b0), (a1, b1) = ch_split_solve(ops, prm, phi0, terms)
 
     r = 1.37
-    n = ops.p1.ndofs
     x = np.concatenate([a0 + r * a1, b0 + r * b1])
-    rhs = np.concatenate([ops.forms.m_p1 @ phi0 / prm.tau - r * conv / np.sqrt(e1h),
-                          prm.lam * r * fp / np.sqrt(e1h)])
+    rhs = np.concatenate([ops.forms.m_p1 @ phi0 / prm.tau - r * terms.conv_scalar / terms.sqrt_e1,
+                          prm.lam * r * terms.fp / terms.sqrt_e1])
     res = np.linalg.norm(ops.a_ch @ x - rhs) / np.linalg.norm(rhs)
     assert res <= 1e-9
 
@@ -159,18 +165,15 @@ def test_ch_split_constant_phase_closed_form(small_ops, coarsen_params):
     ops, prm = small_ops, coarsen_params
     c = 0.4
     phi0 = np.full(ops.p1.ndofs, c)
-    e1h, _ = asm.compute_discrete_energies(ops.p1, ops.forms.m_v, phi0,
-                                           np.zeros(ops.p2v.ndofs), prm)
-    fp = asm.fprime_load(ops.p1, phi0, prm.eps, prm.gamma)
-    conv = np.zeros(ops.p1.ndofs)
-    (phi_a, mu_a), (phi_b, mu_b) = ch_split_solve(ops, prm, phi0, conv, fp, None,
-                                                  np.sqrt(e1h))
+    terms = _terms(ops, prm, phi0)   # at rest, so no transport
+    assert np.abs(terms.conv_scalar).max() == 0.0
+    (phi_a, mu_a), (phi_b, mu_b) = ch_split_solve(ops, prm, phi0, terms)
     # with no transport a constant phase is a pure-diffusion fixed point:
     # X0 = (c, lam*gamma*c), X1 = (0, lam F'(c)/sqrt(E1h))
     assert np.allclose(phi_a, c, atol=1e-10)
     assert np.allclose(mu_a, prm.lam * prm.gamma * c, atol=1e-10)
     assert np.allclose(phi_b, 0.0, atol=1e-10)
-    expected = prm.lam * fprime(np.array(c), prm.eps, prm.gamma) / np.sqrt(e1h)
+    expected = prm.lam * fprime(np.array(c), prm.eps, prm.gamma) / terms.sqrt_e1
     assert np.allclose(mu_b, expected, atol=1e-9 * max(1.0, abs(expected)))
 
 
@@ -179,11 +182,10 @@ def test_ch_split_linearity_in_forcing(small_ops, coarsen_params):
 
     ops, prm = small_ops, coarsen_params
     phi0 = np.zeros(ops.p1.ndofs)
-    fp = asm.fprime_load(ops.p1, phi0, prm.eps, prm.gamma)
-    conv = np.zeros(ops.p1.ndofs)
+    terms = _terms(ops, prm, phi0)
     g = asm.assemble_load(ops.p1, lambda x, y: np.sin(np.pi * x))
-    (x0, y0), _ = ch_split_solve(ops, prm, phi0, conv, fp, g, 1.0)
-    (x2, y2), _ = ch_split_solve(ops, prm, phi0, conv, fp, 2.0 * g, 1.0)
+    (x0, y0), _ = ch_split_solve(ops, prm, phi0, replace(terms, g_phi_load=g))
+    (x2, y2), _ = ch_split_solve(ops, prm, phi0, replace(terms, g_phi_load=2.0 * g))
     assert np.allclose(x2, 2.0 * x0, atol=1e-9 * max(1.0, np.abs(x0).max()))
 
 
@@ -191,21 +193,17 @@ def test_velocity_split_residual_and_bc(small_ops, coarsen_params):
     from chns.scheme import velocity_split_solve, _boundary_values
 
     ops, prm = small_ops, coarsen_params
-    rng = np.random.default_rng(4)
     u0 = np.zeros(ops.p2v.ndofs)
     phi0 = random_phase_field(5, ops.p1.ndofs)
     mu0 = random_phase_field(6, ops.p1.ndofs)
-    p0 = np.zeros(ops.p1.ndofs)
-    capillary = asm.mu_grad_phi_load(ops.p2v, ops.p1, mu0, phi0)
-    convection = asm.convective_load_vector(ops.p2v, u0)
-    grad_p = asm.grad_p_load(ops.forms, p0)
+    # arbitrary energy roots, so r and rho below scale the loads by 1
+    terms = replace(_terms(ops, prm, phi0, u0, mu0), sqrt_e1=2.0, sqrt_e2=3.0)
 
     def bc(x, y):
         return y - 0.5, -(x - 0.5)
 
     bvals = _boundary_values(ops.p2v, bc)
-    y0, y1, y2 = velocity_split_solve(ops, prm, u0, grad_p, capillary, convection,
-                                      None, 2.0, 3.0, bvals)
+    y0, y1, y2 = velocity_split_solve(ops, prm, u0, terms, bvals)
     # prescribed trace is imposed exactly on the explicit part
     coords = ops.p2v.dof_coords[ops.p2v.boundary_dofs]
     expect = np.where(ops.p2v.boundary_dofs % 2 == 0, coords[:, 1] - 0.5,
@@ -216,8 +214,8 @@ def test_velocity_split_residual_and_bc(small_ops, coarsen_params):
 
     r, rho = 2.0, 3.0
     combo = y0 + r * y1 + rho * y2
-    rhs = ops.forms.m_v @ u0 / prm.tau - grad_p + (r / 2.0) * capillary \
-        - (rho / 3.0) * convection
+    rhs = ops.forms.m_v @ u0 / prm.tau - terms.grad_p + (r / 2.0) * terms.capillary \
+        - (rho / 3.0) * terms.convection
     rhs = ops.velocity.prepare_rhs(rhs, bvals)
     res = np.linalg.norm(ops.velocity.matrix @ combo - rhs) / np.linalg.norm(rhs)
     assert res <= 1e-9
@@ -284,9 +282,44 @@ def test_step_energy_identity_and_residuals(small_ops, coarsen_params):
         assert abs(ops.forms.lumped_p1 @ s.p) <= 1e-12 * (1.0 + np.linalg.norm(s.p))
 
 
-def test_identity_residual_degrades_with_loose_solver(small_ops, coarsen_params):
-    from dataclasses import replace
+def _mms_start(nx):
+    prm = Params(tau=1e-3, t_end=0.1)
+    mesh = build_uniform_mesh(nx, nx)
+    ops = build_operators(build_space(mesh, "p1"), build_space(mesh, "p2vec"), prm)
+    case = trig_case(prm)
+    s = init_state(ops, lambda x, y: case.phi(0, x, y), lambda x, y: case.u(0, x, y),
+                   lambda x, y: case.p(0, x, y), prm, mu0=lambda x, y: case.mu(0, x, y))
+    return ops, prm, s, {"forcing": Forcing(g_phi=case.g_phi, g_u=case.g_u)}
 
+
+def _relax_start(nx):
+    prm = replace(relaxation_params(), tau=1e-3)
+    mesh = build_uniform_mesh(nx, nx)
+    ops = build_operators(build_space(mesh, "p1"), build_space(mesh, "p2vec"), prm)
+
+    def rotation(x, y):
+        return y - 0.5, -(x - 0.5)
+
+    xy = ops.p1.dof_coords
+    phi0 = np.where(points_in_polygon(default_cross_polygon(), xy[:, 0], xy[:, 1]), 1.0, -1.0)
+    s = init_state(ops, phi0, rotation, np.zeros(ops.p1.ndofs), prm)
+    return ops, prm, s, {"bc": rotation}
+
+
+@pytest.mark.parametrize("start", [lambda: _mms_start(4), lambda: _relax_start(8)],
+                         ids=["mms4_forced", "relax8_boundary_driven"])
+def test_step_reports_the_scheme_residuals_of_r_and_rho(start):
+    ops, prm, s, kwargs = start()
+    for _ in range(3):
+        prev = s
+        s, report = step(s, prm, ops, **kwargs)
+        res = scheme_residuals(ops, prm, prev, s, kwargs.get("forcing"))
+        assert report.r_eq_residual == res["r"]
+        assert report.rho_eq_residual == res["rho"]
+        assert max(res.values()) <= 1e-8
+
+
+def test_identity_residual_degrades_with_loose_solver(small_ops, coarsen_params):
     p1, p2v = small_ops.p1, small_ops.p2v
     phi0 = random_phase_field(42, p1.ndofs)
 
@@ -401,18 +434,6 @@ def test_splitting_matches_picard_on_random_states(small_ops, coarsen_params):
         assert np.linalg.norm(oracle["u_tilde"] - s.u_tilde) <= 1e-8 * max(1.0, np.linalg.norm(s.u_tilde))
         assert abs(oracle["r"] - s.r) <= 1e-8 * max(1.0, abs(s.r))
         assert abs(oracle["rho"] - s.rho) <= 1e-8 * max(1.0, abs(s.rho))
-
-
-def test_strict_root_mode_runs(small_ops, coarsen_params):
-    ops, prm = small_ops, coarsen_params
-    phi0 = random_phase_field(8, ops.p1.ndofs)
-    s0 = init_state(ops, phi0, np.zeros(ops.p2v.ndofs), np.zeros(ops.p1.ndofs),
-                    prm, mu0=phi0.copy())
-    s_strict, rep_strict = step(s0, prm, ops, strict_root=True)
-    s_plain, rep_plain = step(s0, prm, ops)
-    # both modes pick the same branch here; difference is the ranking metric only
-    assert rep_strict.chosen_root == pytest.approx(rep_plain.chosen_root, rel=1e-12)
-    assert np.allclose(s_strict.phi, s_plain.phi)
 
 
 def test_energy_identity_zero_for_fixed_point(small_ops, coarsen_params):
