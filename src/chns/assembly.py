@@ -15,6 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fem import ASSEMBLY_DEGREE, NORM_DEGREE, FeSpace, p1_tables, p2_tables, triangle_quadrature
+from .linsolve import expand_vector
 from .mesh import Mesh
 
 
@@ -177,25 +178,6 @@ def _matrix_from_cells(space: FeSpace, elem: np.ndarray) -> sp.csr_matrix:
     return sp.coo_matrix((elem.ravel(), (rows, cols)), shape=(n, n)).tocsr()
 
 
-def _expand_vector(m_scalar: sp.csr_matrix) -> sp.csr_matrix:
-    """The interleaved vector form kron(m_scalar, I2): row 2i + c holds row i at columns 2j + c."""
-    indptr, indices, data = m_scalar.indptr, m_scalar.indices, m_scalar.data
-    n = m_scalar.shape[0]
-    out_indptr = np.empty(2 * n + 1, dtype=indptr.dtype)
-    out_indptr[0::2] = 2 * indptr
-    out_indptr[1::2] = indptr[:-1] + indptr[1:]
-    # entry k of row i lands at indptr[i] + k for c = 0, one row length further for c = 1
-    row_nnz = np.diff(indptr)
-    row = np.repeat(np.arange(n), row_nnz)
-    pos = np.arange(m_scalar.nnz) + indptr[row]
-    pos = np.concatenate([pos, pos + row_nnz[row]])
-    out_indices = np.empty(2 * m_scalar.nnz, dtype=indices.dtype)
-    out_indices[pos] = np.concatenate([2 * indices, 2 * indices + 1])
-    out_data = np.empty(2 * m_scalar.nnz, dtype=data.dtype)
-    out_data[pos] = np.concatenate([data, data])
-    return sp.csr_matrix((out_data, out_indices, out_indptr), shape=(2 * n, 2 * m_scalar.shape[1]))
-
-
 # ---------------------------------------------------------------------------
 # matrices
 
@@ -204,14 +186,14 @@ def assemble_mass(space: FeSpace) -> sp.csr_matrix:
     tab = _tables(space, ASSEMBLY_DEGREE)
     elem = np.einsum("tq,qi,qj->tij", tab["wdet"], tab["vals"], tab["vals"])
     m = _matrix_from_cells(space, elem)
-    return _expand_vector(m) if space.ncomp == 2 else m
+    return expand_vector(m) if space.ncomp == 2 else m
 
 
 def _stiffness(space: FeSpace, grads: np.ndarray) -> sp.csr_matrix:
     tab = _tables(space, ASSEMBLY_DEGREE)
     elem = np.einsum("tq,tqid,tqjd->tij", tab["wdet"], grads, grads)
     k = _matrix_from_cells(space, elem)
-    return _expand_vector(k) if space.ncomp == 2 else k
+    return expand_vector(k) if space.ncomp == 2 else k
 
 
 def assemble_stiffness(space: FeSpace) -> sp.csr_matrix:

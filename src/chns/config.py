@@ -6,6 +6,9 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 
+import numpy as np
+
+from .experiments import polygon_is_simple
 from .scheme import Params
 
 
@@ -125,4 +128,23 @@ def parse_config(path: str | None = None, kind: str | None = None,
         raise ConfigError("mesh subdivisions (nx, levels) must be at least 1")
     if cfg.kind == "converge" and list(cfg.levels) != sorted(cfg.levels):
         raise ConfigError("levels must be sorted coarse to fine")
+    if cfg.kind == "converge":
+        # the study's time step at each level, as `cli` hands it to the driver
+        taus = [cfg.tau_factor * (1.0 / n) ** 3 for n in cfg.levels]
+    for tau in taus:
+        # the drivers march round(t_end / tau) steps
+        if abs(round(cfg.t_end / tau) * tau - cfg.t_end) > 1e-9 * cfg.t_end:
+            raise ConfigError(f"t_end {cfg.t_end} is not a whole number of time steps {tau:g}")
+    if cfg.polygon is not None:
+        _check_polygon(cfg.polygon)
     return cfg
+
+
+def _check_polygon(polygon: list) -> None:
+    pairs = all(isinstance(v, list) and len(v) == 2 and all(_is_a(c, float) for c in v)
+                for v in polygon)
+    if not (pairs and len(polygon) >= 3):
+        raise ConfigError(f"polygon must be a list of at least 3 [x, y] number pairs, "
+                          f"got {polygon!r}")
+    if not polygon_is_simple(np.asarray(polygon, dtype=float)):
+        raise ConfigError("polygon must be simple (non self-intersecting)")

@@ -1,10 +1,12 @@
-"""Reference bases, triangle quadrature, and Lagrange degree-of-freedom maps."""
+"""Reference bases, triangle quadrature, Lagrange degree-of-freedom maps, and
+the transfers between nested Lagrange spaces."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .mesh import Mesh
 
@@ -209,3 +211,57 @@ def interpolate(space: FeSpace, f) -> np.ndarray:
     out[0::2] = fx
     out[1::2] = fy
     return out
+
+
+# ---------------------------------------------------------------------------
+# transfers between nested spaces
+
+
+def p1_to_p2(mesh: Mesh) -> sp.csr_matrix:
+    """Exact embedding of P1 into scalar P2 on the same mesh: (P2 nodes, vertices).
+
+    A vertex node takes 1 from its vertex, an edge node 1/2 from each end of
+    its edge, in the node numbering of `build_space`.
+    """
+    nv, ne = mesh.num_vertices, mesh.num_edges
+    rows = np.concatenate([np.arange(nv), nv + np.repeat(np.arange(ne), 2)])
+    cols = np.concatenate([np.arange(nv), mesh.edges.ravel()])
+    vals = np.concatenate([np.ones(nv), np.full(2 * ne, 0.5)])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(nv + ne, nv))
+
+
+def coarser_grid(grid: tuple[int, int]) -> tuple[int, int]:
+    """The grid with ceil(n/2) cells per side; nested in `grid` when both counts are even."""
+    return (grid[0] + 1) // 2, (grid[1] + 1) // 2
+
+
+def grid_interpolation(fine: tuple[int, int], coarse: tuple[int, int]) -> sp.csr_matrix:
+    """P1 interpolation from one uniform grid of a rectangle to another.
+
+    Both grids are numbered as `build_uniform_mesh` numbers its vertices, with
+    the cells split along the same diagonal. Row k holds the barycentric
+    weights of fine vertex k in the coarse triangle that contains it; the
+    positions are exact ratios of integers, so nested vertices get the exact
+    weights 1 and 1/2.
+    """
+    (nx, ny), (mx, my) = fine, coarse
+
+    def cells(n_fine, n_coarse):
+        # coarse cell of each fine grid line, and the offset in it, in [0, 1]
+        k = np.arange(n_fine + 1) * n_coarse
+        cell = np.minimum(k // n_fine, n_coarse - 1)
+        return cell, (k - cell * n_fine) / n_fine
+
+    (ci, fx), (cj, fy) = cells(nx, mx), cells(ny, my)
+    ci, fx = np.tile(ci, ny + 1), np.tile(fx, ny + 1)
+    cj, fy = np.repeat(cj, nx + 1), np.repeat(fy, nx + 1)
+    v00 = cj * (mx + 1) + ci
+    v11 = v00 + mx + 2
+    lower = fx >= fy  # triangle (v00, v10, v11), else (v00, v11, v01)
+    cols = np.stack([v00, v11, np.where(lower, v00 + 1, v00 + mx + 1)], axis=1)
+    vals = np.stack([1.0 - np.maximum(fx, fy), np.minimum(fx, fy), np.abs(fx - fy)], axis=1)
+    rows = np.repeat(np.arange(v00.shape[0]), 3)
+    p = sp.csr_matrix((vals.ravel(), (rows, cols.ravel())),
+                      shape=(v00.shape[0], (mx + 1) * (my + 1)))
+    p.eliminate_zeros()
+    return p

@@ -1,16 +1,23 @@
 """Sparse-matrix storage conventions and the linear solvers used by the scheme.
 
 Matrices are scipy CSR (row_offsets = indptr, column_indices = indices,
-values = data). Solvers are Krylov methods with diagonal preconditioning;
-a nonsymmetric solve that BiCGStab gives up on is finished by GMRES
-preconditioned with sparse LU factors of the matrix. Every solve
-re-verifies its residual with one explicit matrix-vector product before
-returning.
+values = data). The symmetric solves are preconditioned conjugate
+gradients: with a symmetric multigrid V-cycle (`VCycle`) where the matrix's
+`Factors` holder says how to coarsen it, with the Jacobi diagonal
+otherwise. A nonsymmetric solve runs Jacobi BiCGStab, and one that BiCGStab
+gives up on is finished by GMRES preconditioned with sparse LU factors of
+the matrix. Every solve re-verifies its residual with one explicit
+matrix-vector product before returning.
+
+Only the LU fallback imports `scipy.sparse.linalg`, and only when it first
+runs: that module alone adds about 9 MB to a process.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -39,6 +46,98 @@ class SolverConfig:
         return self.max_iterations if self.max_iterations is not None else 10 * n
 
 
+SWEEPS = 2            # damped Jacobi sweeps before and after each coarse correction
+JACOBI_SCALE = 1.3    # smoothing weight times the estimated lambda_max(D^-1 A)
+POWER_STEPS = 10      # power steps of that estimate
+
+
+def _jacobi_weight(a: sp.csr_matrix, dinv: np.ndarray) -> float:
+    """JACOBI_SCALE / lambda_max(D^-1 A), the eigenvalue from power steps.
+
+    The start vector is fixed, so the weight repeats bit for bit. The
+    Rayleigh quotient x.Ax / x.Dx bounds lambda_max from below.
+    """
+    x = np.random.default_rng(0).standard_normal(a.shape[0])
+    for _ in range(POWER_STEPS):
+        x = dinv * (a @ x)
+        x /= np.linalg.norm(x)
+    return JACOBI_SCALE * (x @ (x / dinv)) / (x @ (a @ x))
+
+
+class VCycle:
+    """Symmetric multigrid V-cycle, a preconditioner for conjugate gradients.
+
+    Level 0 is `a`; level l + 1 is the Galerkin product P^T A_l P of the
+    l-th prolongation P. Each level but the coarsest smooths with SWEEPS
+    damped Jacobi sweeps before its coarse correction and as many after,
+    starting from zero. The coarsest level is smoothed the same way, or,
+    with `coarse_pinv`, solved by its dense pseudo-inverse; that option is
+    for a Neumann problem, whose kernel is the constant vector e / |e| = q,
+    and forms the pseudo-inverse as inv(A + q q^T) - q q^T (an eigenvalue
+    decomposition would load more of LAPACK, about 2 MB of memory). With
+    equal sweeps before and after, restriction P^T and a symmetric
+    coarsest step, the cycle is a symmetric operator.
+
+    With `interleaved`, `a` is the interleaved two-component form
+    `expand_vector(A)` of a scalar operator A, and the prolongations act on
+    A's nodes: the coarse levels are built from A, then interleaved the
+    same way, so their Galerkin products cost a scalar's.
+    """
+
+    def __init__(self, a: sp.csr_matrix, prolongations=(), interleaved: bool = False,
+                 coarse_pinv: bool = False):
+        ncomp = 2 if interleaved else 1
+        scalar = a[0::2, 0::2].tocsr() if interleaved else a
+        self.ops, self.smoothers, self.prolong, self.restrict = [], [], [], []
+        for p in prolongations:
+            self._add_level(a, scalar, ncomp)
+            p = sp.csr_matrix(p)
+            scalar = (p.T @ (scalar @ p)).tocsr()
+            a, p = (expand_vector(scalar), expand_vector(p)) if interleaved else (scalar, p)
+            self.prolong.append(p)
+            self.restrict.append(p.T)  # a CSC view of p's arrays, not a copy
+        self.coarse_inverse = None
+        if coarse_pinv:
+            n = a.shape[0]
+            qqt = np.full((n, n), 1.0 / n)
+            inv = np.linalg.inv(a.toarray() + qqt) - qqt
+            self.coarse_inverse = 0.5 * (inv + inv.T)
+        else:
+            self._add_level(a, scalar, ncomp)
+
+    def _add_level(self, a: sp.csr_matrix, scalar: sp.csr_matrix, ncomp: int) -> None:
+        # kron(A, I) and A share D^-1 A's spectrum, so the scalar gives the weight
+        dinv = _inv_diagonal(scalar)
+        self.ops.append(a)
+        self.smoothers.append(np.repeat(_jacobi_weight(scalar, dinv) * dinv, ncomp))
+
+    def __call__(self, r: np.ndarray) -> np.ndarray:
+        return self._cycle(0, r)
+
+    def _cycle(self, level: int, b: np.ndarray) -> np.ndarray:
+        if level == len(self.ops):
+            return self.coarse_inverse @ b
+        a, w = self.ops[level], self.smoothers[level]
+        x = w * b
+        for _ in range(SWEEPS - 1):
+            _smooth(a, w, b, x)
+        if level < len(self.prolong):
+            r = a @ x
+            np.subtract(b, r, out=r)
+            x += self.prolong[level] @ self._cycle(level + 1, self.restrict[level] @ r)
+        for _ in range(SWEEPS):
+            _smooth(a, w, b, x)
+        return x
+
+
+def _smooth(a: sp.csr_matrix, w: np.ndarray, b: np.ndarray, x: np.ndarray) -> None:
+    """One damped Jacobi sweep in place: x += w (b - A x)."""
+    r = a @ x
+    np.subtract(b, r, out=r)
+    r *= w
+    x += r
+
+
 @dataclass
 class Factors:
     """Solver data of one matrix, each part made the first time a solve needs it.
@@ -46,12 +145,37 @@ class Factors:
     `dinv` is the inverse diagonal (the Jacobi preconditioner). `lu` holds
     sparse LU factors, made only when BiCGStab gives up on the matrix; once
     filled, solves that pass the holder skip BiCGStab and go straight to the
-    factors. Keep one holder per matrix (the scheme keeps one per matrix of
-    its `Operators`) and pass it to every solve with that matrix.
+    factors. `coarsen` is a recipe for a symmetric matrix: the first
+    symmetric solve calls it with the matrix, keeps the `VCycle` it returns
+    in `vcycle` and preconditions with it from then on; a recipe that
+    returns None leaves the matrix on Jacobi. Keep one holder per matrix
+    (the scheme keeps one per matrix of its `Operators`) and pass it to
+    every solve with that matrix.
     """
 
     dinv: np.ndarray | None = None
     lu: object = None  # scipy SuperLU
+    coarsen: Callable[[sp.csr_matrix], VCycle | None] | None = None
+    vcycle: VCycle | None = None
+
+
+def expand_vector(m_scalar: sp.csr_matrix) -> sp.csr_matrix:
+    """The interleaved vector form kron(m_scalar, I2): row 2i + c holds row i at columns 2j + c."""
+    indptr, indices, data = m_scalar.indptr, m_scalar.indices, m_scalar.data
+    n = m_scalar.shape[0]
+    out_indptr = np.empty(2 * n + 1, dtype=indptr.dtype)
+    out_indptr[0::2] = 2 * indptr
+    out_indptr[1::2] = indptr[:-1] + indptr[1:]
+    # entry k of row i lands at indptr[i] + k for c = 0, one row length further for c = 1
+    row_nnz = np.diff(indptr)
+    row = np.repeat(np.arange(n), row_nnz)
+    pos = np.arange(m_scalar.nnz) + indptr[row]
+    pos = np.concatenate([pos, pos + row_nnz[row]])
+    out_indices = np.empty(2 * m_scalar.nnz, dtype=indices.dtype)
+    out_indices[pos] = np.concatenate([2 * indices, 2 * indices + 1])
+    out_data = np.empty(2 * m_scalar.nnz, dtype=data.dtype)
+    out_data[pos] = np.concatenate([data, data])
+    return sp.csr_matrix((out_data, out_indices, out_indptr), shape=(2 * n, 2 * m_scalar.shape[1]))
 
 
 def _inv_diagonal(a: sp.csr_matrix, factors: Factors | None = None) -> np.ndarray:
@@ -67,11 +191,22 @@ def _inv_diagonal(a: sp.csr_matrix, factors: Factors | None = None) -> np.ndarra
     return dinv
 
 
+def _preconditioner(a: sp.csr_matrix, factors: Factors | None):
+    """The holder's V-cycle, built on first use if it has a recipe; else Jacobi."""
+    if factors is not None and factors.coarsen is not None:
+        factors.vcycle = factors.coarsen(a)
+        factors.coarsen = None
+    if factors is not None and factors.vcycle is not None:
+        return factors.vcycle
+    return partial(np.multiply, _inv_diagonal(a, factors))
+
+
 def solve_spd(a: sp.csr_matrix, b: np.ndarray, config: SolverConfig | None = None,
               info: dict | None = None, factors: Factors | None = None) -> np.ndarray:
-    """Conjugate gradients with Jacobi preconditioning for SPD systems.
+    """Preconditioned conjugate gradients for SPD systems.
 
-    Pass the `Factors` holder kept with `a` to extract its diagonal once.
+    Pass the `Factors` holder kept with `a` to build its preconditioner
+    once: the V-cycle its recipe gives, or else the Jacobi diagonal.
     """
     config = config or SolverConfig()
     b = np.asarray(b, dtype=float)
@@ -81,10 +216,10 @@ def solve_spd(a: sp.csr_matrix, b: np.ndarray, config: SolverConfig | None = Non
             info["iterations"] = 0
         return np.zeros_like(b)
 
-    dinv = _inv_diagonal(a, factors)
+    precondition = _preconditioner(a, factors)
     x = np.zeros_like(b)
     r = b.copy()
-    z = dinv * r
+    z = precondition(r)
     p = z.copy()
     rz = r @ z
     tol = config.rel_tolerance * bnorm
@@ -102,7 +237,7 @@ def solve_spd(a: sp.csr_matrix, b: np.ndarray, config: SolverConfig | None = Non
             r = b - a @ x
             if np.linalg.norm(r) <= tol:
                 break
-        z = dinv * r
+        z = precondition(r)
         rz_new = r @ z
         p = z + (rz_new / rz) * p
         rz = rz_new
@@ -290,7 +425,8 @@ def solve_neumann_zero_mean(k_mat: sp.csr_matrix, b: np.ndarray, mass_row_sums: 
     vector (required for solvability), conjugate gradients run in that
     complement, and the solution is shifted so its mass-weighted mean
     sum_i psi_i (1, q_i) vanishes, i.e. the field integrates to zero.
-    Pass the `Factors` holder kept with `k_mat` to extract its diagonal once.
+    Pass the `Factors` holder kept with `k_mat` to build its preconditioner
+    once: the V-cycle its recipe gives, or else the Jacobi diagonal.
     """
     config = config or SolverConfig()
     b = np.asarray(b, dtype=float)
@@ -304,14 +440,14 @@ def solve_neumann_zero_mean(k_mat: sp.csr_matrix, b: np.ndarray, mass_row_sums: 
             info["iterations"] = 0
         return np.zeros_like(b)
 
-    dinv = _inv_diagonal(k_mat, factors)
+    precondition = _preconditioner(k_mat, factors)
 
     def project(v):
         return v - v.sum() / n
 
     x = np.zeros_like(b)
     r = b.copy()
-    z = project(dinv * r)
+    z = project(precondition(r))
     p = z.copy()
     rz = r @ z
     tol = config.rel_tolerance * bnorm
@@ -328,7 +464,7 @@ def solve_neumann_zero_mean(k_mat: sp.csr_matrix, b: np.ndarray, mass_row_sums: 
             r = project(b - k_mat @ x)
             if np.linalg.norm(r) <= tol:
                 break
-        z = project(dinv * r)
+        z = project(precondition(r))
         rz_new = r @ z
         p = z + (rz_new / rz) * p
         rz = rz_new

@@ -24,6 +24,7 @@ class Mesh:
     boundary_vertices: np.ndarray
     boundary_edges: np.ndarray
     h: float
+    grid: tuple[int, int] | None = None  # (nx, ny) cells of a uniform grid, None otherwise
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -71,6 +72,7 @@ def build_uniform_mesh(nx: int, ny: int,
         boundary_vertices=boundary_vertices,
         boundary_edges=boundary_edges,
         h=0.0,
+        grid=(nx, ny),
     )
     mesh.h = mesh_size(mesh)
     for arr in (mesh.vertices, mesh.triangles, mesh.edges, mesh.edge_triangles,

@@ -30,8 +30,9 @@ import scipy.sparse as sp
 
 from . import assembly as asm
 from .assembly import AssembledForms, DirichletOperator
-from .fem import FeSpace, interpolate
-from .linsolve import Factors, SolverConfig, solve_general, solve_neumann_zero_mean, solve_spd
+from .fem import FeSpace, coarser_grid, grid_interpolation, interpolate, p1_to_p2
+from .linsolve import Factors, SolverConfig, VCycle, solve_general, solve_neumann_zero_mean, \
+    solve_spd
 from .mesh import Mesh
 
 
@@ -124,8 +125,9 @@ class Operators:
     velocity: DirichletOperator     # m_v / tau + nu k_v, boundary rows eliminated
     projection: DirichletOperator   # m_v with boundary rows eliminated
     config: SolverConfig
-    # solver data per matrix: its Jacobi diagonal, and for a_ch the LU
-    # factors made the first time BiCGStab gives up on it
+    # solver data per matrix, each made by the first solve that needs it: the
+    # Jacobi diagonal, for a_ch the LU factors made when BiCGStab first gives
+    # up on it, and for the velocity and pressure matrices their V-cycles
     ch_factors: Factors = field(default_factory=Factors)
     velocity_factors: Factors = field(default_factory=Factors)
     projection_factors: Factors = field(default_factory=Factors)
@@ -147,7 +149,81 @@ def build_operators(p1: FeSpace, p2v: FeSpace, params: Params,
         velocity=DirichletOperator(a_v, bdofs),
         projection=DirichletOperator(forms.m_v.tocsr(), bdofs),
         config=SolverConfig(rel_tolerance=params.solver_tol),
+        velocity_factors=Factors(coarsen=_velocity_coarsening(p1, p2v, forms, params)),
+        pressure_factors=Factors(coarsen=_pressure_coarsening(p1.mesh)),
     )
+
+
+#: the pressure hierarchy coarsens until a level has at most this many nodes
+COARSEST_PRESSURE_NODES = 100
+
+
+def _grid_interior(grid: tuple[int, int]) -> np.ndarray:
+    """Vertices of a uniform grid off the rectangle's boundary, row-major."""
+    nx, ny = grid
+    return (np.arange(1, ny)[:, None] * (nx + 1) + np.arange(1, nx)).ravel()
+
+
+def _stiffness_dominates(nu_tau: float, k_diag: np.ndarray, m_diag: np.ndarray) -> bool:
+    return bool(np.median(nu_tau * k_diag / m_diag) > 1.0)
+
+
+def _velocity_coarsening(p1: FeSpace, p2v: FeSpace, forms: AssembledForms, params: Params):
+    """Recipe for the V-cycle of the eliminated velocity matrix (see `Factors`).
+
+    The first coarse level is P1 on the same mesh, the next ones P1 on ever
+    coarser grids of the rectangle, all without their boundary nodes. A level
+    gets a coarser one below it only while its stiffness outweighs its mass on
+    the diagonal (median of nu tau K_ii / M_ii above 1): below that, Jacobi
+    alone smooths it well, so it is the coarsest level and is only smoothed.
+    A matrix whose finest level is mass-dominated keeps Jacobi.
+    """
+    nu_tau = params.nu * params.tau
+
+    def build(a: sp.csr_matrix) -> VCycle | None:
+        free = np.setdiff1d(np.arange(p2v.ndofs // 2), p2v.boundary_dofs[0::2] // 2)
+        k_diag, m_diag = forms.k_v.diagonal()[0::2], forms.m_v.diagonal()[0::2]
+        if not _stiffness_dominates(nu_tau, k_diag[free], m_diag[free]):
+            return None
+        mesh = p1.mesh
+        free = np.setdiff1d(np.arange(p1.ndofs), p1.boundary_dofs)
+        if free.size == 0:  # no interior vertex, no coarse level
+            return None
+        prolongations = [p1_to_p2(mesh)[:, free]]
+        k, m = forms.k_p1[free][:, free], forms.m_p1[free][:, free]
+        grid = mesh.grid
+        while grid is not None and _stiffness_dominates(nu_tau, k.diagonal(), m.diagonal()):
+            coarse = coarser_grid(grid)
+            p = grid_interpolation(grid, coarse)[_grid_interior(grid)][:, _grid_interior(coarse)]
+            if p.shape[1] == 0:  # the coarser grid has no interior vertex
+                break
+            k, m = (p.T @ k @ p).tocsr(), (p.T @ m @ p).tocsr()
+            prolongations.append(p)
+            grid = coarse
+        return VCycle(a, prolongations, interleaved=True)
+
+    return build
+
+
+def _pressure_coarsening(mesh: Mesh):
+    """Recipe for the V-cycle of the Neumann P1 stiffness matrix (see `Factors`).
+
+    Halves the grid until a level has at most COARSEST_PRESSURE_NODES nodes and
+    applies the dense pseudo-inverse there. A mesh that is not a uniform grid
+    has no coarse levels: small, it is solved directly, else it keeps Jacobi.
+    """
+    def build(k: sp.csr_matrix) -> VCycle | None:
+        grid, nodes = mesh.grid, k.shape[0]
+        if grid is None and nodes > COARSEST_PRESSURE_NODES:
+            return None
+        prolongations = []
+        while nodes > COARSEST_PRESSURE_NODES:
+            coarse = coarser_grid(grid)
+            prolongations.append(grid_interpolation(grid, coarse))
+            grid, nodes = coarse, (coarse[0] + 1) * (coarse[1] + 1)
+        return VCycle(k, prolongations, coarse_pinv=True)
+
+    return build
 
 
 def zero_mean(forms: AssembledForms, p: np.ndarray) -> np.ndarray:

@@ -5,6 +5,7 @@ import scipy.sparse as sp
 import oracles
 from chns import assembly as asm
 from chns.fem import build_space, interpolate
+from chns.linsolve import expand_vector
 from chns.mesh import Mesh, build_uniform_mesh
 from chns.scheme import Params, build_operators
 
@@ -256,7 +257,7 @@ def test_forms_and_elimination_match_kron_and_coo_oracles(nx, ny, rect):
                                       oracles.dict_space(ref_mesh, "p2vec"))
     for name in ("m_p1", "k_p1", "m_v", "k_v", "grad_coupling", "div_coupling", "lumped_p1"):
         assert oracles.identical(getattr(forms, name), getattr(ref, name)), name
-    assert oracles.identical(asm._expand_vector(forms.k_p1), oracles.kron_expand_vector(forms.k_p1))
+    assert oracles.identical(expand_vector(forms.k_p1), oracles.kron_expand_vector(forms.k_p1))
     for space in (p1, build_space(mesh, "p2"), p2v):
         for degree in (5, 8):
             tab = asm._tables(space, degree)

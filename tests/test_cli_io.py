@@ -64,6 +64,37 @@ def test_integers_accepted_for_numbers():
     assert cfg.t_end == 5 and cfg.snapshot_times == [1, 2.5]
 
 
+@pytest.mark.parametrize("kind, overrides", [
+    ("coarsen", {"tau": 0.003, "t_end": 0.01}),
+    ("relax", {"tau": 0.3}),
+    ("stability", {"tau_list": [1e-3, 0.3], "t_end": 1.0}),
+    # tau = 0.1 h^3 divides t_end at nx = 4 (8 steps) but not at nx = 5 (15.625)
+    ("converge", {"t_end": 0.0125, "levels": [4, 5]}),
+])
+def test_t_end_must_be_a_whole_number_of_time_steps(kind, overrides):
+    with pytest.raises(ConfigError, match="whole number of time steps"):
+        parse_config(kind=kind, overrides=overrides)
+
+
+def test_whole_numbers_of_time_steps_accepted():
+    for kind in ("converge", "coarsen", "relax", "stability"):
+        parse_config(kind=kind)
+    # 0.009 / 0.003 is 2.9999999999999996 in floating point
+    assert parse_config(kind="coarsen", overrides={"tau": 0.003, "t_end": 0.009}).t_end == 0.009
+    parse_config(kind="converge", overrides={"t_end": 0.0125, "levels": [4, 6]})
+
+
+@pytest.mark.parametrize("polygon", [
+    [[0.2, 0.2], [0.8, 0.8], [0.2, 0.8], [0.8, 0.2]],
+    [[0.2], [0.8, 0.8], [0.2, 0.8]],
+    [[0.2, 0.2], [0.8, "0.8"], [0.2, 0.8]],
+    [[0.2, 0.2], [0.8, 0.8]],
+])
+def test_bad_polygon_rejected(polygon):
+    with pytest.raises(ConfigError, match="polygon must be"):
+        parse_config(kind="relax", overrides={"polygon": polygon})
+
+
 def test_malformed_file_rejected(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text("{not json")
@@ -245,6 +276,10 @@ def test_cli_relax_not_monotone_exits_1(tmp_path, monkeypatch):
     ["converge", {"levels": [4, "8"]}],
     ["coarsen", {"tau": float("nan")}],
     ["coarsen", {"t_end": float("inf")}],
+    ["relax", {"polygon": [[0.2, 0.2], [0.8, 0.8], [0.2, 0.8], [0.8, 0.2]], "nx": 4}],
+    ["relax", {"polygon": [[0.2], [0.8, 0.8], [0.2, 0.8]], "nx": 4}],
+    ["coarsen", "--tau", "0.003", "--t-end", "0.01"],
+    ["converge", {"t_end": 0.0125, "levels": [4, 5]}],
 ])
 def test_cli_bad_numbers_exit_2_with_one_line(argv, tmp_path, capsys):
     if isinstance(argv[-1], dict):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import oracles
-from chns.assembly import l2_error
-from chns.fem import build_space, interpolate, p1_basis, p2_basis, triangle_quadrature
+from chns.assembly import assemble_mass, assemble_stiffness, l2_error
+from chns.fem import build_space, coarser_grid, grid_interpolation, interpolate, p1_basis, \
+    p1_to_p2, p2_basis, triangle_quadrature
 from chns.mesh import build_uniform_mesh
 
 
@@ -142,3 +143,50 @@ def test_spaces_match_dict_oracle(nx, ny, rect):
         assert (space.ndofs, space.ncomp) == (ref.ndofs, ref.ncomp)
         for name in ("cell_dofs", "boundary_dofs", "dof_coords", "scalar_cell_dofs"):
             assert oracles.identical(getattr(space, name), getattr(ref, name)), (kind, name)
+
+
+RECT = (0.5, -1.0, 2.0, 3.0)
+
+
+def _galerkin_gap(p, fine, coarse):
+    """Largest relative entry gap of P^T A_fine P against A_coarse, for mass and stiffness."""
+    gaps = []
+    for assemble in (assemble_mass, assemble_stiffness):
+        a_fine, a_coarse = assemble(fine), assemble(coarse)
+        gaps.append(abs(p.T @ a_fine @ p - a_coarse).max() / abs(a_coarse).max())
+    return max(gaps)
+
+
+@pytest.mark.parametrize("nx,ny", [(1, 1), (4, 4), (5, 3), (7, 4)])
+def test_p1_embeds_exactly_in_p2(nx, ny):
+    mesh = build_uniform_mesh(nx, ny, RECT)
+    p1, p2 = build_space(mesh, "p1"), build_space(mesh, "p2")
+    # P1 is a subspace of P2, so its Galerkin matrices are the P1 ones
+    assert _galerkin_gap(p1_to_p2(mesh), p2, p1) <= 1e-13
+
+
+@pytest.mark.parametrize("nx,ny", [(4, 4), (6, 2), (8, 4), (5, 3), (7, 4), (2, 9)])
+def test_grid_interpolation(nx, ny):
+    grid = (nx, ny)
+    coarse_grid = coarser_grid(grid)
+    fine = build_space(build_uniform_mesh(nx, ny, RECT), "p1")
+    coarse = build_space(build_uniform_mesh(*coarse_grid, RECT), "p1")
+    p = grid_interpolation(grid, coarse_grid)
+    assert p.shape == (fine.ndofs, coarse.ndofs) and (p.data > 0.0).all()
+    assert np.abs(p.sum(axis=1) - 1.0).max() <= 1e-15
+
+    def linear(x, y):
+        return 0.3 + 1.7 * x - 2.1 * y
+
+    # every grid reproduces the linear functions
+    assert np.abs(p @ interpolate(coarse, linear) - interpolate(fine, linear)).max() <= 1e-14
+    if nx % 2 == 0 and ny % 2 == 0:
+        # nested grids: the coarse space is a subspace, with the exact weights 1 and 1/2
+        assert set(p.data) <= {0.5, 1.0}
+        assert _galerkin_gap(p, fine, coarse) <= 1e-13
+
+
+def test_coarser_grid_halves_up():
+    assert coarser_grid((64, 64)) == (32, 32)
+    assert coarser_grid((5, 2)) == (3, 1)
+    assert coarser_grid((1, 1)) == (1, 1)

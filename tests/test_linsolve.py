@@ -8,7 +8,9 @@ import scipy.sparse as sp
 import oracles
 from chns import assembly as asm
 from chns import linsolve
-from chns.experiments import coarsening_params, random_phase_field, relaxation_params
+from chns import fem
+from chns.experiments import coarsening_params, default_tau_rule, random_phase_field, \
+    relaxation_params
 from chns.fem import build_space, interpolate
 from chns.linsolve import SolverConfig, SolverError, solve_general, \
     solve_neumann_zero_mean, solve_spd
@@ -223,8 +225,9 @@ def test_bicgstab_iterates_match_loop_oracle(params, spaces16):
 
 
 def test_velocity_solves_reuse_the_diagonal_bit_for_bit(spaces16):
+    # the manufactured-solution case is mass-dominated, so it keeps Jacobi CG
     p1, p2v = spaces16
-    ops = build_operators(p1, p2v, coarsening_params())
+    ops = build_operators(p1, p2v, replace(Params(), tau=default_tau_rule(1.0 / 16)))
     rng = np.random.default_rng(16)
     a = ops.velocity.matrix
     kept = []
@@ -235,3 +238,124 @@ def test_velocity_solves_reuse_the_diagonal_bit_for_bit(spaces16):
         kept.append(ops.velocity_factors.dinv)
     assert kept[0] is not None and kept[1] is kept[0]
     assert ops.velocity_factors.lu is None
+    assert ops.velocity_factors.vcycle is None and ops.velocity_factors.coarsen is None
+
+
+def _coarsening_ops(nx, tau=1e-3):
+    mesh = build_uniform_mesh(nx, nx)
+    params = replace(coarsening_params(), tau=tau)
+    return build_operators(build_space(mesh, "p1"), build_space(mesh, "p2vec"), params)
+
+
+def _velocity_solve(ops, b, config=None):
+    info = {}
+    x = solve_spd(ops.velocity.matrix, b, config or ops.config, info, ops.velocity_factors)
+    return x, info["iterations"]
+
+
+def _pressure_solve(ops, b, config=None, factors=None):
+    info = {}
+    psi = solve_neumann_zero_mean(ops.forms.k_p1, b, ops.forms.lumped_p1, config or ops.config,
+                                  info, factors or ops.pressure_factors)
+    return psi, info["iterations"]
+
+
+@pytest.mark.parametrize("tau", [1e-3, 1e-1])
+@pytest.mark.parametrize("nx", [16, 32, 64])
+def test_velocity_vcycle_iterations_do_not_grow_with_the_mesh(nx, tau):
+    ops = _coarsening_ops(nx, tau)
+    a = ops.velocity.matrix
+    rng = np.random.default_rng(nx)
+    built = []
+    for _ in range(2):
+        b = ops.velocity.prepare_rhs(rng.standard_normal(ops.p2v.ndofs))
+        x, iterations = _velocity_solve(ops, b)
+        # Jacobi CG takes 39 to 499 iterations here
+        assert 1 <= iterations <= 15
+        assert np.linalg.norm(b - a @ x) <= ops.config.rel_tolerance * np.linalg.norm(b)
+        built.append(ops.velocity_factors.vcycle)
+    # built by the first solve, reused by the second
+    assert built[0] is not None and built[1] is built[0] and len(built[0].prolong) >= 2
+    assert ops.velocity_factors.dinv is None
+
+
+@pytest.mark.parametrize("nx", [16, 32, 64])
+def test_pressure_vcycle_iterations_and_agreement_with_jacobi(nx):
+    ops = _coarsening_ops(nx)
+    rng = np.random.default_rng(nx + 1)
+    b = rng.standard_normal(ops.p1.ndofs)
+    psi, iterations = _pressure_solve(ops, b)
+    assert 1 <= iterations <= 15
+    assert ops.pressure_factors.vcycle.ops[-1].shape[0] > 0
+    # the old Jacobi projected CG, without the holder
+    psi_jacobi, jacobi_iterations = _pressure_solve(ops, b, factors=linsolve.Factors())
+    assert jacobi_iterations > 5 * iterations
+    assert np.linalg.norm(psi - psi_jacobi) <= 1e-8 * np.linalg.norm(psi_jacobi)
+    assert abs(ops.forms.lumped_p1 @ psi) <= 1e-12 * np.linalg.norm(psi)
+
+
+@pytest.mark.parametrize("tau", [1e-3, 1e-1])
+def test_vcycle_preconditioners_are_symmetric(tau):
+    ops = _coarsening_ops(32, tau)
+    rng = np.random.default_rng(7)
+    _velocity_solve(ops, ops.velocity.prepare_rhs(rng.standard_normal(ops.p2v.ndofs)))
+    _pressure_solve(ops, rng.standard_normal(ops.p1.ndofs))
+    for vcycle in (ops.velocity_factors.vcycle, ops.pressure_factors.vcycle):
+        n = vcycle.ops[0].shape[0]
+        for _ in range(3):
+            x, y = rng.standard_normal(n), rng.standard_normal(n)
+            xcy, ycx = x @ vcycle(y), y @ vcycle(x)
+            assert abs(xcy - ycx) <= 1e-12 * abs(xcy)
+            assert x @ vcycle(x) > 0.0
+
+
+def test_vcycle_solves_keep_the_failure_contract():
+    ops = _coarsening_ops(16)
+    rng = np.random.default_rng(5)
+    tight = SolverConfig(rel_tolerance=1e-10, max_iterations=2)
+    b = ops.velocity.prepare_rhs(rng.standard_normal(ops.p2v.ndofs))
+    with pytest.raises(SolverError, match="conjugate gradients did not converge") as err:
+        _velocity_solve(ops, b, tight)
+    assert 1e-10 < err.value.residual < 1.0
+    assert ops.velocity_factors.vcycle is not None
+    with pytest.raises(SolverError, match="projected conjugate gradients") as err:
+        _pressure_solve(ops, rng.standard_normal(ops.p1.ndofs), tight)
+    assert 1e-10 < err.value.residual < 1.0
+
+
+def test_vcycle_of_an_interleaved_operator_is_its_scalar_cycle_per_component():
+    ops = _coarsening_ops(16)
+    a = ops.velocity.matrix
+    scalar = a[0::2, 0::2].tocsr()
+    assert oracles.identical(linsolve.expand_vector(scalar), a)
+    free = np.setdiff1d(np.arange(ops.p1.ndofs), ops.p1.boundary_dofs)
+    levels = [fem.p1_to_p2(ops.mesh)[:, free]]
+    vector = linsolve.VCycle(a, levels, interleaved=True)
+    per_component = linsolve.VCycle(scalar, levels)
+    r = np.random.default_rng(2).standard_normal(a.shape[0])
+    z = vector(r)
+    for c in (0, 1):
+        assert np.allclose(z[c::2], per_component(r[c::2]), rtol=1e-13,
+                           atol=1e-13 * np.abs(z).max())
+
+
+@pytest.mark.parametrize("nx", [1, 2, 3])
+def test_vcycles_on_the_smallest_grids(nx):
+    # tau = 1 makes the velocity stiffness-dominated down to the coarsest grid
+    ops = _coarsening_ops(nx, tau=1.0)
+    rng = np.random.default_rng(nx)
+    b = ops.velocity.prepare_rhs(rng.standard_normal(ops.p2v.ndofs))
+    x, _ = _velocity_solve(ops, b)
+    assert np.linalg.norm(b - ops.velocity.matrix @ x) <= 1e-10 * np.linalg.norm(b)
+    # a mesh without interior vertices has no coarse velocity level
+    assert (ops.velocity_factors.vcycle is None) == (nx == 1)
+    _, iterations = _pressure_solve(ops, rng.standard_normal(ops.p1.ndofs))
+    assert iterations == 1
+
+
+def test_a_lone_small_pressure_level_is_solved_directly():
+    # at most COARSEST_PRESSURE_NODES nodes: the cycle is the pseudo-inverse
+    ops = _coarsening_ops(8)
+    b = np.random.default_rng(8).standard_normal(ops.p1.ndofs)
+    _, iterations = _pressure_solve(ops, b)
+    assert iterations == 1 and not ops.pressure_factors.vcycle.prolong

@@ -65,6 +65,7 @@ def test_edge_triangle_incidence():
 def test_rectangle_scaling():
     m = build_uniform_mesh(2, 3, rect=(-1.0, 0.0, 3.0, 1.5))
     assert abs(triangle_areas(m).sum() - 4.0 * 1.5) <= 1e-12 * 6.0
+    assert m.grid == (2, 3)
 
 
 def test_deterministic_rebuild():
