@@ -143,21 +143,19 @@ def _gradients(space: FeSpace, coeffs, tab: dict) -> np.ndarray:
     return gref[:, :, 0] * inv[:, :, 0] + gref[:, :, 1] * inv[:, :, 1]
 
 
-def eval_scalar(space: FeSpace, coeffs: np.ndarray, degree: int = ASSEMBLY_DEGREE) -> np.ndarray:
-    return _values(space, coeffs, _tables(space, degree))[:, 0]
+def _at_points(f, tab: dict, ncomp: int) -> np.ndarray:
+    """Analytic f(x, y) at the table's quadrature points, component-major: (nt, ncomp, nq).
 
-
-def eval_scalar_grad(space: FeSpace, coeffs, degree: int = ASSEMBLY_DEGREE) -> np.ndarray:
-    return _gradients(space, coeffs, _tables(space, degree))[:, 0].transpose(0, 2, 1)
-
-
-def eval_vector(space: FeSpace, coeffs, degree: int = ASSEMBLY_DEGREE) -> np.ndarray:
-    return _values(space, coeffs, _tables(space, degree)).transpose(0, 2, 1)
-
-
-def eval_vector_grad(space: FeSpace, coeffs, degree: int = ASSEMBLY_DEGREE) -> np.ndarray:
-    """Gradient tensor g[t, q, c, d] = d u_c / d x_d at quadrature points."""
-    return _gradients(space, coeffs, _tables(space, degree)).transpose(0, 3, 1, 2)
+    f is vectorized. For ncomp > 1 it returns its ncomp components in order,
+    as one sequence or as the rows of a matrix (the gradient [c][d] of a
+    vector field). A constant component is broadcast.
+    """
+    vals = f(tab["x"], tab["y"])
+    if ncomp == 1:
+        vals = (vals,)
+    elif isinstance(vals[0], (tuple, list)):
+        vals = [v for row in vals for v in row]
+    return np.stack([np.broadcast_to(v, tab["x"].shape) for v in vals], axis=1)
 
 
 def _load(space: FeSpace, tab: dict, integrand: np.ndarray) -> np.ndarray:
@@ -266,12 +264,7 @@ def assemble_forms(p1: FeSpace, p2v: FeSpace) -> AssembledForms:
 def assemble_load(space: FeSpace, f, degree: int = ASSEMBLY_DEGREE) -> np.ndarray:
     """Entries (f, basis_i); f(x, y) vectorized, pair-valued for vector spaces."""
     tab = _tables(space, degree)
-    shape = tab["x"].shape
-    if space.ncomp == 1:
-        return _load(space, tab, np.broadcast_to(f(tab["x"], tab["y"]), shape))
-    fx, fy = f(tab["x"], tab["y"])
-    return _load(space, tab, np.stack([np.broadcast_to(fx, shape),
-                                       np.broadcast_to(fy, shape)], axis=1))
+    return _load(space, tab, _at_points(f, tab, space.ncomp))
 
 
 def convective_load_scalar(p2v: FeSpace, p1: FeSpace, u, phi) -> np.ndarray:
@@ -384,7 +377,7 @@ def free_energy_density(v: np.ndarray, eps: float, gamma: float) -> np.ndarray:
 def mixing_energy(p1: FeSpace, phi, eps: float, gamma: float) -> float:
     """Integral of the stabilized density F(phi_h); quartic, so exact at degree 5."""
     tab = _tables(p1, ASSEMBLY_DEGREE)
-    phiq = eval_scalar(p1, phi)
+    phiq = _values(p1, phi, tab)[:, 0]
     return float(np.sum(tab["wdet"] * free_energy_density(phiq, eps, gamma)))
 
 
@@ -397,49 +390,31 @@ def compute_discrete_energies(p1: FeSpace, m_v: sp.csr_matrix, phi, u, params) -
     return e1, e2
 
 
-def l2_norm(space: FeSpace, coeffs, degree: int = NORM_DEGREE) -> float:
-    tab = _tables(space, degree)
-    if space.ncomp == 1:
-        vq = eval_scalar(space, coeffs, degree)
-        return float(np.sqrt(np.sum(tab["wdet"] * vq ** 2)))
-    vq = eval_vector(space, coeffs, degree)
-    return float(np.sqrt(np.sum(tab["wdet"] * np.sum(vq ** 2, axis=-1))))
+def _norm(tab: dict, q: np.ndarray) -> float:
+    """L2 norm of a field given at the table's quadrature points: (nt, ncomp, nq)."""
+    return float(np.sqrt(np.sum(tab["wdet"] * np.sum(q ** 2, axis=1))))
 
 
 def l2_error(space: FeSpace, coeffs, exact=None, degree: int = NORM_DEGREE) -> float:
-    """L2 distance between a finite element field and an analytic reference."""
+    """L2 distance between a finite element field and an analytic reference.
+
+    Without a reference it is the field's L2 norm.
+    """
     tab = _tables(space, degree)
-    if space.ncomp == 1:
-        diff = eval_scalar(space, coeffs, degree)
-        if exact is not None:
-            diff = diff - exact(tab["x"], tab["y"])
-        return float(np.sqrt(np.sum(tab["wdet"] * diff ** 2)))
-    diff = eval_vector(space, coeffs, degree)
+    diff = _values(space, coeffs, tab)
     if exact is not None:
-        ex, ey = exact(tab["x"], tab["y"])
-        diff = diff - np.stack([np.broadcast_to(ex, tab["x"].shape),
-                                np.broadcast_to(ey, tab["x"].shape)], axis=-1)
-    return float(np.sqrt(np.sum(tab["wdet"] * np.sum(diff ** 2, axis=-1))))
+        diff = diff - _at_points(exact, tab, space.ncomp)
+    return _norm(tab, diff)
 
 
 def h1_seminorm_error(space: FeSpace, coeffs, exact_grad=None, degree: int = NORM_DEGREE) -> float:
+    """L2 distance between a field's gradient and an analytic one ([c][d] for vector fields)."""
     tab = _tables(space, degree)
-    if space.ncomp == 1:
-        diff = eval_scalar_grad(space, coeffs, degree)
-        if exact_grad is not None:
-            gx, gy = exact_grad(tab["x"], tab["y"])
-            diff = diff - np.stack([np.broadcast_to(gx, tab["x"].shape),
-                                    np.broadcast_to(gy, tab["x"].shape)], axis=-1)
-        return float(np.sqrt(np.sum(tab["wdet"] * np.sum(diff ** 2, axis=-1))))
-    diff = eval_vector_grad(space, coeffs, degree)
+    ncomp = 2 * space.ncomp
+    diff = _gradients(space, coeffs, tab).reshape(-1, ncomp, tab["vals"].shape[0])
     if exact_grad is not None:
-        g = exact_grad(tab["x"], tab["y"])  # nested [c][d] of arrays
-        ref = np.empty_like(diff)
-        for c in range(2):
-            for d in range(2):
-                ref[..., c, d] = g[c][d]
-        diff = diff - ref
-    return float(np.sqrt(np.sum(tab["wdet"] * np.sum(diff ** 2, axis=(-2, -1)))))
+        diff = diff - _at_points(exact_grad, tab, ncomp)
+    return _norm(tab, diff)
 
 
 def h1_error(space: FeSpace, coeffs, exact=None, exact_grad=None,

@@ -55,26 +55,22 @@ def _write_snapshots(run, out):
         write_vtk_snapshot(run.ops.mesh, fields, os.path.join(out, f"snap_t{t:g}.vtk"))
 
 
-def _run_coarsen(cfg):
+def _run_dissipative(cfg):
+    """A coarsen or relax run: energy.csv and snapshots, exit 1 unless the energy decays."""
     out = ensure_dir(cfg.out_dir)
-    run = ex.run_coarsening(cfg.seed, cfg.nx, cfg.tau, cfg.t_end,
-                            snapshot_times=cfg.snapshot_times, params=cfg.params())
+    if cfg.kind == "coarsen":
+        name = "coarsening"
+        run = ex.run_coarsening(cfg.seed, cfg.nx, cfg.tau, cfg.t_end,
+                                snapshot_times=cfg.snapshot_times, params=cfg.params())
+    else:
+        name = "relaxation"
+        polygon = cfg.polygon if cfg.polygon is not None else ex.default_cross_polygon()
+        run = ex.run_relaxation(polygon, cfg.nx, cfg.tau, cfg.t_end,
+                                snapshot_times=cfg.snapshot_times, params=cfg.params())
     write_energy_csv(run.trace, os.path.join(out, "energy.csv"))
     _write_snapshots(run, out)
     verdict = "nonincreasing" if run.trace.monotone() else "NOT monotone"
-    print(f"coarsening energy trace: {verdict}")
-    return 0 if run.trace.monotone() else 1
-
-
-def _run_relax(cfg):
-    out = ensure_dir(cfg.out_dir)
-    polygon = cfg.polygon if cfg.polygon is not None else ex.default_cross_polygon()
-    run = ex.run_relaxation(polygon, cfg.nx, cfg.tau, cfg.t_end,
-                            snapshot_times=cfg.snapshot_times, params=cfg.params())
-    write_energy_csv(run.trace, os.path.join(out, "energy.csv"))
-    _write_snapshots(run, out)
-    verdict = "nonincreasing" if run.trace.monotone() else "NOT monotone"
-    print(f"relaxation energy trace: {verdict}")
+    print(f"{name} energy trace: {verdict}")
     return 0 if run.trace.monotone() else 1
 
 
@@ -128,11 +124,9 @@ def main(argv=None) -> int:
         cfg = parse_config(args.config, kind=args.command, overrides=overrides)
         if args.command == "converge":
             return _run_converge(cfg)
-        if args.command == "coarsen":
-            return _run_coarsen(cfg)
-        if args.command == "relax":
-            return _run_relax(cfg)
-        return _run_stability(cfg)
+        if args.command == "stability":
+            return _run_stability(cfg)
+        return _run_dissipative(cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .experiments import polygon_is_simple
+from .experiments import coarsening_params, polygon_is_simple, relaxation_params
 from .scheme import Params
 
 
@@ -16,22 +16,17 @@ class ConfigError(ValueError):
     pass
 
 
-_DEFAULTS = {
-    "converge": dict(mobility=0.001, lam=0.001, nu=0.1, eps=0.04, gamma=1.0,
-                     c1=0.1, c2=0.1, t_end=0.1, levels=[4, 8, 16],
-                     tau_factor=0.1),
-    "coarsen": dict(mobility=0.0001, lam=0.02, nu=1.0, eps=0.01, gamma=1.0,
-                    c1=1.0, c2=0.1, t_end=5.0, nx=64, tau=0.001, seed=2024,
-                    snapshot_times=[0.001, 0.05, 0.1, 0.15, 0.3, 1.0, 3.0, 5.0]),
-    "relax": dict(mobility=0.001, lam=0.1, nu=1.0, eps=0.01, gamma=1.0,
-                  c1=1.0, c2=0.1, t_end=0.5, nx=64, tau=0.001, seed=2024,
-                  # the prose and the figure caption disagree on the early
-                  # snapshot instants, so both sets are emitted
-                  snapshot_times=[0.0, 0.01, 0.02, 0.05, 0.08, 0.1, 0.2, 0.3, 0.5]),
-    "stability": dict(mobility=0.0001, lam=0.02, nu=1.0, eps=0.01, gamma=1.0,
-                      c1=1.0, c2=0.1, t_end=5.0, nx=64, seed=2024,
-                      tau_list=[1e-3, 1e-2, 1e-1]),
-}
+# each kind starts from its driver's preset (constants, time step, final time)
+_DEFAULTS = {kind: {**asdict(preset()), **extra} for kind, preset, extra in [
+    ("converge", Params, dict(levels=[4, 8, 16], tau_factor=0.1)),
+    ("coarsen", coarsening_params,
+     dict(nx=64, seed=2024, snapshot_times=[0.001, 0.05, 0.1, 0.15, 0.3, 1.0, 3.0, 5.0])),
+    # the prose and the figure caption disagree on the early snapshot
+    # instants, so both sets are emitted
+    ("relax", relaxation_params,
+     dict(nx=64, seed=2024, snapshot_times=[0.0, 0.01, 0.02, 0.05, 0.08, 0.1, 0.2, 0.3, 0.5])),
+    ("stability", coarsening_params, dict(nx=64, seed=2024, tau_list=[1e-3, 1e-2, 1e-1])),
+]}
 
 
 @dataclass
@@ -119,6 +114,11 @@ def parse_config(path: str | None = None, kind: str | None = None,
     for key in ("mobility", "lam", "nu", "eps", "gamma", "c1", "c2", "t_end", "tau", "tau_factor"):
         if getattr(cfg, key) <= 0:
             raise ConfigError(f"{key} must be positive")
+    if not 0.0 < cfg.solver_tol < 1.0:
+        raise ConfigError(f"solver_tol must lie in (0, 1), got {cfg.solver_tol!r}")
+    # splitmix64 takes the seed as one unsigned 64-bit word
+    if not 0 <= cfg.seed < 2 ** 64:
+        raise ConfigError(f"seed must lie in [0, 2^64), got {cfg.seed!r}")
     if any(t <= 0 for t in cfg.tau_list):
         raise ConfigError("every tau in tau_list must be positive")
     taus = cfg.tau_list if cfg.kind == "stability" else [cfg.tau]

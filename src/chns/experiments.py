@@ -72,8 +72,10 @@ class ErrorAccumulator:
         c, ops, prm = self.case, self.ops, self.params
         tau = prm.tau
         tab = asm._tables(ops.p1, NORM_DEGREE)
-        e1 = float(np.sum(tab["wdet"] * c.r_exact_density(t_final, tab["x"], tab["y"])))
-        e2 = 0.5 * float(np.sum(tab["wdet"] * c.u_squared(t_final, tab["x"], tab["y"])))
+        phi = c.phi(t_final, tab["x"], tab["y"])
+        u1, u2 = c.u(t_final, tab["x"], tab["y"])
+        e1 = float(np.sum(tab["wdet"] * asm.free_energy_density(phi, prm.eps, prm.gamma)))
+        e2 = 0.5 * float(np.sum(tab["wdet"] * (u1 ** 2 + u2 ** 2)))
         r_exact = math.sqrt(e1 + prm.c1)
         rho_exact = math.sqrt(e2 + prm.c2)
         return ErrorRecord(
@@ -99,6 +101,12 @@ class ErrorAccumulator:
         )
 
 
+def _unit_square_operators(nx: int, params: Params) -> Operators:
+    """Operators of the nx x nx uniform mesh of the unit square."""
+    mesh = build_uniform_mesh(nx, nx)
+    return build_operators(build_space(mesh, "p1"), build_space(mesh, "p2vec"), params)
+
+
 def default_tau_rule(h: float) -> float:
     return 0.1 * h ** 3
 
@@ -111,10 +119,7 @@ def run_convergence_level(nx: int, params: Params, t_end: float = 0.1,
     nsteps = round(t_end / tau)
     prm = replace(params, tau=tau, t_end=t_end)
 
-    mesh = build_uniform_mesh(nx, nx)
-    p1 = build_space(mesh, "p1")
-    p2v = build_space(mesh, "p2vec")
-    ops = build_operators(p1, p2v, prm)
+    ops = _unit_square_operators(nx, prm)
     case = trig_case(prm)
     forcing = Forcing(g_phi=case.g_phi, g_u=case.g_u)
 
@@ -244,13 +249,10 @@ def run_coarsening(seed: int, nx: int, tau: float, t_end: float,
                    on_step=None) -> RunArtifacts:
     """Spinodal decomposition from small random data; energy must decay."""
     prm = replace(params or coarsening_params(), tau=tau, t_end=t_end)
-    mesh = build_uniform_mesh(nx, nx)
-    p1 = build_space(mesh, "p1")
-    p2v = build_space(mesh, "p2vec")
-    ops = build_operators(p1, p2v, prm)
+    ops = _unit_square_operators(nx, prm)
 
-    phi0 = random_phase_field(seed, p1.ndofs)
-    state = init_state(ops, phi0, np.zeros(p2v.ndofs), np.zeros(p1.ndofs), prm,
+    phi0 = random_phase_field(seed, ops.p1.ndofs)
+    state = init_state(ops, phi0, np.zeros(ops.p2v.ndofs), np.zeros(ops.p1.ndofs), prm,
                        mu0=phi0.copy())
     nsteps = round(t_end / tau)
     return _march(ops, prm, state, nsteps, snapshot_times, on_step=on_step)
@@ -326,17 +328,14 @@ def run_relaxation(polygon, nx: int, tau: float, t_end: float,
     if len(poly) < 3 or not polygon_is_simple(poly):
         raise ValueError("polygon must be simple (non self-intersecting)")
     prm = replace(params or relaxation_params(), tau=tau, t_end=t_end)
-    mesh = build_uniform_mesh(nx, nx)
-    p1 = build_space(mesh, "p1")
-    p2v = build_space(mesh, "p2vec")
-    ops = build_operators(p1, p2v, prm)
+    ops = _unit_square_operators(nx, prm)
 
     def rotation(x, y):
         return y - 0.5, -(x - 0.5)
 
-    inside = points_in_polygon(poly, p1.dof_coords[:, 0], p1.dof_coords[:, 1])
+    inside = points_in_polygon(poly, ops.p1.dof_coords[:, 0], ops.p1.dof_coords[:, 1])
     phi0 = np.where(inside, 1.0, -1.0)
-    state = init_state(ops, phi0, rotation, np.zeros(p1.ndofs), prm)
+    state = init_state(ops, phi0, rotation, np.zeros(ops.p1.ndofs), prm)
     nsteps = round(t_end / tau)
     return _march(ops, prm, state, nsteps, snapshot_times, bc=rotation, on_step=on_step)
 
@@ -361,10 +360,8 @@ def ritz_projection(p1, grad, integral: float = 0.0) -> np.ndarray:
 def _grad_load(p1, grad) -> np.ndarray:
     """Entries (grad f, grad w_i) assembled from an analytic gradient."""
     tab = asm._tables(p1, NORM_DEGREE)
-    gx, gy = grad(tab["x"], tab["y"])
-    g = np.stack([np.broadcast_to(gx, tab["x"].shape),
-                  np.broadcast_to(gy, tab["x"].shape)], axis=-1)
-    cellwise = np.einsum("tq,tqd,tqid->ti", tab["wdet"], g, asm._basis_gradients(tab))
+    g = asm._at_points(grad, tab, 2)
+    cellwise = np.einsum("tq,tdq,tqid->ti", tab["wdet"], g, asm._basis_gradients(tab))
     return np.bincount(p1.scalar_cell_dofs.ravel(), weights=cellwise.ravel(),
                        minlength=p1.ndofs)
 

@@ -1,10 +1,12 @@
 """Sparse-matrix storage conventions and the linear solvers used by the scheme.
 
 Matrices are scipy CSR (row_offsets = indptr, column_indices = indices,
-values = data). The symmetric solves are preconditioned conjugate
-gradients: with a symmetric multigrid V-cycle (`VCycle`) where the matrix's
-`Factors` holder says how to coarsen it, with the Jacobi diagonal
-otherwise. A nonsymmetric solve runs Jacobi BiCGStab, and one that BiCGStab
+values = data). The symmetric solves, SPD (`solve_spd`) and singular
+Neumann (`solve_neumann_zero_mean`), run one preconditioned conjugate
+gradient loop, the latter projected off the constants. They precondition
+with a symmetric multigrid V-cycle (`VCycle`) where the matrix's `Factors`
+holder says how to coarsen it, with the Jacobi diagonal otherwise. A
+nonsymmetric solve runs Jacobi BiCGStab, and one that BiCGStab
 gives up on is finished by GMRES preconditioned with sparse LU factors of
 the matrix. Every solve re-verifies its residual with one explicit
 matrix-vector product before returning.
@@ -201,6 +203,44 @@ def _preconditioner(a: sp.csr_matrix, factors: Factors | None):
     return partial(np.multiply, _inv_diagonal(a, factors))
 
 
+def _pcg(a, b, precondition, tol, max_it, project=None):
+    """Preconditioned conjugate gradients from x = 0 to ||b - Ax|| <= tol; returns (x, k).
+
+    k counts the iterations. `project`, if given, maps a vector to the
+    subspace the iteration stays in: it is applied to each preconditioned
+    residual and to the verified residual. Raises SolverError after max_it
+    iterations.
+    """
+    def keep(v):
+        return v if project is None else project(v)
+
+    x = np.zeros_like(b)
+    r = b.copy()
+    z = keep(precondition(r))
+    p = z.copy()
+    rz = r @ z
+
+    k = 0
+    while k < max_it:
+        k += 1
+        ap = a @ p
+        alpha = rz / (p @ ap)
+        x += alpha * p
+        r -= alpha * ap
+        if np.linalg.norm(r) <= tol:
+            # recursive residual can drift; accept only a verified one
+            r = keep(b - a @ x)
+            if np.linalg.norm(r) <= tol:
+                return x, k
+        z = keep(precondition(r))
+        rz_new = r @ z
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    name = "conjugate gradients" if project is None else "projected conjugate gradients"
+    raise SolverError(f"{name} did not converge",
+                      np.linalg.norm(b - a @ x) / np.linalg.norm(b))
+
+
 def solve_spd(a: sp.csr_matrix, b: np.ndarray, config: SolverConfig | None = None,
               info: dict | None = None, factors: Factors | None = None) -> np.ndarray:
     """Preconditioned conjugate gradients for SPD systems.
@@ -212,38 +252,10 @@ def solve_spd(a: sp.csr_matrix, b: np.ndarray, config: SolverConfig | None = Non
     b = np.asarray(b, dtype=float)
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
-        if info is not None:
-            info["iterations"] = 0
-        return np.zeros_like(b)
-
-    precondition = _preconditioner(a, factors)
-    x = np.zeros_like(b)
-    r = b.copy()
-    z = precondition(r)
-    p = z.copy()
-    rz = r @ z
-    tol = config.rel_tolerance * bnorm
-    max_it = config.iterations_for(b.shape[0])
-
-    k = 0
-    while k < max_it:
-        k += 1
-        ap = a @ p
-        alpha = rz / (p @ ap)
-        x += alpha * p
-        r -= alpha * ap
-        if np.linalg.norm(r) <= tol:
-            # recursive residual can drift; accept only a verified one
-            r = b - a @ x
-            if np.linalg.norm(r) <= tol:
-                break
-        z = precondition(r)
-        rz_new = r @ z
-        p = z + (rz_new / rz) * p
-        rz = rz_new
+        x, k = np.zeros_like(b), 0
     else:
-        raise SolverError("conjugate gradients did not converge",
-                          np.linalg.norm(b - a @ x) / bnorm)
+        x, k = _pcg(a, b, _preconditioner(a, factors), config.rel_tolerance * bnorm,
+                    config.iterations_for(b.shape[0]))
     if info is not None:
         info["iterations"] = k
     return x
@@ -432,47 +444,20 @@ def solve_neumann_zero_mean(k_mat: sp.csr_matrix, b: np.ndarray, mass_row_sums: 
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
     raw_norm = np.linalg.norm(b)
-    b = b - b.sum() / n
-    bnorm = np.linalg.norm(b)
-    # data living entirely in the kernel projects to roundoff noise
-    if bnorm <= 1e-14 * max(raw_norm, 1.0):
-        if info is not None:
-            info["iterations"] = 0
-        return np.zeros_like(b)
-
-    precondition = _preconditioner(k_mat, factors)
 
     def project(v):
         return v - v.sum() / n
 
-    x = np.zeros_like(b)
-    r = b.copy()
-    z = project(precondition(r))
-    p = z.copy()
-    rz = r @ z
-    tol = config.rel_tolerance * bnorm
-    max_it = config.iterations_for(n)
-
-    k = 0
-    while k < max_it:
-        k += 1
-        ap = k_mat @ p
-        alpha = rz / (p @ ap)
-        x += alpha * p
-        r -= alpha * ap
-        if np.linalg.norm(r) <= tol:
-            r = project(b - k_mat @ x)
-            if np.linalg.norm(r) <= tol:
-                break
-        z = project(precondition(r))
-        rz_new = r @ z
-        p = z + (rz_new / rz) * p
-        rz = rz_new
+    b = project(b)
+    bnorm = np.linalg.norm(b)
+    # data living entirely in the kernel projects to roundoff noise
+    if bnorm <= 1e-14 * max(raw_norm, 1.0):
+        x, k = np.zeros_like(b), 0
     else:
-        raise SolverError("projected conjugate gradients did not converge",
-                          np.linalg.norm(b - k_mat @ x) / bnorm)
+        x, k = _pcg(k_mat, b, _preconditioner(k_mat, factors), config.rel_tolerance * bnorm,
+                    config.iterations_for(n), project)
+        # fix the kernel component: mass-weighted mean zero
+        x -= (mass_row_sums @ x) / mass_row_sums.sum()
     if info is not None:
         info["iterations"] = k
-    # fix the kernel component: mass-weighted mean zero
-    x -= (mass_row_sums @ x) / mass_row_sums.sum()
     return x

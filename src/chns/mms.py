@@ -84,8 +84,6 @@ class MmsCase:
     grad_p: object
     g_phi: object
     g_u: object
-    r_exact_density: object  # F(phi(t)) pointwise, for the exact scalar history
-    u_squared: object
 
 
 def trig_case(params) -> MmsCase:
@@ -96,7 +94,6 @@ def trig_case(params) -> MmsCase:
     trigonometric function of space.
     """
     lam, eps, mob, nu = params.lam, params.eps, params.mobility, params.nu
-    gamma = params.gamma
 
     def ax(x, y):
         tg = _trig(x, y)
@@ -192,24 +189,9 @@ def trig_case(params) -> MmsCase:
         g2 = ut2 + u1 * d2x + u2 * d2y - nu * l2 + py - m * fy
         return g1, g2
 
-    def r_exact_density(t, x, y):
-        f = phi(t, x, y)
-        return (f ** 2 - 1.0) ** 2 / (4.0 * eps ** 2) - 0.5 * gamma * f ** 2
-
-    def u_squared(t, x, y):
-        u1, u2 = u(t, x, y)
-        return u1 ** 2 + u2 ** 2
-
     return MmsCase(phi=phi, mu=mu, u=u, p=p,
                    grad_phi=grad_phi, grad_mu=grad_mu, grad_u=grad_u, grad_p=grad_p,
-                   g_phi=g_phi, g_u=g_u,
-                   r_exact_density=r_exact_density, u_squared=u_squared)
-
-
-def mms_forcing(t, x, y, params):
-    """Pointwise forcing values of the standard case at (t, x, y)."""
-    case = trig_case(params)
-    return case.g_phi(t, x, y), case.g_u(t, x, y)
+                   g_phi=g_phi, g_u=g_u)
 
 
 def finite_difference_forcing(case: MmsCase, params, t, x, y,

@@ -19,6 +19,10 @@ pressure and forcing loads at the old level) are assembled in one place,
 eliminated (`scalar_equation_residuals`); `scheme_residuals` substitutes a
 completed step into all five coupled equations, which ties this decoupled
 realization to the monolithic statement.
+
+The discrete energy law has one source per term: `modified_energy` is the
+Lyapunov functional, `dissipation` what a step dissipates, and
+`energy_identity_residual` balances the two with the increment terms.
 """
 
 from __future__ import annotations
@@ -476,31 +480,33 @@ def modified_energy(ops: Operators, params: Params, state: State) -> float:
             + state.rho ** 2)
 
 
+def dissipation(ops: Operators, params: Params, new: State) -> float:
+    """Energy the step into `new` dissipates: 2 tau (M ||grad mu||^2 + nu ||grad u_tilde||^2)."""
+    f, tau = ops.forms, params.tau
+    return (2.0 * params.mobility * tau * quad(f.k_p1, new.mu)
+            + 2.0 * params.nu * tau * quad(f.k_v, new.u_tilde))
+
+
 def energy_identity_residual(ops: Operators, params: Params,
                              old: State, new: State) -> float:
     """Signed defect of the exact per-step energy balance (zero in exact arithmetic).
 
-    The balance telescopes the modified energy plus its difference terms
-    against the dissipation. For the conforming projection used here the
-    exact chain carries -1/2 ||u_tilde - u||^2 in place of the formal
-    tau^2 ||grad(p_new - p_old)||^2 term of the semi-discrete argument;
-    both forms agree up to O(tau^2) but only this one closes identically.
+    The balance is the change of `modified_energy`, plus the numerical
+    dissipation of the increments, plus `dissipation`. For the conforming
+    projection used here the exact chain carries -1/2 ||u_tilde - u||^2 in
+    place of the formal tau^2 ||grad(p_new - p_old)||^2 term of the
+    semi-discrete argument; both forms agree up to O(tau^2) but only this
+    one closes identically.
     """
-    f, lam, gamma, tau = ops.forms, params.lam, params.gamma, params.tau
+    f, lam = ops.forms, params.lam
     dphi = new.phi - old.phi
-    dut = new.u_tilde - old.u
-    dproj = new.u_tilde - new.u
-
-    total = lam * (quad(f.k_p1, new.phi) - quad(f.k_p1, old.phi) + quad(f.k_p1, dphi))
-    total += lam * gamma * (quad(f.m_p1, new.phi) - quad(f.m_p1, old.phi) + quad(f.m_p1, dphi))
-    total += 2.0 * lam * (new.r ** 2 - old.r ** 2 + (new.r - old.r) ** 2)
-    total += 0.5 * (quad(f.m_v, new.u) - quad(f.m_v, old.u) + quad(f.m_v, dut))
-    total -= 0.5 * quad(f.m_v, dproj)
-    total += new.rho ** 2 - old.rho ** 2 + (new.rho - old.rho) ** 2
-    total += tau ** 2 * (quad(f.k_p1, new.p) - quad(f.k_p1, old.p))
-    total += 2.0 * params.mobility * tau * quad(f.k_p1, new.mu)
-    total += 2.0 * params.nu * tau * quad(f.k_v, new.u_tilde)
-    return total
+    increments = (lam * (quad(f.k_p1, dphi) + params.gamma * quad(f.m_p1, dphi))
+                  + 2.0 * lam * (new.r - old.r) ** 2
+                  + 0.5 * quad(f.m_v, new.u_tilde - old.u)
+                  - 0.5 * quad(f.m_v, new.u_tilde - new.u)
+                  + (new.rho - old.rho) ** 2)
+    return (modified_energy(ops, params, new) - modified_energy(ops, params, old)
+            + increments + dissipation(ops, params, new))
 
 
 def quad(a: sp.csr_matrix, x: np.ndarray) -> float:
@@ -523,7 +529,6 @@ def step(state: State, params: Params, ops: Operators,
     rest and the pressure untouched, which is the mode the conservation
     checks use.
     """
-    tau = params.tau
     iterations: dict = {}
 
     terms = explicit_terms(ops, params, state, forcing)
@@ -550,15 +555,13 @@ def step(state: State, params: Params, ops: Operators,
 
     energy_before = modified_energy(ops, params, state)
     energy_after = modified_energy(ops, params, new)
-    dissipation = (2.0 * params.mobility * tau * quad(ops.forms.k_p1, mu_new)
-                   + 2.0 * params.nu * tau * quad(ops.forms.k_v, u_tilde))
     residual = energy_identity_residual(ops, params, state, new) \
         if forcing is None and bc is None else float("nan")
 
     report = StepReport(
         energy_before=energy_before, energy_after=energy_after,
-        dissipation=dissipation, identity_residual=residual, chosen_root=rho,
-        r_eq_residual=res_r, rho_eq_residual=res_rho,
+        dissipation=dissipation(ops, params, new), identity_residual=residual,
+        chosen_root=rho, r_eq_residual=res_r, rho_eq_residual=res_rho,
         div_norm=float(np.linalg.norm(asm.div_load(ops.forms, u_new))),
         e1h=terms.e1h, e2h=terms.e2h, iterations=iterations, **diag,
     )

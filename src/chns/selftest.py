@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from . import assembly as asm
+from .experiments import coarsening_params
 from .fem import build_space, p1_basis, p2_basis, triangle_quadrature
 from .mesh import build_uniform_mesh, triangle_areas
 from .mms import finite_difference_forcing, trig_case
@@ -44,8 +46,7 @@ def _checks():
     yield "mass positive definite", all(
         x @ (m @ x) > 0 for x in rng.standard_normal((5, p1.ndofs)))
 
-    params = Params(mobility=0.0001, lam=0.02, nu=1.0, eps=0.01, gamma=1.0,
-                    c1=1.0, c2=0.1, tau=0.01, t_end=1.0)
+    params = replace(coarsening_params(), tau=0.01, t_end=1.0)
     ops = build_operators(p1, p2v, params)
     state = init_state(ops, np.zeros(p1.ndofs), np.zeros(p2v.ndofs),
                        np.zeros(p1.ndofs), params)

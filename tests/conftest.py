@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from chns.experiments import coarsening_params
 from chns.mesh import build_uniform_mesh
 from chns.fem import build_space
 from chns.scheme import Params, build_operators
@@ -18,8 +21,7 @@ def spaces4(mesh4):
 
 @pytest.fixture(scope="session")
 def coarsen_params():
-    return Params(mobility=0.0001, lam=0.02, nu=1.0, eps=0.01, gamma=1.0,
-                  c1=1.0, c2=0.1, tau=1e-3, t_end=1.0)
+    return replace(coarsening_params(), t_end=1.0)
 
 
 @pytest.fixture(scope="session")

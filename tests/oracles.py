@@ -144,6 +144,46 @@ def einsum_fprime_load(p1, phi, eps, gamma):
     return einsum_load(p1, asm.fprime(einsum_eval_scalar(p1, phi), eps, gamma))
 
 
+def _einsum_reference(tab, f, shape):
+    """f(x, y) at the table's points, (nt, nq) + shape; f gives nested components."""
+    out = np.empty(tab["x"].shape + shape)
+    vals = f(tab["x"], tab["y"])
+    for index in np.ndindex(*shape):
+        v = vals
+        for i in index:
+            v = v[i]
+        out[(...,) + index] = v
+    return out
+
+
+def einsum_l2_error(space, coeffs, exact=None, degree=8):
+    """L2 distance from an analytic field (the norm without one), point by point."""
+    tab = asm._tables(space, degree)
+    if space.ncomp == 1:
+        diff = einsum_eval_scalar(space, coeffs, degree)
+        if exact is not None:
+            diff = diff - _einsum_reference(tab, lambda x, y: [exact(x, y)], (1,))[..., 0]
+        return float(np.sqrt(np.einsum("tq,tq->", tab["wdet"], diff ** 2)))
+    diff = einsum_eval_vector(space, coeffs, degree)
+    if exact is not None:
+        diff = diff - _einsum_reference(tab, exact, (2,))
+    return float(np.sqrt(np.einsum("tq,tqc->", tab["wdet"], diff ** 2)))
+
+
+def einsum_h1_seminorm_error(space, coeffs, exact_grad=None, degree=8):
+    """L2 distance from an analytic gradient ([c][d] for vector fields), point by point."""
+    tab = asm._tables(space, degree)
+    if space.ncomp == 1:
+        diff = einsum_eval_scalar_grad(space, coeffs, degree)
+        if exact_grad is not None:
+            diff = diff - _einsum_reference(tab, exact_grad, (2,))
+        return float(np.sqrt(np.einsum("tq,tqd->", tab["wdet"], diff ** 2)))
+    diff = einsum_eval_vector_grad(space, coeffs, degree)
+    if exact_grad is not None:
+        diff = diff - _einsum_reference(tab, exact_grad, (2, 2))
+    return float(np.sqrt(np.einsum("tq,tqcd->", tab["wdet"], diff ** 2)))
+
+
 # ---------------------------------------------------------------------------
 # scalar form of the splitmix64 stream
 
@@ -376,3 +416,71 @@ def bicgstab_loop(a, b, dinv, tol, max_it):
             if np.linalg.norm(r) <= tol:
                 return x, k
     raise SolverError("bicgstab did not converge", np.linalg.norm(b - a @ x) / bnorm)
+
+
+# ---------------------------------------------------------------------------
+# the SPD and the projected conjugate gradient loops, one hand-written loop each
+
+
+def cg_loop(a, b, precondition, tol, max_it):
+    """Preconditioned conjugate gradients as solve_spd ran them. Returns (x, iterations)."""
+    bnorm = np.linalg.norm(b)
+    x = np.zeros_like(b)
+    r = b.copy()
+    z = precondition(r)
+    p = z.copy()
+    rz = r @ z
+    k = 0
+    while k < max_it:
+        k += 1
+        ap = a @ p
+        alpha = rz / (p @ ap)
+        x += alpha * p
+        r -= alpha * ap
+        if np.linalg.norm(r) <= tol:
+            r = b - a @ x
+            if np.linalg.norm(r) <= tol:
+                break
+        z = precondition(r)
+        rz_new = r @ z
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    else:
+        raise SolverError("conjugate gradients did not converge",
+                          np.linalg.norm(b - a @ x) / bnorm)
+    return x, k
+
+
+def projected_cg_loop(k_mat, b, precondition, tol, max_it):
+    """Conjugate gradients off the constants as solve_neumann_zero_mean ran them,
+    for a right-hand side already projected. Returns (x, iterations)."""
+    n = b.shape[0]
+    bnorm = np.linalg.norm(b)
+
+    def project(v):
+        return v - v.sum() / n
+
+    x = np.zeros_like(b)
+    r = b.copy()
+    z = project(precondition(r))
+    p = z.copy()
+    rz = r @ z
+    k = 0
+    while k < max_it:
+        k += 1
+        ap = k_mat @ p
+        alpha = rz / (p @ ap)
+        x += alpha * p
+        r -= alpha * ap
+        if np.linalg.norm(r) <= tol:
+            r = project(b - k_mat @ x)
+            if np.linalg.norm(r) <= tol:
+                break
+        z = project(precondition(r))
+        rz_new = r @ z
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    else:
+        raise SolverError("projected conjugate gradients did not converge",
+                          np.linalg.norm(b - k_mat @ x) / bnorm)
+    return x, k

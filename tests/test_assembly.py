@@ -320,14 +320,14 @@ def test_norms_examples():
 
     coeffs = interpolate(p1, f)
     assert asm.l2_error(p1, coeffs, f) <= 5e-3  # interpolation error only
-    assert asm.l2_norm(p1, np.zeros(p1.ndofs)) == 0.0
     assert asm.l2_error(p1, np.zeros(p1.ndofs)) == 0.0
-    # |sin sin|_{L2} = 1/2; the interpolant norm carries the O(h^2) defect
-    assert asm.l2_norm(p1, coeffs) == pytest.approx(0.5, abs=1e-3)
+    # without a reference, the norm: |sin sin|_{L2} = 1/2, and the
+    # interpolant's norm carries the O(h^2) defect
+    assert asm.l2_error(p1, coeffs) == pytest.approx(0.5, abs=1e-3)
 
     p2 = build_space(mesh, "p2")
     c2 = interpolate(p2, f)
-    assert asm.l2_norm(p2, c2) == pytest.approx(0.5, abs=1e-6)
+    assert asm.l2_error(p2, c2) == pytest.approx(0.5, abs=1e-6)
 
 
 def test_error_of_in_space_reference():
@@ -376,14 +376,53 @@ def _relative_gap(got, want):
 def test_field_evaluation_matches_einsum_oracle(jittered_spaces, kind, degree):
     space = jittered_spaces[kind]
     coeffs = np.random.default_rng(3).standard_normal(space.ndofs)
+    tab = asm._tables(space, degree)
+    values = asm._values(space, coeffs, tab)            # (nt, ncomp, nq)
+    gradients = asm._gradients(space, coeffs, tab)      # (nt, ncomp, 2, nq)
     if space.ncomp == 1:
-        pairs = [(asm.eval_scalar, oracles.einsum_eval_scalar),
-                 (asm.eval_scalar_grad, oracles.einsum_eval_scalar_grad)]
+        pairs = [(values[:, 0], oracles.einsum_eval_scalar),
+                 (gradients[:, 0].transpose(0, 2, 1), oracles.einsum_eval_scalar_grad)]
     else:
-        pairs = [(asm.eval_vector, oracles.einsum_eval_vector),
-                 (asm.eval_vector_grad, oracles.einsum_eval_vector_grad)]
+        pairs = [(values.transpose(0, 2, 1), oracles.einsum_eval_vector),
+                 (gradients.transpose(0, 3, 1, 2), oracles.einsum_eval_vector_grad)]
     for fast, oracle in pairs:
-        assert _relative_gap(fast(space, coeffs, degree), oracle(space, coeffs, degree)) <= 1e-13
+        assert _relative_gap(fast, oracle(space, coeffs, degree)) <= 1e-13
+
+
+def _reference_fields(ncomp):
+    """An analytic field and its gradient, in the layouts the norms take."""
+    def f(x, y):
+        return np.exp(x) * np.cos(3.0 * y)
+
+    def grad_f(x, y):
+        return np.exp(x) * np.cos(3.0 * y), -3.0 * np.exp(x) * np.sin(3.0 * y)
+
+    if ncomp == 1:
+        return f, grad_f
+
+    def g(x, y):
+        return x * y - 0.3
+
+    def vector(x, y):
+        return f(x, y), g(x, y)
+
+    def vector_grad(x, y):
+        return grad_f(x, y), (y, x)
+
+    return vector, vector_grad
+
+
+@pytest.mark.parametrize("reference", [False, True], ids=["norm", "error"])
+@pytest.mark.parametrize("kind", ["p1", "p2", "p2vec"])
+def test_error_norms_match_einsum_oracle(jittered_spaces, kind, reference):
+    space = jittered_spaces[kind]
+    coeffs = np.random.default_rng(4).standard_normal(space.ndofs)
+    exact, exact_grad = _reference_fields(space.ncomp) if reference else (None, None)
+    for fast, oracle, ref in [(asm.l2_error, oracles.einsum_l2_error, exact),
+                              (asm.h1_seminorm_error, oracles.einsum_h1_seminorm_error,
+                               exact_grad)]:
+        want = oracle(space, coeffs, ref)
+        assert abs(fast(space, coeffs, ref) - want) <= 1e-13 * want
 
 
 @pytest.mark.parametrize("degree", [5, 8])

@@ -7,9 +7,10 @@ from chns import cli
 from chns.assembly import NonpositiveEnergyError
 from chns.cli import main
 from chns.config import ConfigError, parse_config
-from chns.experiments import EnergyTrace, ErrorRecord
+from chns.experiments import EnergyTrace, ErrorRecord, coarsening_params, random_phase_field, \
+    relaxation_params
 from chns.linsolve import SolverError
-from chns.scheme import ReductionError
+from chns.scheme import Params, ReductionError
 from chns.io import ENERGY_HEADER, write_energy_csv, write_error_table_csv, \
     write_h1_error_table_csv, write_vtk_snapshot
 from chns.mesh import build_uniform_mesh
@@ -31,6 +32,19 @@ def test_converge_defaults_match_reference_setup():
     assert (cfg.mobility, cfg.lam, cfg.eps, cfg.nu) == (0.001, 0.001, 0.04, 0.1)
     assert (cfg.c1, cfg.c2, cfg.gamma, cfg.t_end) == (0.1, 0.1, 1.0, 0.1)
     assert cfg.levels == [4, 8, 16]
+
+
+@pytest.mark.parametrize("kind, preset", [("converge", Params), ("coarsen", coarsening_params),
+                                          ("relax", relaxation_params),
+                                          ("stability", coarsening_params)])
+def test_defaults_are_the_driver_presets(kind, preset):
+    assert parse_config(kind=kind).params() == preset()
+
+
+def test_seeds_of_64_bits_accepted():
+    for seed in (0, 2 ** 64 - 1):
+        cfg = parse_config(kind="coarsen", overrides={"seed": seed})
+        assert random_phase_field(cfg.seed, 4).shape == (4,)
 
 
 def test_explicit_shift_must_dominate_gamma(tmp_path):
@@ -280,6 +294,12 @@ def test_cli_relax_not_monotone_exits_1(tmp_path, monkeypatch):
     ["relax", {"polygon": [[0.2], [0.8, 0.8], [0.2, 0.8]], "nx": 4}],
     ["coarsen", "--tau", "0.003", "--t-end", "0.01"],
     ["converge", {"t_end": 0.0125, "levels": [4, 5]}],
+    ["coarsen", {"solver_tol": 0}],
+    ["coarsen", {"solver_tol": 1.5}],
+    ["relax", {"solver_tol": -1e-3}],
+    ["coarsen", "--seed", "-1"],
+    ["coarsen", "--seed", "18446744073709551616"],
+    ["stability", {"seed": -1}],
 ])
 def test_cli_bad_numbers_exit_2_with_one_line(argv, tmp_path, capsys):
     if isinstance(argv[-1], dict):

@@ -224,6 +224,55 @@ def test_bicgstab_iterates_match_loop_oracle(params, spaces16):
     assert got == _bicgstab_outcome(oracles.bicgstab_loop, singular, np.array([1.0, 0.0]), 50)
 
 
+def _solve_outcome(solve, a, b, config, factors, *extra):
+    """(iterate bytes, iterations) of a public solve, or its error and residual."""
+    info = {}
+    try:
+        x = solve(a, b, *extra, config, info, factors)
+    except SolverError as exc:
+        return str(exc), exc.residual
+    return x.tobytes(), info["iterations"]
+
+
+def _oracle_outcome(loop, a, b, precondition, config, shift=None):
+    try:
+        x, k = loop(a, b, precondition, config.rel_tolerance * np.linalg.norm(b),
+                    config.iterations_for(b.shape[0]))
+    except SolverError as exc:
+        return str(exc), exc.residual
+    if shift is not None:
+        x -= (shift @ x) / shift.sum()
+    return x.tobytes(), k
+
+
+@pytest.mark.parametrize("preconditioner", ["jacobi", "vcycle"])
+def test_cg_iterates_match_loop_oracles(preconditioner):
+    ops = _coarsening_ops(16)
+    rng = np.random.default_rng(12)
+    velocity, pressure = ops.velocity.matrix, ops.forms.k_p1
+    if preconditioner == "vcycle":
+        vel_factors, p_factors = ops.velocity_factors, ops.pressure_factors
+    else:
+        vel_factors, p_factors = linsolve.Factors(), linsolve.Factors()
+    b_vel = ops.velocity.prepare_rhs(rng.standard_normal(ops.p2v.ndofs))
+    b_p = rng.standard_normal(ops.p1.ndofs)
+    lumped = ops.forms.lumped_p1
+    for max_iterations in (None, 3):  # converged, and stopped by the iteration limit
+        config = SolverConfig(rel_tolerance=1e-10, max_iterations=max_iterations)
+        got = _solve_outcome(solve_spd, velocity, b_vel, config, vel_factors)
+        precondition = linsolve._preconditioner(velocity, vel_factors)
+        assert (preconditioner == "vcycle") == isinstance(precondition, linsolve.VCycle)
+        assert got == _oracle_outcome(oracles.cg_loop, velocity, b_vel, precondition, config)
+
+        got = _solve_outcome(solve_neumann_zero_mean, pressure, b_p, config, p_factors, lumped)
+        precondition = linsolve._preconditioner(pressure, p_factors)
+        assert (preconditioner == "vcycle") == isinstance(precondition, linsolve.VCycle)
+        projected = b_p - b_p.sum() / b_p.shape[0]
+        assert got == _oracle_outcome(oracles.projected_cg_loop, pressure, projected,
+                                      precondition, config, lumped)
+        assert isinstance(got[1], int) == (max_iterations is None)
+
+
 def test_velocity_solves_reuse_the_diagonal_bit_for_bit(spaces16):
     # the manufactured-solution case is mass-dominated, so it keeps Jacobi CG
     p1, p2v = spaces16

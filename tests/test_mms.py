@@ -5,7 +5,7 @@ from chns import assembly as asm
 from chns import mms
 from chns.fem import build_space, interpolate
 from chns.mesh import build_uniform_mesh
-from chns.mms import finite_difference_forcing, mms_forcing, trig_case
+from chns.mms import finite_difference_forcing, trig_case
 from chns.scheme import Params
 
 
@@ -38,14 +38,6 @@ def test_forcing_finite_difference_cross_validation(case):
         assert np.abs(ga - gb).max() <= 1e-6 * scale
         assert np.abs(gu1a - gu1b).max() <= 1e-6 * scale
         assert np.abs(gu2a - gu2b).max() <= 1e-6 * scale
-
-
-def test_mms_forcing_convenience_matches_case(case):
-    x = np.array([0.4])
-    y = np.array([0.6])
-    g1, gu = mms_forcing(0.05, x, y, Params())
-    assert g1 == pytest.approx(case.g_phi(0.05, x, y))
-    assert gu[0] == pytest.approx(case.g_u(0.05, x, y)[0])
 
 
 def test_velocity_divergence_free_and_boundary(case):
