@@ -385,7 +385,7 @@ def compute_discrete_energies(p1: FeSpace, m_v: sp.csr_matrix, phi, u, params) -
     """Shifted energies (E1 + C1, E2 + C2) whose square roots drive the scheme."""
     e1 = mixing_energy(p1, phi, params.eps, params.gamma) + params.c1
     e2 = 0.5 * float(u @ (m_v @ u)) + params.c2
-    if e1 <= 0.0 or e2 <= 0.0:
+    if not (e1 > 0.0 and e2 > 0.0):  # a NaN fails too
         raise NonpositiveEnergyError(f"shifted energies must be positive, got {e1}, {e2}")
     return e1, e2
 

@@ -107,22 +107,21 @@ def parse_config(path: str | None = None, kind: str | None = None,
 
     merged = {**_DEFAULTS[kind], **data}
     cfg = ExperimentConfig(kind=kind, **merged)
+    try:
+        cfg.params()  # the physical constants, tau, t_end and solver_tol
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
     explicit_shift = "c1" in data or "gamma" in data
     if explicit_shift and cfg.c1 <= cfg.gamma:
         raise ConfigError(f"c1 must exceed gamma, got c1={cfg.c1}, gamma={cfg.gamma}")
-    for key in ("mobility", "lam", "nu", "eps", "gamma", "c1", "c2", "t_end", "tau", "tau_factor"):
-        if getattr(cfg, key) <= 0:
-            raise ConfigError(f"{key} must be positive")
-    if not 0.0 < cfg.solver_tol < 1.0:
-        raise ConfigError(f"solver_tol must lie in (0, 1), got {cfg.solver_tol!r}")
+    if cfg.tau_factor <= 0 or any(t <= 0 for t in cfg.tau_list):
+        raise ConfigError("tau_factor and every tau in tau_list must be positive")
     # splitmix64 takes the seed as one unsigned 64-bit word
     if not 0 <= cfg.seed < 2 ** 64:
         raise ConfigError(f"seed must lie in [0, 2^64), got {cfg.seed!r}")
-    if any(t <= 0 for t in cfg.tau_list):
-        raise ConfigError("every tau in tau_list must be positive")
     taus = cfg.tau_list if cfg.kind == "stability" else [cfg.tau]
-    if cfg.kind != "converge" and any(t > cfg.t_end for t in taus):
+    if any(t > cfg.t_end for t in taus):
         raise ConfigError(f"time step exceeds the final time {cfg.t_end}")
     if cfg.nx < 1 or any(n < 1 for n in cfg.levels):
         raise ConfigError("mesh subdivisions (nx, levels) must be at least 1")

@@ -353,7 +353,7 @@ def ritz_projection(p1, grad, integral: float = 0.0) -> np.ndarray:
     k = asm.assemble_stiffness(p1)
     m = asm.assemble_mass(p1)
     lumped = np.asarray(m.sum(axis=1)).ravel()
-    proj = solve_neumann_zero_mean(k, _grad_load(p1, grad), lumped)
+    proj, _ = solve_neumann_zero_mean(k, _grad_load(p1, grad), lumped)
     return proj + integral / lumped.sum()
 
 

@@ -1,15 +1,20 @@
 """Sparse-matrix storage conventions and the linear solvers used by the scheme.
 
 Matrices are scipy CSR (row_offsets = indptr, column_indices = indices,
-values = data). The symmetric solves, SPD (`solve_spd`) and singular
-Neumann (`solve_neumann_zero_mean`), run one preconditioned conjugate
-gradient loop, the latter projected off the constants. They precondition
-with a symmetric multigrid V-cycle (`VCycle`) where the matrix's `Factors`
-holder says how to coarsen it, with the Jacobi diagonal otherwise. A
-nonsymmetric solve runs Jacobi BiCGStab, and one that BiCGStab
-gives up on is finished by GMRES preconditioned with sparse LU factors of
-the matrix. Every solve re-verifies its residual with one explicit
-matrix-vector product before returning.
+values = data). Every solve has one call shape: the matrix, the
+right-hand side, a relative tolerance and the matrix's solver data, and it
+returns (x, iterations) with ||b - Ax|| <= tol ||b||, re-verified by one
+explicit matrix-vector product. The iteration limit is 10 n (BiCGStab's
+first attempt gets fewer).
+
+The symmetric solves, SPD (`solve_spd`) and singular Neumann
+(`solve_neumann_zero_mean`), run one preconditioned conjugate gradient
+loop, the latter projected off the constants. The caller passes the
+preconditioner, made once per matrix: a symmetric multigrid V-cycle
+(`VCycle`) or the Jacobi diagonal (`jacobi`), which is also the default.
+A nonsymmetric solve (`solve_general`) runs Jacobi BiCGStab, and one that
+BiCGStab gives up on is finished by GMRES preconditioned with sparse LU
+factors of the matrix, kept in the matrix's `Factors` holder.
 
 Only the LU fallback imports `scipy.sparse.linalg`, and only when it first
 runs: that module alone adds about 9 MB to a process.
@@ -19,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -31,21 +35,6 @@ class SolverError(RuntimeError):
     def __init__(self, message: str, residual: float):
         super().__init__(f"{message} (relative residual {residual:.3e})")
         self.residual = residual
-
-
-@dataclass
-class SolverConfig:
-    rel_tolerance: float = 1e-10
-    max_iterations: int | None = None  # defaults to 10 * n
-
-    def __post_init__(self):
-        if not 0.0 < self.rel_tolerance < 1.0:
-            raise ValueError(f"tolerance must lie in (0, 1), got {self.rel_tolerance}")
-        if self.max_iterations is not None and self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-
-    def iterations_for(self, n: int) -> int:
-        return self.max_iterations if self.max_iterations is not None else 10 * n
 
 
 SWEEPS = 2            # damped Jacobi sweeps before and after each coarse correction
@@ -142,23 +131,17 @@ def _smooth(a: sp.csr_matrix, w: np.ndarray, b: np.ndarray, x: np.ndarray) -> No
 
 @dataclass
 class Factors:
-    """Solver data of one matrix, each part made the first time a solve needs it.
+    """Solver data of a nonsymmetric matrix, each part made the first time a solve needs it.
 
-    `dinv` is the inverse diagonal (the Jacobi preconditioner). `lu` holds
-    sparse LU factors, made only when BiCGStab gives up on the matrix; once
-    filled, solves that pass the holder skip BiCGStab and go straight to the
-    factors. `coarsen` is a recipe for a symmetric matrix: the first
-    symmetric solve calls it with the matrix, keeps the `VCycle` it returns
-    in `vcycle` and preconditions with it from then on; a recipe that
-    returns None leaves the matrix on Jacobi. Keep one holder per matrix
-    (the scheme keeps one per matrix of its `Operators`) and pass it to
-    every solve with that matrix.
+    `dinv` is the inverse diagonal (the Jacobi preconditioner of BiCGStab).
+    `lu` holds sparse LU factors, made only when BiCGStab gives up on the
+    matrix; once filled, solves that pass the holder skip BiCGStab and go
+    straight to the factors. Keep one holder per matrix and pass it to every
+    solve with that matrix.
     """
 
     dinv: np.ndarray | None = None
     lu: object = None  # scipy SuperLU
-    coarsen: Callable[[sp.csr_matrix], VCycle | None] | None = None
-    vcycle: VCycle | None = None
 
 
 def expand_vector(m_scalar: sp.csr_matrix) -> sp.csr_matrix:
@@ -180,40 +163,31 @@ def expand_vector(m_scalar: sp.csr_matrix) -> sp.csr_matrix:
     return sp.csr_matrix((out_data, out_indices, out_indptr), shape=(2 * n, 2 * m_scalar.shape[1]))
 
 
-def _inv_diagonal(a: sp.csr_matrix, factors: Factors | None = None) -> np.ndarray:
-    if factors is not None and factors.dinv is not None:
-        return factors.dinv
+def _inv_diagonal(a: sp.csr_matrix) -> np.ndarray:
     d = a.diagonal().copy()
     # zero (or denormal) diagonal entries fall back to the identity scaling
     bad = np.abs(d) < 1e-300
     d[bad] = 1.0
-    dinv = 1.0 / d
-    if factors is not None:
-        factors.dinv = dinv
-    return dinv
+    return 1.0 / d
 
 
-def _preconditioner(a: sp.csr_matrix, factors: Factors | None):
-    """The holder's V-cycle, built on first use if it has a recipe; else Jacobi."""
-    if factors is not None and factors.coarsen is not None:
-        factors.vcycle = factors.coarsen(a)
-        factors.coarsen = None
-    if factors is not None and factors.vcycle is not None:
-        return factors.vcycle
-    return partial(np.multiply, _inv_diagonal(a, factors))
+def jacobi(a: sp.csr_matrix):
+    """The Jacobi preconditioner of `a`: r -> D^-1 r."""
+    return partial(np.multiply, _inv_diagonal(a))
 
 
-def _pcg(a, b, precondition, tol, max_it, project=None):
+def _pcg(a, b, precondition, tol, project=None):
     """Preconditioned conjugate gradients from x = 0 to ||b - Ax|| <= tol; returns (x, k).
 
     k counts the iterations. `project`, if given, maps a vector to the
     subspace the iteration stays in: it is applied to each preconditioned
-    residual and to the verified residual. Raises SolverError after max_it
-    iterations.
+    residual and to the verified residual. Raises SolverError at the first
+    non-finite residual, or after 10 n iterations.
     """
     def keep(v):
         return v if project is None else project(v)
 
+    name = "conjugate gradients" if project is None else "projected conjugate gradients"
     x = np.zeros_like(b)
     r = b.copy()
     z = keep(precondition(r))
@@ -221,44 +195,42 @@ def _pcg(a, b, precondition, tol, max_it, project=None):
     rz = r @ z
 
     k = 0
-    while k < max_it:
+    while k < 10 * b.shape[0]:
         k += 1
         ap = a @ p
         alpha = rz / (p @ ap)
         x += alpha * p
         r -= alpha * ap
-        if np.linalg.norm(r) <= tol:
+        rnorm = np.linalg.norm(r)
+        if rnorm <= tol:
             # recursive residual can drift; accept only a verified one
             r = keep(b - a @ x)
             if np.linalg.norm(r) <= tol:
                 return x, k
+        elif not np.isfinite(rnorm):
+            # a NaN or inf never shrinks; do not spend the iteration limit on it
+            raise SolverError(f"{name} met a non-finite residual", rnorm / np.linalg.norm(b))
         z = keep(precondition(r))
         rz_new = r @ z
         p = z + (rz_new / rz) * p
         rz = rz_new
-    name = "conjugate gradients" if project is None else "projected conjugate gradients"
     raise SolverError(f"{name} did not converge",
                       np.linalg.norm(b - a @ x) / np.linalg.norm(b))
 
 
-def solve_spd(a: sp.csr_matrix, b: np.ndarray, config: SolverConfig | None = None,
-              info: dict | None = None, factors: Factors | None = None) -> np.ndarray:
-    """Preconditioned conjugate gradients for SPD systems.
+def solve_spd(a: sp.csr_matrix, b: np.ndarray, tol: float = 1e-10,
+              precondition=None) -> tuple[np.ndarray, int]:
+    """Preconditioned conjugate gradients for SPD systems; returns (x, iterations).
 
-    Pass the `Factors` holder kept with `a` to build its preconditioner
-    once: the V-cycle its recipe gives, or else the Jacobi diagonal.
+    `precondition` maps a residual to its preconditioned form: keep one per
+    matrix and pass it to every solve with that matrix. The default is
+    `jacobi(a)`, made for this solve.
     """
-    config = config or SolverConfig()
     b = np.asarray(b, dtype=float)
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
-        x, k = np.zeros_like(b), 0
-    else:
-        x, k = _pcg(a, b, _preconditioner(a, factors), config.rel_tolerance * bnorm,
-                    config.iterations_for(b.shape[0]))
-    if info is not None:
-        info["iterations"] = k
-    return x
+        return np.zeros_like(b), 0
+    return _pcg(a, b, precondition or jacobi(a), tol * bnorm)
 
 
 def _bicgstab(a, b, dinv, tol, max_it):
@@ -390,57 +362,46 @@ def _gmres_fallback(a, b, tol, max_it, factors: Factors):
     return x, count["n"]
 
 
-def solve_general(a: sp.csr_matrix, b: np.ndarray, config: SolverConfig | None = None,
-                  info: dict | None = None, factors: Factors | None = None) -> np.ndarray:
-    """Solve a square nonsymmetric system.
+def solve_general(a: sp.csr_matrix, b: np.ndarray, tol: float = 1e-10,
+                  factors: Factors | None = None) -> tuple[np.ndarray, int]:
+    """Solve a square nonsymmetric system; returns (x, iterations).
 
     Jacobi-preconditioned stabilized bi-conjugate gradients is the first
     attempt; if it breaks down or stagnates, GMRES preconditioned by LU
     factors of `a` finishes the solve. Pass the `Factors` holder kept with
     `a` to extract its diagonal once, and to build the LU factors once and
     skip BiCGStab on every later solve; without one, both are made for this
-    solve only. The returned residual always satisfies
-    ||b - Ax|| <= tol * ||b||, verified by an explicit multiplication.
+    solve only.
     """
-    config = config or SolverConfig()
     factors = factors if factors is not None else Factors()
     b = np.asarray(b, dtype=float)
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
-        if info is not None:
-            info["iterations"] = 0
-        return np.zeros_like(b)
+        return np.zeros_like(b), 0
 
-    tol = config.rel_tolerance * bnorm
-    max_it = config.iterations_for(b.shape[0])
+    tol = tol * bnorm
+    max_it = 10 * b.shape[0]
     if factors.lu is None:
+        if factors.dinv is None:
+            factors.dinv = _inv_diagonal(a)
         try:
             # give the cheap method a bounded attempt before the robust one
-            x, k = _bicgstab(a, b, _inv_diagonal(a, factors), tol,
-                             min(max_it, max(300, b.shape[0] // 4)))
+            return _bicgstab(a, b, factors.dinv, tol, min(max_it, max(300, b.shape[0] // 4)))
         except SolverError:
-            x, k = _gmres_fallback(a, b, tol, max_it, factors)
-    else:
-        x, k = _gmres_fallback(a, b, tol, max_it, factors)
-    if info is not None:
-        info["iterations"] = k
-    return x
+            pass
+    return _gmres_fallback(a, b, tol, max_it, factors)
 
 
 def solve_neumann_zero_mean(k_mat: sp.csr_matrix, b: np.ndarray, mass_row_sums: np.ndarray,
-                            config: SolverConfig | None = None,
-                            info: dict | None = None,
-                            factors: Factors | None = None) -> np.ndarray:
-    """Solve a singular Neumann system whose kernel is the constants.
+                            tol: float = 1e-10, precondition=None) -> tuple[np.ndarray, int]:
+    """Solve a singular Neumann system whose kernel is the constants; returns (x, iterations).
 
     The right-hand side is first projected orthogonal to the constant
     vector (required for solvability), conjugate gradients run in that
     complement, and the solution is shifted so its mass-weighted mean
     sum_i psi_i (1, q_i) vanishes, i.e. the field integrates to zero.
-    Pass the `Factors` holder kept with `k_mat` to build its preconditioner
-    once: the V-cycle its recipe gives, or else the Jacobi diagonal.
+    `precondition` is as for `solve_spd`.
     """
-    config = config or SolverConfig()
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
     raw_norm = np.linalg.norm(b)
@@ -452,12 +413,8 @@ def solve_neumann_zero_mean(k_mat: sp.csr_matrix, b: np.ndarray, mass_row_sums: 
     bnorm = np.linalg.norm(b)
     # data living entirely in the kernel projects to roundoff noise
     if bnorm <= 1e-14 * max(raw_norm, 1.0):
-        x, k = np.zeros_like(b), 0
-    else:
-        x, k = _pcg(k_mat, b, _preconditioner(k_mat, factors), config.rel_tolerance * bnorm,
-                    config.iterations_for(n), project)
-        # fix the kernel component: mass-weighted mean zero
-        x -= (mass_row_sums @ x) / mass_row_sums.sum()
-    if info is not None:
-        info["iterations"] = k
-    return x
+        return np.zeros_like(b), 0
+    x, k = _pcg(k_mat, b, precondition or jacobi(k_mat), tol * bnorm, project)
+    # fix the kernel component: mass-weighted mean zero
+    x -= (mass_row_sums @ x) / mass_row_sums.sum()
+    return x, k

@@ -28,6 +28,7 @@ Lyapunov functional, `dissipation` what a step dissipates, and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,8 +36,7 @@ import scipy.sparse as sp
 from . import assembly as asm
 from .assembly import AssembledForms, DirichletOperator
 from .fem import FeSpace, coarser_grid, grid_interpolation, interpolate, p1_to_p2
-from .linsolve import Factors, SolverConfig, VCycle, solve_general, solve_neumann_zero_mean, \
-    solve_spd
+from .linsolve import Factors, VCycle, jacobi, solve_general, solve_neumann_zero_mean, solve_spd
 from .mesh import Mesh
 
 
@@ -65,11 +65,14 @@ class Params:
     solver_tol: float = 1e-10
 
     def __post_init__(self):
+        # each test is written so that a NaN fails it
         for name in ("mobility", "lam", "nu", "eps", "gamma", "c1", "c2", "tau", "t_end"):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:
                 raise ValueError(f"parameter {name} must be positive")
         if self.tau > self.t_end:
             raise ValueError("time step exceeds final time")
+        if not 0.0 < self.solver_tol < 1.0:
+            raise ValueError(f"solver_tol must lie in (0, 1), got {self.solver_tol!r}")
 
 
 @dataclass
@@ -119,7 +122,11 @@ class StepReport:
 
 @dataclass
 class Operators:
-    """Matrices and eliminated systems reused across steps for a fixed tau."""
+    """Matrices and eliminated systems reused across steps for a fixed tau.
+
+    Each symmetric matrix's preconditioner is made by the first solve that
+    reads it, and kept.
+    """
 
     mesh: Mesh
     p1: FeSpace
@@ -128,14 +135,21 @@ class Operators:
     a_ch: sp.csr_matrix
     velocity: DirichletOperator     # m_v / tau + nu k_v, boundary rows eliminated
     projection: DirichletOperator   # m_v with boundary rows eliminated
-    config: SolverConfig
-    # solver data per matrix, each made by the first solve that needs it: the
-    # Jacobi diagonal, for a_ch the LU factors made when BiCGStab first gives
-    # up on it, and for the velocity and pressure matrices their V-cycles
+    nu_tau: float                   # nu * tau, which sets the velocity's coarse levels
+    # a_ch's Jacobi diagonal, and its LU factors once BiCGStab first gives up on it
     ch_factors: Factors = field(default_factory=Factors)
-    velocity_factors: Factors = field(default_factory=Factors)
-    projection_factors: Factors = field(default_factory=Factors)
-    pressure_factors: Factors = field(default_factory=Factors)  # k_p1
+
+    @cached_property
+    def velocity_precondition(self):
+        return _velocity_precondition(self)
+
+    @cached_property
+    def pressure_precondition(self):  # of k_p1
+        return _pressure_precondition(self.mesh, self.forms.k_p1)
+
+    @cached_property
+    def projection_precondition(self):
+        return jacobi(self.projection.matrix)
 
 
 def build_operators(p1: FeSpace, p2v: FeSpace, params: Params,
@@ -152,9 +166,7 @@ def build_operators(p1: FeSpace, p2v: FeSpace, params: Params,
         mesh=p1.mesh, p1=p1, p2v=p2v, forms=forms, a_ch=a_ch,
         velocity=DirichletOperator(a_v, bdofs),
         projection=DirichletOperator(forms.m_v.tocsr(), bdofs),
-        config=SolverConfig(rel_tolerance=params.solver_tol),
-        velocity_factors=Factors(coarsen=_velocity_coarsening(p1, p2v, forms, params)),
-        pressure_factors=Factors(coarsen=_pressure_coarsening(p1.mesh)),
+        nu_tau=params.nu * params.tau,
     )
 
 
@@ -172,8 +184,8 @@ def _stiffness_dominates(nu_tau: float, k_diag: np.ndarray, m_diag: np.ndarray) 
     return bool(np.median(nu_tau * k_diag / m_diag) > 1.0)
 
 
-def _velocity_coarsening(p1: FeSpace, p2v: FeSpace, forms: AssembledForms, params: Params):
-    """Recipe for the V-cycle of the eliminated velocity matrix (see `Factors`).
+def _velocity_precondition(ops: Operators):
+    """V-cycle of the eliminated velocity matrix, or its Jacobi diagonal.
 
     The first coarse level is P1 on the same mesh, the next ones P1 on ever
     coarser grids of the rectangle, all without their boundary nodes. A level
@@ -182,52 +194,44 @@ def _velocity_coarsening(p1: FeSpace, p2v: FeSpace, forms: AssembledForms, param
     alone smooths it well, so it is the coarsest level and is only smoothed.
     A matrix whose finest level is mass-dominated keeps Jacobi.
     """
-    nu_tau = params.nu * params.tau
-
-    def build(a: sp.csr_matrix) -> VCycle | None:
-        free = np.setdiff1d(np.arange(p2v.ndofs // 2), p2v.boundary_dofs[0::2] // 2)
-        k_diag, m_diag = forms.k_v.diagonal()[0::2], forms.m_v.diagonal()[0::2]
-        if not _stiffness_dominates(nu_tau, k_diag[free], m_diag[free]):
-            return None
-        mesh = p1.mesh
-        free = np.setdiff1d(np.arange(p1.ndofs), p1.boundary_dofs)
-        if free.size == 0:  # no interior vertex, no coarse level
-            return None
-        prolongations = [p1_to_p2(mesh)[:, free]]
-        k, m = forms.k_p1[free][:, free], forms.m_p1[free][:, free]
-        grid = mesh.grid
-        while grid is not None and _stiffness_dominates(nu_tau, k.diagonal(), m.diagonal()):
-            coarse = coarser_grid(grid)
-            p = grid_interpolation(grid, coarse)[_grid_interior(grid)][:, _grid_interior(coarse)]
-            if p.shape[1] == 0:  # the coarser grid has no interior vertex
-                break
-            k, m = (p.T @ k @ p).tocsr(), (p.T @ m @ p).tocsr()
-            prolongations.append(p)
-            grid = coarse
-        return VCycle(a, prolongations, interleaved=True)
-
-    return build
+    a, forms, p1, p2v = ops.velocity.matrix, ops.forms, ops.p1, ops.p2v
+    free = np.setdiff1d(np.arange(p2v.ndofs // 2), p2v.boundary_dofs[0::2] // 2)
+    k_diag, m_diag = forms.k_v.diagonal()[0::2], forms.m_v.diagonal()[0::2]
+    if not _stiffness_dominates(ops.nu_tau, k_diag[free], m_diag[free]):
+        return jacobi(a)
+    free = np.setdiff1d(np.arange(p1.ndofs), p1.boundary_dofs)
+    if free.size == 0:  # no interior vertex, no coarse level
+        return jacobi(a)
+    prolongations = [p1_to_p2(ops.mesh)[:, free]]
+    k, m = forms.k_p1[free][:, free], forms.m_p1[free][:, free]
+    grid = ops.mesh.grid
+    while grid is not None and _stiffness_dominates(ops.nu_tau, k.diagonal(), m.diagonal()):
+        coarse = coarser_grid(grid)
+        p = grid_interpolation(grid, coarse)[_grid_interior(grid)][:, _grid_interior(coarse)]
+        if p.shape[1] == 0:  # the coarser grid has no interior vertex
+            break
+        k, m = (p.T @ k @ p).tocsr(), (p.T @ m @ p).tocsr()
+        prolongations.append(p)
+        grid = coarse
+    return VCycle(a, prolongations, interleaved=True)
 
 
-def _pressure_coarsening(mesh: Mesh):
-    """Recipe for the V-cycle of the Neumann P1 stiffness matrix (see `Factors`).
+def _pressure_precondition(mesh: Mesh, k: sp.csr_matrix):
+    """V-cycle of the Neumann P1 stiffness matrix, or its Jacobi diagonal.
 
     Halves the grid until a level has at most COARSEST_PRESSURE_NODES nodes and
     applies the dense pseudo-inverse there. A mesh that is not a uniform grid
     has no coarse levels: small, it is solved directly, else it keeps Jacobi.
     """
-    def build(k: sp.csr_matrix) -> VCycle | None:
-        grid, nodes = mesh.grid, k.shape[0]
-        if grid is None and nodes > COARSEST_PRESSURE_NODES:
-            return None
-        prolongations = []
-        while nodes > COARSEST_PRESSURE_NODES:
-            coarse = coarser_grid(grid)
-            prolongations.append(grid_interpolation(grid, coarse))
-            grid, nodes = coarse, (coarse[0] + 1) * (coarse[1] + 1)
-        return VCycle(k, prolongations, coarse_pinv=True)
-
-    return build
+    grid, nodes = mesh.grid, k.shape[0]
+    if grid is None and nodes > COARSEST_PRESSURE_NODES:
+        return jacobi(k)
+    prolongations = []
+    while nodes > COARSEST_PRESSURE_NODES:
+        coarse = coarser_grid(grid)
+        prolongations.append(grid_interpolation(grid, coarse))
+        grid, nodes = coarse, (coarse[0] + 1) * (coarse[1] + 1)
+    return VCycle(k, prolongations, coarse_pinv=True)
 
 
 def zero_mean(forms: AssembledForms, p: np.ndarray) -> np.ndarray:
@@ -259,7 +263,7 @@ def init_state(ops: Operators, phi0, u0, p0, params: Params, mu0=None) -> State:
         rhs = params.lam * (ops.forms.k_p1 @ phi) \
             + params.lam * params.gamma * (ops.forms.m_p1 @ phi) \
             + params.lam * asm.fprime_load(ops.p1, phi, params.eps, params.gamma)
-        mu = solve_spd(ops.forms.m_p1, rhs, ops.config)
+        mu, _ = solve_spd(ops.forms.m_p1, rhs, params.solver_tol)
     return State(step=0, phi=phi, mu=mu, u_tilde=u.copy(), u=u,
                  p=p, r=float(np.sqrt(e1h)), rho=float(np.sqrt(e2h)))
 
@@ -318,12 +322,10 @@ def ch_split_solve(ops: Operators, params: Params, phi_n: np.ndarray,
     rhs1 = np.concatenate([-terms.conv_scalar / terms.sqrt_e1,
                            params.lam * terms.fp / terms.sqrt_e1])
 
-    info0, info1 = {}, {}
-    x0 = solve_general(ops.a_ch, rhs0, ops.config, info0, ops.ch_factors)
-    x1 = solve_general(ops.a_ch, rhs1, ops.config, info1, ops.ch_factors)
+    x0, k0 = solve_general(ops.a_ch, rhs0, params.solver_tol, ops.ch_factors)
+    x1, k1 = solve_general(ops.a_ch, rhs1, params.solver_tol, ops.ch_factors)
     if iterations is not None:
-        iterations["ch_x0"] = info0["iterations"]
-        iterations["ch_x1"] = info1["iterations"]
+        iterations.update(ch_x0=k0, ch_x1=k1)
     return (x0[:n], x0[n:]), (x1[:n], x1[n:])
 
 
@@ -342,12 +344,11 @@ def velocity_split_solve(ops: Operators, params: Params, u_n: np.ndarray,
     rhs = (ops.velocity.prepare_rhs(rhs0, bc_values),
            ops.velocity.prepare_rhs(terms.capillary / terms.sqrt_e1),
            ops.velocity.prepare_rhs(-terms.convection / terms.sqrt_e2))
-    infos = [{}, {}, {}]
-    y0, y1, y2 = (solve_spd(ops.velocity.matrix, b, ops.config, info, ops.velocity_factors)
-                  for b, info in zip(rhs, infos))
+    (y0, k0), (y1, k1), (y2, k2) = (
+        solve_spd(ops.velocity.matrix, b, params.solver_tol, ops.velocity_precondition)
+        for b in rhs)
     if iterations is not None:
-        for name, inf in zip(("vel_y0", "vel_y1", "vel_y2"), infos):
-            iterations[name] = inf["iterations"]
+        iterations.update(vel_y0=k0, vel_y1=k1, vel_y2=k2)
     return y0, y1, y2
 
 
@@ -453,19 +454,17 @@ def pressure_correction(ops: Operators, params: Params, u_tilde: np.ndarray,
     velocity is the constrained L2 projection of u_tilde - tau grad psi,
     keeping the tentative trace on the boundary.
     """
-    tau = params.tau
-    infos = [{}, {}]
+    tau, tol = params.tau, params.solver_tol
     rhs = -asm.div_load(ops.forms, u_tilde) / tau
-    psi = solve_neumann_zero_mean(ops.forms.k_p1, rhs, ops.forms.lumped_p1,
-                                  ops.config, infos[0], ops.pressure_factors)
+    psi, k_p = solve_neumann_zero_mean(ops.forms.k_p1, rhs, ops.forms.lumped_p1, tol,
+                                       ops.pressure_precondition)
     p_new = zero_mean(ops.forms, p_n + psi)
     rhs_u = ops.forms.m_v @ u_tilde - tau * (ops.forms.grad_coupling @ psi)
     bvals = u_tilde[ops.p2v.boundary_dofs]
-    u_new = solve_spd(ops.projection.matrix, ops.projection.prepare_rhs(rhs_u, bvals),
-                      ops.config, infos[1], ops.projection_factors)
+    u_new, k_m = solve_spd(ops.projection.matrix, ops.projection.prepare_rhs(rhs_u, bvals),
+                           tol, ops.projection_precondition)
     if iterations is not None:
-        iterations["pressure"] = infos[0]["iterations"]
-        iterations["mass_projection"] = infos[1]["iterations"]
+        iterations.update(pressure=k_p, mass_projection=k_m)
     return u_new, p_new, psi
 
 

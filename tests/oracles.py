@@ -5,7 +5,7 @@ import scipy.sparse as sp
 
 from chns import assembly as asm
 from chns.fem import FeSpace
-from chns.linsolve import SolverConfig, SolverError, solve_general, solve_spd
+from chns.linsolve import SolverError, solve_general, solve_spd
 from chns.mesh import Mesh, mesh_size
 from chns.scheme import closest_ratio_root, explicit_terms
 
@@ -28,7 +28,6 @@ def picard_step(state, params, ops, forcing=None, tol=1e-12, max_iter=400):
     g_u_load = 0.0 if forcing is None else terms.g_u_load
 
     n = ops.p1.ndofs
-    cfg = SolverConfig(rel_tolerance=1e-13)
     r, rho = state.r, state.rho
     phi = mu = u_tilde = None
     for _ in range(max_iter):
@@ -36,12 +35,12 @@ def picard_step(state, params, ops, forcing=None, tol=1e-12, max_iter=400):
             f.m_p1 @ state.phi / tau + g_phi_load - (r / se1) * conv_scalar,
             (lam * r / se1) * fp,
         ])
-        x = solve_general(ops.a_ch, rhs, cfg)
+        x, _ = solve_general(ops.a_ch, rhs, 1e-13)
         phi, mu = x[:n], x[n:]
 
         rhs_v = f.m_v @ state.u / tau - terms.grad_p + g_u_load \
             + (r / se1) * capillary - (rho / se2) * convection
-        u_tilde = solve_spd(ops.velocity.matrix, ops.velocity.prepare_rhs(rhs_v), cfg)
+        u_tilde, _ = solve_spd(ops.velocity.matrix, ops.velocity.prepare_rhs(rhs_v), 1e-13)
 
         r_new = state.r + tau / (2.0 * se1) * (
             (fp @ (phi - state.phi)) / tau

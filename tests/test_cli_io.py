@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from chns import cli
+from chns import cli, scheme
 from chns.assembly import NonpositiveEnergyError
 from chns.cli import main
 from chns.config import ConfigError, parse_config
@@ -324,6 +324,24 @@ def test_cli_run_failures_exit_3_with_one_line(exc, tmp_path, capsys, monkeypatc
     assert main(["coarsen", "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
     assert err == f"error: {type(exc).__name__}: {exc}\n"
+
+
+def test_a_nan_in_phi_stops_the_run_before_any_solve(tmp_path, capsys, monkeypatch):
+    # a NaN fails the energy check at once instead of failing a solve later
+    def with_nan(seed, ndofs):
+        phi = random_phase_field(seed, ndofs)
+        phi[0] = np.nan
+        return phi
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a linear solve ran")
+
+    monkeypatch.setattr(cli.ex, "random_phase_field", with_nan)
+    for name in ("solve_general", "solve_spd", "solve_neumann_zero_mean"):
+        monkeypatch.setattr(scheme, name, no_solve)
+    assert main(["coarsen", "--nx", "16", "--tau", "1e-3", "--t-end", "1e-2",
+                 "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err.startswith("error: NonpositiveEnergyError: ")
 
 
 def test_cli_selftest_passes():

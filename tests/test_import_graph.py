@@ -27,6 +27,7 @@ import sys
 import numpy as np
 from chns.experiments import coarsening_params, random_phase_field
 from chns.fem import build_space
+from chns.linsolve import VCycle
 from chns.mesh import build_uniform_mesh
 from chns.scheme import build_operators, explicit_terms, init_state, pressure_correction, \\
     velocity_split_solve
@@ -40,7 +41,8 @@ state = init_state(ops, phi, np.zeros(p2v.ndofs), np.zeros(p1.ndofs), params, mu
 terms = explicit_terms(ops, params, state)
 y0, y1, y2 = velocity_split_solve(ops, params, state.u, terms)
 pressure_correction(ops, params, y0 + y1 + y2, state.p)
-assert ops.velocity_factors.vcycle is not None and ops.pressure_factors.vcycle is not None
+assert isinstance(ops.velocity_precondition, VCycle)
+assert isinstance(ops.pressure_precondition, VCycle)
 print("scipy.sparse.linalg" in sys.modules)
 """)
     assert out == "False"

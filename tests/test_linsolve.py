@@ -12,36 +12,25 @@ from chns import fem
 from chns.experiments import coarsening_params, default_tau_rule, random_phase_field, \
     relaxation_params
 from chns.fem import build_space, interpolate
-from chns.linsolve import SolverConfig, SolverError, solve_general, \
+from chns.linsolve import SolverError, VCycle, jacobi, solve_general, \
     solve_neumann_zero_mean, solve_spd
 from chns.mesh import build_uniform_mesh
 from chns.scheme import ExplicitTerms, Params, build_operators, ch_split_solve
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(rel_tolerance=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(rel_tolerance=2.0)
-    with pytest.raises(ValueError):
-        SolverConfig(max_iterations=0)
-    assert SolverConfig().iterations_for(7) == 70
-
-
 def test_cg_identity_and_2x2():
     eye = sp.identity(5, format="csr")
     b = np.arange(5.0)
-    assert np.allclose(solve_spd(eye, b), b)
+    assert np.allclose(solve_spd(eye, b)[0], b)
     a = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    assert np.allclose(solve_spd(a, np.array([3.0, 3.0])), [1.0, 1.0])
+    assert np.allclose(solve_spd(a, np.array([3.0, 3.0]))[0], [1.0, 1.0])
 
 
 def test_cg_zero_rhs():
     a = sp.identity(4, format="csr")
-    info = {}
-    x = solve_spd(a, np.zeros(4), info=info)
+    x, iterations = solve_spd(a, np.zeros(4))
     assert np.array_equal(x, np.zeros(4))
-    assert info["iterations"] == 0
+    assert iterations == 0
 
 
 def test_cg_manufactured_dirichlet_stiffness():
@@ -51,28 +40,55 @@ def test_cg_manufactured_dirichlet_stiffness():
     field = interpolate(p1, lambda x, y: x * y + 0.3 * x)
     a2 = asm.DirichletOperator(k, p1.boundary_dofs).matrix
     b = a2 @ field
-    info = {}
-    x = solve_spd(a2, b, SolverConfig(rel_tolerance=1e-12), info)
+    x, iterations = solve_spd(a2, b, 1e-12)
     assert np.linalg.norm(x - field) <= 1e-9 * np.linalg.norm(field)
-    assert info["iterations"] >= 1
+    assert iterations >= 1
     # residual contract holds under explicit re-verification
     assert np.linalg.norm(b - a2 @ x) <= 1e-12 * np.linalg.norm(b)
 
 
+def _small_spd(n=5, seed=77):
+    q = np.random.default_rng(seed).standard_normal((n, n))
+    return sp.csr_matrix(q @ q.T + n * np.eye(n))
+
+
 def test_cg_failure_carries_residual():
-    a = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    with pytest.raises(SolverError) as err:
-        solve_spd(a, np.array([1.0, 0.0]), SolverConfig(rel_tolerance=1e-15,
-                                                        max_iterations=1))
-    assert err.value.residual >= 0.0
+    # a tolerance below round-off runs into the 10 n iteration limit
+    a = _small_spd()
+    with pytest.raises(SolverError, match="did not converge") as err:
+        solve_spd(a, np.ones(5), 1e-20)
+    assert 0.0 < err.value.residual < 1e-10
+
+
+@pytest.mark.parametrize("neumann", [False, True], ids=["spd", "neumann"])
+def test_cg_stops_at_the_first_non_finite_residual(neumann):
+    mesh = build_uniform_mesh(8, 8)
+    p1 = build_space(mesh, "p1")
+    k = asm.assemble_stiffness(p1)
+    b = np.random.default_rng(3).standard_normal(p1.ndofs)
+    b[5] = np.nan
+    calls = []
+
+    def counting(r):
+        calls.append(1)
+        return r.copy()
+
+    with pytest.raises(SolverError, match="non-finite residual"):
+        if neumann:
+            solve_neumann_zero_mean(k, b, np.ones(p1.ndofs), precondition=counting)
+        else:
+            solve_spd(asm.DirichletOperator(k, p1.boundary_dofs).matrix, b,
+                      precondition=counting)
+    # not the 10 n = 810 iterations of the limit
+    assert 1 <= len(calls) <= 2
 
 
 def test_general_identity_and_rotation():
     eye = sp.identity(3, format="csr")
     b = np.array([4.0, 5.0, 6.0])
-    assert np.allclose(solve_general(eye, b), b)
+    assert np.allclose(solve_general(eye, b)[0], b)
     rot = sp.csr_matrix(np.array([[0.0, 1.0], [-1.0, 0.0]]))
-    x = solve_general(rot, np.array([1.0, 0.0]))
+    x, _ = solve_general(rot, np.array([1.0, 0.0]))
     assert np.allclose(x, [0.0, 1.0], atol=1e-10)
 
 
@@ -84,7 +100,7 @@ def test_general_ch_block_manufactured():
     rng = np.random.default_rng(9)
     x_true = rng.standard_normal(ops.a_ch.shape[0])
     b = ops.a_ch @ x_true
-    x = solve_general(ops.a_ch, b, SolverConfig(rel_tolerance=1e-12))
+    x, _ = solve_general(ops.a_ch, b, 1e-12)
     assert np.linalg.norm(x - x_true) <= 1e-8 * np.linalg.norm(x_true)
 
 
@@ -94,14 +110,14 @@ def test_neumann_zero_mean_examples():
     k = asm.assemble_stiffness(p1)
     m = np.asarray(asm.assemble_mass(p1).sum(axis=1)).ravel()
 
-    assert np.array_equal(solve_neumann_zero_mean(k, np.zeros(p1.ndofs), m),
-                          np.zeros(p1.ndofs))
+    assert solve_neumann_zero_mean(k, np.zeros(p1.ndofs), m)[1] == 0
     # pure kernel data projects away entirely
-    assert np.abs(solve_neumann_zero_mean(k, np.full(p1.ndofs, 3.7), m)).max() <= 1e-12
+    x, iterations = solve_neumann_zero_mean(k, np.full(p1.ndofs, 3.7), m)
+    assert np.array_equal(x, np.zeros(p1.ndofs)) and iterations == 0
 
     x_true = interpolate(p1, lambda x, y: np.cos(np.pi * x))
     x_true -= (m @ x_true) / m.sum()
-    psi = solve_neumann_zero_mean(k, k @ x_true, m, SolverConfig(rel_tolerance=1e-12))
+    psi, _ = solve_neumann_zero_mean(k, k @ x_true, m, 1e-12)
     assert np.linalg.norm(psi - x_true) <= 1e-8 * np.linalg.norm(x_true)
     # mass-weighted mean is pinned to zero
     assert abs(m @ psi) <= 1e-12 * max(1.0, np.linalg.norm(psi))
@@ -110,22 +126,21 @@ def test_neumann_zero_mean_examples():
 def test_residual_contract_on_random_systems():
     # every returned solution must satisfy the verified residual bound
     rng = np.random.default_rng(77)
-    cfg = SolverConfig(rel_tolerance=1e-11)
     for n in (5, 17, 40):
         q = rng.standard_normal((n, n))
         spd = sp.csr_matrix(q @ q.T + n * np.eye(n))
         b = rng.standard_normal(n)
-        x = solve_spd(spd, b, cfg)
+        x, _ = solve_spd(spd, b, 1e-11)
         assert np.linalg.norm(b - spd @ x) <= 1e-11 * np.linalg.norm(b)
         gen = sp.csr_matrix(q + n * np.eye(n))
-        x = solve_general(gen, b, cfg)
+        x, _ = solve_general(gen, b, 1e-11)
         assert np.linalg.norm(b - gen @ x) <= 1e-11 * np.linalg.norm(b)
 
 
 def test_general_zero_diagonal_is_handled():
     # Jacobi scaling must not blow up on zero diagonal entries
     a = sp.csr_matrix(np.array([[0.0, 2.0], [3.0, 0.0]]))
-    x = solve_general(a, np.array([2.0, 3.0]))
+    x, _ = solve_general(a, np.array([2.0, 3.0]))
     assert np.allclose(x, [1.0, 1.0], atol=1e-9)
 
 
@@ -163,10 +178,10 @@ def test_ch_factors_built_once_and_reused(monkeypatch):
     counted("_bicgstab")
     counted("_factorize")
     rng = np.random.default_rng(31)
-    tol = ops.config.rel_tolerance
+    tol = params.solver_tol
     for _ in range(2):
         b = rng.standard_normal(ops.a_ch.shape[0])
-        x = solve_general(ops.a_ch, b, ops.config, factors=ops.ch_factors)
+        x, _ = solve_general(ops.a_ch, b, tol, ops.ch_factors)
         assert np.linalg.norm(b - ops.a_ch @ x) <= tol * np.linalg.norm(b)
         # the first solve tries BiCGStab and factors; the second uses the factors
         assert calls == {"_bicgstab": 1, "_factorize": 1}
@@ -224,20 +239,18 @@ def test_bicgstab_iterates_match_loop_oracle(params, spaces16):
     assert got == _bicgstab_outcome(oracles.bicgstab_loop, singular, np.array([1.0, 0.0]), 50)
 
 
-def _solve_outcome(solve, a, b, config, factors, *extra):
+def _solve_outcome(solve, a, b, *args):
     """(iterate bytes, iterations) of a public solve, or its error and residual."""
-    info = {}
     try:
-        x = solve(a, b, *extra, config, info, factors)
+        x, k = solve(a, b, *args)
     except SolverError as exc:
         return str(exc), exc.residual
-    return x.tobytes(), info["iterations"]
+    return x.tobytes(), k
 
 
-def _oracle_outcome(loop, a, b, precondition, config, shift=None):
+def _oracle_outcome(loop, a, b, precondition, tol, shift=None):
     try:
-        x, k = loop(a, b, precondition, config.rel_tolerance * np.linalg.norm(b),
-                    config.iterations_for(b.shape[0]))
+        x, k = loop(a, b, precondition, tol * np.linalg.norm(b), 10 * b.shape[0])
     except SolverError as exc:
         return str(exc), exc.residual
     if shift is not None:
@@ -247,30 +260,31 @@ def _oracle_outcome(loop, a, b, precondition, config, shift=None):
 
 @pytest.mark.parametrize("preconditioner", ["jacobi", "vcycle"])
 def test_cg_iterates_match_loop_oracles(preconditioner):
-    ops = _coarsening_ops(16)
-    rng = np.random.default_rng(12)
-    velocity, pressure = ops.velocity.matrix, ops.forms.k_p1
-    if preconditioner == "vcycle":
-        vel_factors, p_factors = ops.velocity_factors, ops.pressure_factors
-    else:
-        vel_factors, p_factors = linsolve.Factors(), linsolve.Factors()
-    b_vel = ops.velocity.prepare_rhs(rng.standard_normal(ops.p2v.ndofs))
-    b_p = rng.standard_normal(ops.p1.ndofs)
-    lumped = ops.forms.lumped_p1
-    for max_iterations in (None, 3):  # converged, and stopped by the iteration limit
-        config = SolverConfig(rel_tolerance=1e-10, max_iterations=max_iterations)
-        got = _solve_outcome(solve_spd, velocity, b_vel, config, vel_factors)
-        precondition = linsolve._preconditioner(velocity, vel_factors)
-        assert (preconditioner == "vcycle") == isinstance(precondition, linsolve.VCycle)
-        assert got == _oracle_outcome(oracles.cg_loop, velocity, b_vel, precondition, config)
+    # converged at nx=16; at nx=4 a tolerance below round-off runs into the
+    # 10 n iteration limit (tau = 1 keeps a velocity V-cycle that small)
+    for nx, tau, tol in ((16, 1e-3, 1e-10), (4, 1.0, 1e-20)):
+        ops = _coarsening_ops(nx, tau)
+        rng = np.random.default_rng(12)
+        velocity, pressure = ops.velocity.matrix, ops.forms.k_p1
+        if preconditioner == "vcycle":
+            vel_pre, p_pre = ops.velocity_precondition, ops.pressure_precondition
+            assert isinstance(vel_pre, VCycle) and isinstance(p_pre, VCycle)
+            vel_oracle, p_oracle = vel_pre, p_pre
+        else:  # the solves' default
+            vel_pre = p_pre = None
+            vel_oracle, p_oracle = jacobi(velocity), jacobi(pressure)
+        b_vel = ops.velocity.prepare_rhs(rng.standard_normal(ops.p2v.ndofs))
+        b_p = rng.standard_normal(ops.p1.ndofs)
+        lumped = ops.forms.lumped_p1
+        got = _solve_outcome(solve_spd, velocity, b_vel, tol, vel_pre)
+        assert got == _oracle_outcome(oracles.cg_loop, velocity, b_vel, vel_oracle, tol)
+        assert isinstance(got[1], int) == (tol == 1e-10)
 
-        got = _solve_outcome(solve_neumann_zero_mean, pressure, b_p, config, p_factors, lumped)
-        precondition = linsolve._preconditioner(pressure, p_factors)
-        assert (preconditioner == "vcycle") == isinstance(precondition, linsolve.VCycle)
+        got = _solve_outcome(solve_neumann_zero_mean, pressure, b_p, lumped, tol, p_pre)
         projected = b_p - b_p.sum() / b_p.shape[0]
         assert got == _oracle_outcome(oracles.projected_cg_loop, pressure, projected,
-                                      precondition, config, lumped)
-        assert isinstance(got[1], int) == (max_iterations is None)
+                                      p_oracle, tol, lumped)
+        assert isinstance(got[1], int) == (tol == 1e-10)
 
 
 def test_velocity_solves_reuse_the_diagonal_bit_for_bit(spaces16):
@@ -282,12 +296,10 @@ def test_velocity_solves_reuse_the_diagonal_bit_for_bit(spaces16):
     kept = []
     for _ in range(2):
         b = ops.velocity.prepare_rhs(rng.standard_normal(p2v.ndofs))
-        x = solve_spd(a, b, ops.config, factors=ops.velocity_factors)
-        assert x.tobytes() == solve_spd(a, b, ops.config).tobytes()
-        kept.append(ops.velocity_factors.dinv)
-    assert kept[0] is not None and kept[1] is kept[0]
-    assert ops.velocity_factors.lu is None
-    assert ops.velocity_factors.vcycle is None and ops.velocity_factors.coarsen is None
+        x, _ = solve_spd(a, b, 1e-10, ops.velocity_precondition)
+        assert x.tobytes() == solve_spd(a, b)[0].tobytes()
+        kept.append(ops.velocity_precondition)
+    assert not isinstance(kept[0], VCycle) and kept[1] is kept[0]
 
 
 def _coarsening_ops(nx, tau=1e-3):
@@ -296,17 +308,13 @@ def _coarsening_ops(nx, tau=1e-3):
     return build_operators(build_space(mesh, "p1"), build_space(mesh, "p2vec"), params)
 
 
-def _velocity_solve(ops, b, config=None):
-    info = {}
-    x = solve_spd(ops.velocity.matrix, b, config or ops.config, info, ops.velocity_factors)
-    return x, info["iterations"]
+def _velocity_solve(ops, b, tol=1e-10):
+    return solve_spd(ops.velocity.matrix, b, tol, ops.velocity_precondition)
 
 
-def _pressure_solve(ops, b, config=None, factors=None):
-    info = {}
-    psi = solve_neumann_zero_mean(ops.forms.k_p1, b, ops.forms.lumped_p1, config or ops.config,
-                                  info, factors or ops.pressure_factors)
-    return psi, info["iterations"]
+def _pressure_solve(ops, b, tol=1e-10, precondition=None):
+    return solve_neumann_zero_mean(ops.forms.k_p1, b, ops.forms.lumped_p1, tol,
+                                   precondition or ops.pressure_precondition)
 
 
 @pytest.mark.parametrize("tau", [1e-3, 1e-1])
@@ -321,11 +329,10 @@ def test_velocity_vcycle_iterations_do_not_grow_with_the_mesh(nx, tau):
         x, iterations = _velocity_solve(ops, b)
         # Jacobi CG takes 39 to 499 iterations here
         assert 1 <= iterations <= 15
-        assert np.linalg.norm(b - a @ x) <= ops.config.rel_tolerance * np.linalg.norm(b)
-        built.append(ops.velocity_factors.vcycle)
+        assert np.linalg.norm(b - a @ x) <= 1e-10 * np.linalg.norm(b)
+        built.append(ops.velocity_precondition)
     # built by the first solve, reused by the second
-    assert built[0] is not None and built[1] is built[0] and len(built[0].prolong) >= 2
-    assert ops.velocity_factors.dinv is None
+    assert isinstance(built[0], VCycle) and built[1] is built[0] and len(built[0].prolong) >= 2
 
 
 @pytest.mark.parametrize("nx", [16, 32, 64])
@@ -335,9 +342,9 @@ def test_pressure_vcycle_iterations_and_agreement_with_jacobi(nx):
     b = rng.standard_normal(ops.p1.ndofs)
     psi, iterations = _pressure_solve(ops, b)
     assert 1 <= iterations <= 15
-    assert ops.pressure_factors.vcycle.ops[-1].shape[0] > 0
-    # the old Jacobi projected CG, without the holder
-    psi_jacobi, jacobi_iterations = _pressure_solve(ops, b, factors=linsolve.Factors())
+    assert ops.pressure_precondition.ops[-1].shape[0] > 0
+    # the old Jacobi projected CG
+    psi_jacobi, jacobi_iterations = _pressure_solve(ops, b, precondition=jacobi(ops.forms.k_p1))
     assert jacobi_iterations > 5 * iterations
     assert np.linalg.norm(psi - psi_jacobi) <= 1e-8 * np.linalg.norm(psi_jacobi)
     assert abs(ops.forms.lumped_p1 @ psi) <= 1e-12 * np.linalg.norm(psi)
@@ -347,9 +354,7 @@ def test_pressure_vcycle_iterations_and_agreement_with_jacobi(nx):
 def test_vcycle_preconditioners_are_symmetric(tau):
     ops = _coarsening_ops(32, tau)
     rng = np.random.default_rng(7)
-    _velocity_solve(ops, ops.velocity.prepare_rhs(rng.standard_normal(ops.p2v.ndofs)))
-    _pressure_solve(ops, rng.standard_normal(ops.p1.ndofs))
-    for vcycle in (ops.velocity_factors.vcycle, ops.pressure_factors.vcycle):
+    for vcycle in (ops.velocity_precondition, ops.pressure_precondition):
         n = vcycle.ops[0].shape[0]
         for _ in range(3):
             x, y = rng.standard_normal(n), rng.standard_normal(n)
@@ -359,17 +364,17 @@ def test_vcycle_preconditioners_are_symmetric(tau):
 
 
 def test_vcycle_solves_keep_the_failure_contract():
-    ops = _coarsening_ops(16)
+    # a tolerance below round-off runs into the 10 n iteration limit
+    ops = _coarsening_ops(4, tau=1.0)
     rng = np.random.default_rng(5)
-    tight = SolverConfig(rel_tolerance=1e-10, max_iterations=2)
     b = ops.velocity.prepare_rhs(rng.standard_normal(ops.p2v.ndofs))
     with pytest.raises(SolverError, match="conjugate gradients did not converge") as err:
-        _velocity_solve(ops, b, tight)
-    assert 1e-10 < err.value.residual < 1.0
-    assert ops.velocity_factors.vcycle is not None
-    with pytest.raises(SolverError, match="projected conjugate gradients") as err:
-        _pressure_solve(ops, rng.standard_normal(ops.p1.ndofs), tight)
-    assert 1e-10 < err.value.residual < 1.0
+        _velocity_solve(ops, b, 1e-20)
+    assert 0.0 < err.value.residual < 1e-10
+    assert isinstance(ops.velocity_precondition, VCycle)
+    with pytest.raises(SolverError, match="projected conjugate gradients did not") as err:
+        _pressure_solve(ops, rng.standard_normal(ops.p1.ndofs), 1e-20)
+    assert 0.0 < err.value.residual < 1e-10
 
 
 def test_vcycle_of_an_interleaved_operator_is_its_scalar_cycle_per_component():
@@ -397,7 +402,7 @@ def test_vcycles_on_the_smallest_grids(nx):
     x, _ = _velocity_solve(ops, b)
     assert np.linalg.norm(b - ops.velocity.matrix @ x) <= 1e-10 * np.linalg.norm(b)
     # a mesh without interior vertices has no coarse velocity level
-    assert (ops.velocity_factors.vcycle is None) == (nx == 1)
+    assert isinstance(ops.velocity_precondition, VCycle) == (nx != 1)
     _, iterations = _pressure_solve(ops, rng.standard_normal(ops.p1.ndofs))
     assert iterations == 1
 
@@ -407,4 +412,4 @@ def test_a_lone_small_pressure_level_is_solved_directly():
     ops = _coarsening_ops(8)
     b = np.random.default_rng(8).standard_normal(ops.p1.ndofs)
     _, iterations = _pressure_solve(ops, b)
-    assert iterations == 1 and not ops.pressure_factors.vcycle.prolong
+    assert iterations == 1 and not ops.pressure_precondition.prolong

@@ -23,10 +23,11 @@ def _terms(ops, prm, phi, u=None, mu=None):
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        Params(tau=0.5, t_end=0.1)
-    with pytest.raises(ValueError):
-        Params(eps=-1.0)
+    nan = float("nan")
+    for bad in (dict(tau=0.5, t_end=0.1), dict(eps=-1.0), dict(eps=nan),
+                dict(solver_tol=0.0), dict(solver_tol=1.0), dict(solver_tol=nan)):
+        with pytest.raises(ValueError):
+            Params(**bad)
 
 
 def test_init_state_examples(small_ops):
