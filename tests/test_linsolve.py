@@ -18,6 +18,23 @@ from chns.mesh import build_uniform_mesh
 from chns.scheme import ExplicitTerms, Params, build_operators, ch_split_solve
 
 
+def test_config_validation():
+    # the solver tolerance is checked where it is set, in Params
+    for bad in (0.0, 2.0, float("nan")):
+        with pytest.raises(ValueError):
+            Params(solver_tol=bad)
+    # the iteration limit is 10 n: one preconditioner call per iteration, plus the first
+    calls = []
+
+    def counting(r):
+        calls.append(1)
+        return r.copy()
+
+    with pytest.raises(SolverError, match="did not converge"):
+        solve_spd(_small_spd(7), np.ones(7), 1e-20, counting)
+    assert len(calls) == 71
+
+
 def test_cg_identity_and_2x2():
     eye = sp.identity(5, format="csr")
     b = np.arange(5.0)
