@@ -52,7 +52,11 @@ class ExperimentConfig:
     polygon: list | None = None
 
     def params(self) -> Params:
-        return Params(**{f.name: getattr(self, f.name) for f in fields(Params)})
+        values = {f.name: getattr(self, f.name) for f in fields(Params)}
+        if self.kind == "stability" and self.tau_list:
+            # the sweep runs each tau of its list, never the preset's own
+            values["tau"] = min(self.tau_list)
+        return Params(**values)
 
 
 # element types of the list keys that hold numbers

@@ -12,17 +12,20 @@ The symmetric solves, SPD (`solve_spd`) and singular Neumann
 loop, the latter projected off the constants. The caller passes the
 preconditioner, made once per matrix: a symmetric multigrid V-cycle
 (`VCycle`) or the Jacobi diagonal (`jacobi`), which is also the default.
-A nonsymmetric solve (`solve_general`) runs Jacobi BiCGStab, and one that
-BiCGStab gives up on is finished by GMRES preconditioned with sparse LU
-factors of the matrix, kept in the matrix's `Factors` holder.
+A nonsymmetric solve (`solve_general`) runs restarted GMRES, written
+here, or Jacobi BiCGStab first. A Cahn-Hilliard block passes its
+`Presb`: a stiffness-dominated block goes straight to GMRES preconditioned
+by PRESB, whose two inner solves are V-cycles; any other block tries
+BiCGStab first, and GMRES with the same PRESB finishes a solve BiCGStab
+gives up on. Any other matrix falls back to Jacobi GMRES.
 
-Only the LU fallback imports `scipy.sparse.linalg`, and only when it first
-runs: that module alone adds about 9 MB to a process.
+Nothing here imports scipy's sparse linear-algebra package: it alone adds
+about 9 MB to a process (`tests/test_import_graph.py` checks a whole step).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from functools import partial
 
 import numpy as np
@@ -37,9 +40,10 @@ class SolverError(RuntimeError):
         self.residual = residual
 
 
-SWEEPS = 2            # damped Jacobi sweeps before and after each coarse correction
+SWEEPS = 2            # damped Jacobi sweeps before and after each coarse correction, by default
 JACOBI_SCALE = 1.3    # smoothing weight times the estimated lambda_max(D^-1 A)
 POWER_STEPS = 10      # power steps of that estimate
+RESTART = 30          # GMRES basis vectors per cycle
 
 
 def _jacobi_weight(a: sp.csr_matrix, dinv: np.ndarray) -> float:
@@ -59,7 +63,7 @@ class VCycle:
     """Symmetric multigrid V-cycle, a preconditioner for conjugate gradients.
 
     Level 0 is `a`; level l + 1 is the Galerkin product P^T A_l P of the
-    l-th prolongation P. Each level but the coarsest smooths with SWEEPS
+    l-th prolongation P. Each level but the coarsest smooths with `sweeps`
     damped Jacobi sweeps before its coarse correction and as many after,
     starting from zero. The coarsest level is smoothed the same way, or,
     with `coarse_pinv`, solved by its dense pseudo-inverse; that option is
@@ -76,7 +80,8 @@ class VCycle:
     """
 
     def __init__(self, a: sp.csr_matrix, prolongations=(), interleaved: bool = False,
-                 coarse_pinv: bool = False):
+                 coarse_pinv: bool = False, sweeps: int = SWEEPS):
+        self.sweeps = sweeps
         ncomp = 2 if interleaved else 1
         scalar = a[0::2, 0::2].tocsr() if interleaved else a
         self.ops, self.smoothers, self.prolong, self.restrict = [], [], [], []
@@ -110,13 +115,13 @@ class VCycle:
             return self.coarse_inverse @ b
         a, w = self.ops[level], self.smoothers[level]
         x = w * b
-        for _ in range(SWEEPS - 1):
+        for _ in range(self.sweeps - 1):
             _smooth(a, w, b, x)
         if level < len(self.prolong):
             r = a @ x
             np.subtract(b, r, out=r)
             x += self.prolong[level] @ self._cycle(level + 1, self.restrict[level] @ r)
-        for _ in range(SWEEPS):
+        for _ in range(self.sweeps):
             _smooth(a, w, b, x)
         return x
 
@@ -127,21 +132,6 @@ def _smooth(a: sp.csr_matrix, w: np.ndarray, b: np.ndarray, x: np.ndarray) -> No
     np.subtract(b, r, out=r)
     r *= w
     x += r
-
-
-@dataclass
-class Factors:
-    """Solver data of a nonsymmetric matrix, each part made the first time a solve needs it.
-
-    `dinv` is the inverse diagonal (the Jacobi preconditioner of BiCGStab).
-    `lu` holds sparse LU factors, made only when BiCGStab gives up on the
-    matrix; once filled, solves that pass the holder skip BiCGStab and go
-    straight to the factors. Keep one holder per matrix and pass it to every
-    solve with that matrix.
-    """
-
-    dinv: np.ndarray | None = None
-    lu: object = None  # scipy SuperLU
 
 
 def expand_vector(m_scalar: sp.csr_matrix) -> sp.csr_matrix:
@@ -330,50 +320,149 @@ def _bicgstab(a, b, dinv, tol, max_it):
     raise SolverError("bicgstab did not converge", np.linalg.norm(b - a @ x) / bnorm)
 
 
-def _factorize(a: sp.csr_matrix):
-    """Sparse LU with an ordering suited to a structurally symmetric pattern."""
-    import scipy.sparse.linalg as spla
+def _gmres(apply, b, precondition, tol, max_it, x, k=0):
+    """Right-preconditioned restarted GMRES from x to ||b - apply(x)|| <= tol; returns (x, k).
 
-    try:
-        return spla.splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
-                         options={"SymmetricMode": True})
-    except RuntimeError as exc:
-        # no iterate exists yet: the residual is that of the zero start
-        raise SolverError(f"LU factorization failed: {exc}", 1.0) from exc
+    `precondition` must be one fixed linear map. Each cycle builds at most
+    RESTART basis vectors, orthogonalized by classical Gram-Schmidt done
+    twice, and ends with the residual recomputed by one product; only that
+    residual is accepted. k counts iterations (one preconditioner call and
+    one product each), starting from the given k. Raises SolverError at a
+    non-finite residual, after a cycle that does not lower the residual,
+    or at max_it iterations.
+    """
+    n = b.shape[0]
+    bnorm = np.linalg.norm(b)
+    basis = np.empty((RESTART + 1, n))
+    search = np.empty((RESTART, n))
+    hess = np.zeros((RESTART, RESTART))
+    gain = 0.0  # the largest ||apply(z)|| / ||z|| met, the scale of a negligible column
+    r = b - apply(x)
+    rnorm = np.linalg.norm(r)
+    while not rnorm <= tol:
+        if not np.isfinite(rnorm):
+            raise SolverError("gmres met a non-finite residual", rnorm / bnorm)
+        if k >= max_it:
+            raise SolverError("gmres did not converge", rnorm / bnorm)
+        np.divide(r, rnorm, out=basis[0])
+        # the small least-squares problem, kept triangular by Givens rotations
+        # (cos, sin) of its columns, in Python floats: it is too small for numpy
+        g, rotations = [float(rnorm)], []
+        j = 0
+        while j < RESTART and k < max_it:
+            z = search[j]
+            z[:] = precondition(basis[j])
+            w = apply(z)
+            znorm = math.sqrt(z @ z)
+            gain = max(gain, math.sqrt(w @ w) / znorm)
+            v = basis[:j + 1]
+            h = v @ w
+            w -= h @ v
+            h2 = v @ w
+            w -= h2 @ v
+            col = (h + h2).tolist()
+            wnorm = math.sqrt(w @ w)
+            for i, (c, s) in enumerate(rotations):
+                col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
+            diag = math.hypot(col[j], wnorm)
+            if not diag > 1e-14 * gain * znorm:
+                break  # the column adds nothing: the operator is singular on the basis
+            c, s = col[j] / diag, wnorm / diag
+            rotations.append((c, s))
+            col[j] = diag
+            hess[:j + 1, j] = col
+            g.append(-s * g[j])
+            g[j] *= c
+            j += 1
+            k += 1
+            if abs(g[j]) <= tol or wnorm == 0.0:
+                break
+            np.divide(w, wnorm, out=basis[j])
+        if j:
+            x = x + np.linalg.solve(hess[:j, :j], g[:j]) @ search[:j]
+        r = b - apply(x)
+        last, rnorm = rnorm, np.linalg.norm(r)
+        if rnorm >= last:  # a NaN passes on, to the non-finite test above
+            raise SolverError("gmres stagnated", rnorm / bnorm)
+    return x, k
 
 
-def _gmres_fallback(a, b, tol, max_it, factors: Factors):
-    """GMRES preconditioned by LU factors of `a`, factoring into `factors` if empty."""
-    import scipy.sparse.linalg as spla
+class Presb:
+    """Solver data of a Cahn-Hilliard block, made once per block.
 
-    if factors.lu is None:
-        factors.lu = _factorize(a)
-    count = {"n": 0}
+    The block A = [[M / tau, m K], [-lam (K + gamma M), M]] acts on (phi, mu).
+    Row 1 times tau and mu = -s y make it the scaled block
+    S = [[M, -c K], [c (K + gamma M), M]] on (phi, y), with c = sqrt(tau m lam)
+    and s = c / (tau m). GMRES runs on S, right-preconditioned by PRESB,
+    [[M, -c K], [c K, M + 2 c K]], whose inverse takes two solves with
+    H = M + c K:
 
-    def cb(_):
-        count["n"] += 1
+        w = H^-1 (f1 + f2),  x2 = H^-1 (M w - f1),  x1 = w - x2.
 
-    x, _ = spla.gmres(a, b, rtol=0.0, atol=tol, restart=10, maxiter=max(1, max_it // 10),
-                      M=spla.LinearOperator(a.shape, matvec=factors.lu.solve),
-                      callback=cb, callback_type="pr_norm")
-    res = np.linalg.norm(b - a @ x)
-    if not res <= tol:
-        raise SolverError("gmres fallback did not converge", res / np.linalg.norm(b))
-    return x, count["n"]
+    `h_inverse` stands in for H^-1 (one V-cycle), so the preconditioner is a
+    fixed linear map. A block with `direct` set goes straight to
+    PRESB-GMRES; any other tries Jacobi BiCGStab first, with `dinv`, the
+    inverse diagonal of A.
+    """
+
+    def __init__(self, a: sp.csr_matrix, m: sp.csr_matrix, tau: float, s: float,
+                 h_inverse, direct: bool):
+        n = m.shape[0]
+        self.m, self.h_inverse, self.direct = m, h_inverse, direct
+        self.row_scale = np.repeat([tau, -1.0 / s], n)
+        self.col_scale = np.repeat([1.0, -s], n)
+        self.scaled = (sp.diags(self.row_scale) @ a @ sp.diags(self.col_scale)).tocsr()
+        self.dinv = _inv_diagonal(a)
+
+    def __call__(self, f: np.ndarray) -> np.ndarray:
+        """The PRESB solve: x with P x = f."""
+        n = self.m.shape[0]
+        f1, f2 = f[:n], f[n:]
+        w = self.h_inverse(f1 + f2)
+        x = np.empty_like(f)
+        x[n:] = self.h_inverse(self.m @ w - f1)
+        np.subtract(w, x[n:], out=x[:n])
+        return x
+
+
+def _presb_gmres(a, b, tol, max_it, presb: Presb):
+    """PRESB-preconditioned GMRES on the scaled block, verified on `a` itself.
+
+    GMRES stops on the scaled residual at the relative tolerance asked of
+    `a`. If the residual of `a` then misses tol, GMRES goes on from the
+    solution it has, aiming the scaled residual lower by the factor missed.
+    """
+    f = presb.row_scale * b
+    scaled_tol = tol / np.linalg.norm(b) * np.linalg.norm(f)
+    y, k = np.zeros_like(b), 0
+    while True:
+        y, k = _gmres(presb.scaled.dot, f, presb, scaled_tol, max_it, y, k)
+        x = presb.col_scale * y
+        res = np.linalg.norm(b - a @ x)
+        if res <= tol:
+            return x, k
+        scaled_tol *= 0.5 * tol / res
+
+
+def _gmres_fallback(a, b, tol, max_it, presb: Presb | None):
+    """GMRES for a system BiCGStab gave up on: PRESB-preconditioned for a
+    Cahn-Hilliard block, Jacobi-preconditioned for any other matrix."""
+    if presb is not None:
+        return _presb_gmres(a, b, tol, max_it, presb)
+    return _gmres(a.dot, b, jacobi(a), tol, max_it, np.zeros_like(b))
 
 
 def solve_general(a: sp.csr_matrix, b: np.ndarray, tol: float = 1e-10,
-                  factors: Factors | None = None) -> tuple[np.ndarray, int]:
+                  presb: Presb | None = None) -> tuple[np.ndarray, int]:
     """Solve a square nonsymmetric system; returns (x, iterations).
 
-    Jacobi-preconditioned stabilized bi-conjugate gradients is the first
-    attempt; if it breaks down or stagnates, GMRES preconditioned by LU
-    factors of `a` finishes the solve. Pass the `Factors` holder kept with
-    `a` to extract its diagonal once, and to build the LU factors once and
-    skip BiCGStab on every later solve; without one, both are made for this
-    solve only.
+    Pass a Cahn-Hilliard block's `Presb`, kept with the block, to every
+    solve with it. A block it marks `direct` goes straight to
+    PRESB-preconditioned GMRES. Any other system is first tried with
+    Jacobi-preconditioned stabilized bi-conjugate gradients; if that breaks
+    down or stagnates, GMRES finishes the solve, preconditioned by the
+    `Presb` if given, else by the Jacobi diagonal.
     """
-    factors = factors if factors is not None else Factors()
     b = np.asarray(b, dtype=float)
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
@@ -381,15 +470,15 @@ def solve_general(a: sp.csr_matrix, b: np.ndarray, tol: float = 1e-10,
 
     tol = tol * bnorm
     max_it = 10 * b.shape[0]
-    if factors.lu is None:
-        if factors.dinv is None:
-            factors.dinv = _inv_diagonal(a)
-        try:
-            # give the cheap method a bounded attempt before the robust one
-            return _bicgstab(a, b, factors.dinv, tol, min(max_it, max(300, b.shape[0] // 4)))
-        except SolverError:
-            pass
-    return _gmres_fallback(a, b, tol, max_it, factors)
+    if presb is not None and presb.direct:
+        return _presb_gmres(a, b, tol, max_it, presb)
+    dinv = presb.dinv if presb is not None else _inv_diagonal(a)
+    try:
+        # give the cheap method a bounded attempt before the robust one
+        return _bicgstab(a, b, dinv, tol, min(max_it, max(300, b.shape[0] // 4)))
+    except SolverError:
+        pass
+    return _gmres_fallback(a, b, tol, max_it, presb)
 
 
 def solve_neumann_zero_mean(k_mat: sp.csr_matrix, b: np.ndarray, mass_row_sums: np.ndarray,

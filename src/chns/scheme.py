@@ -27,6 +27,7 @@ Lyapunov functional, `dissipation` what a step dissipates, and
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -34,9 +35,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import assembly as asm
-from .assembly import AssembledForms, DirichletOperator
+from .assembly import AssembledForms, DirichletOperator, NonpositiveEnergyError
 from .fem import FeSpace, coarser_grid, grid_interpolation, interpolate, p1_to_p2
-from .linsolve import Factors, VCycle, jacobi, solve_general, solve_neumann_zero_mean, solve_spd
+from .linsolve import Presb, SolverError, VCycle, jacobi, solve_general, \
+    solve_neumann_zero_mean, solve_spd
 from .mesh import Mesh
 
 
@@ -124,8 +126,9 @@ class StepReport:
 class Operators:
     """Matrices and eliminated systems reused across steps for a fixed tau.
 
-    Each symmetric matrix's preconditioner is made by the first solve that
-    reads it, and kept.
+    Each matrix's solver data (a symmetric matrix's preconditioner, the
+    phase block's `Presb`) is made by the first solve that reads it, and
+    kept.
     """
 
     mesh: Mesh
@@ -136,8 +139,9 @@ class Operators:
     velocity: DirichletOperator     # m_v / tau + nu k_v, boundary rows eliminated
     projection: DirichletOperator   # m_v with boundary rows eliminated
     nu_tau: float                   # nu * tau, which sets the velocity's coarse levels
-    # a_ch's Jacobi diagonal, and its LU factors once BiCGStab first gives up on it
-    ch_factors: Factors = field(default_factory=Factors)
+    tau: float
+    ch_c: float                     # sqrt(tau m lam), the coupling of the scaled phase block
+    ch_s: float                     # c / (tau m), the scaling mu = -s y
 
     @cached_property
     def velocity_precondition(self):
@@ -151,6 +155,10 @@ class Operators:
     def projection_precondition(self):
         return jacobi(self.projection.matrix)
 
+    @cached_property
+    def ch_solver(self) -> Presb:  # of a_ch
+        return _ch_solver(self)
+
 
 def build_operators(p1: FeSpace, p2v: FeSpace, params: Params,
                     forms: AssembledForms | None = None) -> Operators:
@@ -162,11 +170,12 @@ def build_operators(p1: FeSpace, p2v: FeSpace, params: Params,
     ], format="csr")
     a_v = (forms.m_v / tau + params.nu * forms.k_v).tocsr()
     bdofs = p2v.boundary_dofs
+    ch_c = np.sqrt(tau * params.mobility * lam)
     return Operators(
         mesh=p1.mesh, p1=p1, p2v=p2v, forms=forms, a_ch=a_ch,
         velocity=DirichletOperator(a_v, bdofs),
         projection=DirichletOperator(forms.m_v.tocsr(), bdofs),
-        nu_tau=params.nu * params.tau,
+        nu_tau=params.nu * tau, tau=tau, ch_c=ch_c, ch_s=ch_c / (tau * params.mobility),
     )
 
 
@@ -180,19 +189,42 @@ def _grid_interior(grid: tuple[int, int]) -> np.ndarray:
     return (np.arange(1, ny)[:, None] * (nx + 1) + np.arange(1, nx)).ravel()
 
 
-def _stiffness_dominates(nu_tau: float, k_diag: np.ndarray, m_diag: np.ndarray) -> bool:
-    return bool(np.median(nu_tau * k_diag / m_diag) > 1.0)
+def _stiffness_dominates(weight: float, k_diag: np.ndarray, m_diag: np.ndarray) -> bool:
+    """Whether the median of weight K_ii / M_ii exceeds 1."""
+    return bool(np.median(weight * k_diag / m_diag) > 1.0)
+
+
+def _grid_prolongations(grid, k: sp.csr_matrix, m: sp.csr_matrix, weight: float,
+                        nodes=None) -> list:
+    """P1 interpolations to ever coarser grids of the rectangle, finest first.
+
+    `k` and `m` are the P1 stiffness and mass on `grid`'s vertices, or on
+    the subset `nodes(grid)` of them. A level gets a coarser one below it
+    only while its stiffness outweighs its mass on the diagonal (median of
+    weight K_ii / M_ii above 1): below that, Jacobi alone smooths it well.
+    A mesh that is not a uniform grid (grid None) gets no level.
+    """
+    prolongations = []
+    while grid is not None and _stiffness_dominates(weight, k.diagonal(), m.diagonal()):
+        coarse = coarser_grid(grid)
+        p = grid_interpolation(grid, coarse)
+        if nodes is not None:
+            p = p[nodes(grid)][:, nodes(coarse)]
+        if p.shape[1] == 0:  # the coarser grid has no interior vertex
+            break
+        k, m = (p.T @ k @ p).tocsr(), (p.T @ m @ p).tocsr()
+        prolongations.append(p)
+        grid = coarse
+    return prolongations
 
 
 def _velocity_precondition(ops: Operators):
     """V-cycle of the eliminated velocity matrix, or its Jacobi diagonal.
 
     The first coarse level is P1 on the same mesh, the next ones P1 on ever
-    coarser grids of the rectangle, all without their boundary nodes. A level
-    gets a coarser one below it only while its stiffness outweighs its mass on
-    the diagonal (median of nu tau K_ii / M_ii above 1): below that, Jacobi
-    alone smooths it well, so it is the coarsest level and is only smoothed.
-    A matrix whose finest level is mass-dominated keeps Jacobi.
+    coarser grids of the rectangle (`_grid_prolongations` with weight
+    nu tau), all without their boundary nodes. A matrix whose finest level
+    is mass-dominated keeps Jacobi.
     """
     a, forms, p1, p2v = ops.velocity.matrix, ops.forms, ops.p1, ops.p2v
     free = np.setdiff1d(np.arange(p2v.ndofs // 2), p2v.boundary_dofs[0::2] // 2)
@@ -203,17 +235,26 @@ def _velocity_precondition(ops: Operators):
     if free.size == 0:  # no interior vertex, no coarse level
         return jacobi(a)
     prolongations = [p1_to_p2(ops.mesh)[:, free]]
-    k, m = forms.k_p1[free][:, free], forms.m_p1[free][:, free]
-    grid = ops.mesh.grid
-    while grid is not None and _stiffness_dominates(ops.nu_tau, k.diagonal(), m.diagonal()):
-        coarse = coarser_grid(grid)
-        p = grid_interpolation(grid, coarse)[_grid_interior(grid)][:, _grid_interior(coarse)]
-        if p.shape[1] == 0:  # the coarser grid has no interior vertex
-            break
-        k, m = (p.T @ k @ p).tocsr(), (p.T @ m @ p).tocsr()
-        prolongations.append(p)
-        grid = coarse
+    prolongations += _grid_prolongations(ops.mesh.grid, forms.k_p1[free][:, free],
+                                         forms.m_p1[free][:, free], ops.nu_tau, _grid_interior)
     return VCycle(a, prolongations, interleaved=True)
+
+
+def _ch_solver(ops: Operators) -> Presb:
+    """The phase block's PRESB data; H^-1 is one V-cycle of H = M + c K.
+
+    H is Neumann P1, so its levels keep every vertex. The block goes
+    straight to PRESB-GMRES when it is stiffness-dominated (median of
+    c K_ii / M_ii above 1), the rule that also gives H its coarse levels.
+    The cycle smooths once before and once after each coarse correction:
+    GMRES then takes 15-17 iterations instead of 13-14, but each solve
+    costs about 14 % less at nx=32 and 64 than with two sweeps.
+    """
+    k, m, c = ops.forms.k_p1, ops.forms.m_p1, ops.ch_c
+    prolongations = _grid_prolongations(ops.mesh.grid, k, m, c)
+    h = VCycle((m + c * k).tocsr(), prolongations, sweeps=1)
+    return Presb(ops.a_ch, m, ops.tau, ops.ch_s, h,
+                 direct=_stiffness_dominates(c, k.diagonal(), m.diagonal()))
 
 
 def _pressure_precondition(mesh: Mesh, k: sp.csr_matrix):
@@ -247,6 +288,17 @@ def _as_coeffs(space: FeSpace, data) -> np.ndarray:
     return arr.copy()
 
 
+@contextmanager
+def _naming_step(n: int):
+    """Prefix "step n: " to the message of a SolverError, ReductionError or
+    NonpositiveEnergyError raised inside; step 0 is the initial state."""
+    try:
+        yield
+    except (SolverError, ReductionError, NonpositiveEnergyError) as exc:
+        exc.args = (f"step {n}: {exc}",)
+        raise
+
+
 def init_state(ops: Operators, phi0, u0, p0, params: Params, mu0=None) -> State:
     """Interpolate the initial data and seed the auxiliary scalars.
 
@@ -256,14 +308,15 @@ def init_state(ops: Operators, phi0, u0, p0, params: Params, mu0=None) -> State:
     phi = _as_coeffs(ops.p1, phi0)
     u = _as_coeffs(ops.p2v, u0)
     p = zero_mean(ops.forms, _as_coeffs(ops.p1, p0))
-    e1h, e2h = asm.compute_discrete_energies(ops.p1, ops.forms.m_v, phi, u, params)
-    if mu0 is not None:
-        mu = _as_coeffs(ops.p1, mu0)
-    else:
-        rhs = params.lam * (ops.forms.k_p1 @ phi) \
-            + params.lam * params.gamma * (ops.forms.m_p1 @ phi) \
-            + params.lam * asm.fprime_load(ops.p1, phi, params.eps, params.gamma)
-        mu, _ = solve_spd(ops.forms.m_p1, rhs, params.solver_tol)
+    with _naming_step(0):
+        e1h, e2h = asm.compute_discrete_energies(ops.p1, ops.forms.m_v, phi, u, params)
+        if mu0 is not None:
+            mu = _as_coeffs(ops.p1, mu0)
+        else:
+            rhs = params.lam * (ops.forms.k_p1 @ phi) \
+                + params.lam * params.gamma * (ops.forms.m_p1 @ phi) \
+                + params.lam * asm.fprime_load(ops.p1, phi, params.eps, params.gamma)
+            mu, _ = solve_spd(ops.forms.m_p1, rhs, params.solver_tol)
     return State(step=0, phi=phi, mu=mu, u_tilde=u.copy(), u=u,
                  p=p, r=float(np.sqrt(e1h)), rho=float(np.sqrt(e2h)))
 
@@ -322,8 +375,8 @@ def ch_split_solve(ops: Operators, params: Params, phi_n: np.ndarray,
     rhs1 = np.concatenate([-terms.conv_scalar / terms.sqrt_e1,
                            params.lam * terms.fp / terms.sqrt_e1])
 
-    x0, k0 = solve_general(ops.a_ch, rhs0, params.solver_tol, ops.ch_factors)
-    x1, k1 = solve_general(ops.a_ch, rhs1, params.solver_tol, ops.ch_factors)
+    x0, k0 = solve_general(ops.a_ch, rhs0, params.solver_tol, ops.ch_solver)
+    x1, k1 = solve_general(ops.a_ch, rhs1, params.solver_tol, ops.ch_solver)
     if iterations is not None:
         iterations.update(ch_x0=k0, ch_x1=k1)
     return (x0[:n], x0[n:]), (x1[:n], x1[n:])
@@ -357,10 +410,12 @@ def solve_quadratic(a2: float, a1: float, a0: float) -> tuple[float, ...]:
 
     A discriminant within -1e-12 * scale of zero is clamped to zero; more
     negative raises ReductionError. Near-vanishing a2 degrades to the
-    linear equation.
+    linear equation, but only where the quadratic term is negligible at
+    the linear root (|a2 a0| <= 1e-14 a1^2); elsewhere a small a2 keeps
+    both roots, or none.
     """
     scale = max(a1 * a1, abs(4.0 * a2 * a0))
-    if abs(a2) < 1e-14 * max(abs(a1), abs(a0)):
+    if abs(a2) < 1e-14 * max(abs(a1), abs(a0)) and abs(a2 * a0) <= 1e-14 * a1 * a1:
         if a1 == 0.0:
             raise ReductionError(f"degenerate quadratic: a2={a2}, a1={a1}, a0={a0}")
         return (-a0 / a1,)
@@ -526,28 +581,30 @@ def step(state: State, params: Params, ops: Operators,
 
     velocity_frozen runs the pure phase-field subsystem: the flow stays at
     rest and the pressure untouched, which is the mode the conservation
-    checks use.
+    checks use. A SolverError, ReductionError or NonpositiveEnergyError
+    raised on the way names the step it stopped (`_naming_step`).
     """
     iterations: dict = {}
 
-    terms = explicit_terms(ops, params, state, forcing)
-    ch = ch_split_solve(ops, params, state.phi, terms, iterations)
-    bc_values = _boundary_values(ops.p2v, bc) if bc is not None else None
-    if velocity_frozen:
-        zero = np.zeros(ops.p2v.ndofs)
-        vel = (zero, zero.copy(), zero.copy())
-    else:
-        vel = velocity_split_solve(ops, params, state.u, terms, bc_values, iterations)
-    r, rho, u_tilde, diag = scalar_reduction(ops, params, state, terms, ch, vel)
+    with _naming_step(state.step + 1):
+        terms = explicit_terms(ops, params, state, forcing)
+        ch = ch_split_solve(ops, params, state.phi, terms, iterations)
+        bc_values = _boundary_values(ops.p2v, bc) if bc is not None else None
+        if velocity_frozen:
+            zero = np.zeros(ops.p2v.ndofs)
+            vel = (zero, zero.copy(), zero.copy())
+        else:
+            vel = velocity_split_solve(ops, params, state.u, terms, bc_values, iterations)
+        r, rho, u_tilde, diag = scalar_reduction(ops, params, state, terms, ch, vel)
 
-    (phi0, mu0), (phi1, mu1) = ch
-    phi_new = phi0 + r * phi1
-    mu_new = mu0 + r * mu1
+        (phi0, mu0), (phi1, mu1) = ch
+        phi_new = phi0 + r * phi1
+        mu_new = mu0 + r * mu1
 
-    if velocity_frozen:
-        u_new, p_new = state.u.copy(), state.p.copy()
-    else:
-        u_new, p_new, _psi = pressure_correction(ops, params, u_tilde, state.p, iterations)
+        if velocity_frozen:
+            u_new, p_new = state.u.copy(), state.p.copy()
+        else:
+            u_new, p_new, _psi = pressure_correction(ops, params, u_tilde, state.p, iterations)
     new = State(step=state.step + 1, phi=phi_new, mu=mu_new, u_tilde=u_tilde,
                 u=u_new, p=p_new, r=r, rho=rho)
     res_r, res_rho = scalar_equation_residuals(ops, params, state, new, terms)

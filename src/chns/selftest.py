@@ -8,8 +8,9 @@ from dataclasses import replace
 import numpy as np
 
 from . import assembly as asm
-from .experiments import coarsening_params
+from .experiments import coarsening_params, relaxation_params
 from .fem import build_space, p1_basis, p2_basis, triangle_quadrature
+from .linsolve import solve_general
 from .mesh import build_uniform_mesh, triangle_areas
 from .mms import finite_difference_forcing, trig_case
 from .scheme import Params, build_operators, init_state, step
@@ -62,6 +63,18 @@ def _checks():
     scale = max(1.0, report.energy_before)
     yield "energy identity", abs(report.identity_residual) < 1e-8 * scale
     yield "energy nonincreasing", report.energy_after <= report.energy_before + 1e-8 * scale
+
+    # a stiffness-dominated phase block (median c K_ii / M_ii 1.28) goes
+    # through PRESB-GMRES, a mass-dominated one (about 0.02) through BiCGStab
+    ok = True
+    stiff = replace(relaxation_params(), tau=1.0, t_end=1.0)
+    for prm, direct in ((stiff, True), (params, False)):
+        ch_ops = build_operators(p1, p2v, prm)
+        b = rng.standard_normal(ch_ops.a_ch.shape[0])
+        x, _ = solve_general(ch_ops.a_ch, b, prm.solver_tol, ch_ops.ch_solver)
+        ok = ok and ch_ops.ch_solver.direct == direct and \
+            np.linalg.norm(b - ch_ops.a_ch @ x) <= prm.solver_tol * np.linalg.norm(b)
+    yield "phase block solver paths", ok
 
     mms_params = Params()
     case = trig_case(mms_params)

@@ -250,6 +250,14 @@ def test_cli_stability_writes_one_csv_per_tau(tmp_path):
     assert (out / "energy_tau0.1.csv").exists()
 
 
+def test_cli_stability_takes_its_time_step_from_tau_list(tmp_path):
+    # the preset's own tau (1e-3) exceeds this t_end, but the sweep never uses it
+    out = tmp_path / "stab"
+    assert main(["stability", "--tau", "1e-4", "--t-end", "1e-4", "--nx", "2",
+                 "--out", str(out)]) == 0
+    assert (out / "energy_tau0.0001.csv").exists()
+
+
 def test_cli_coarsen_and_snapshots(tmp_path):
     out = tmp_path / "co"
     code = main(["coarsen", "--nx", "8", "--tau", "1e-2", "--t-end", "0.05",
@@ -326,6 +334,23 @@ def test_cli_run_failures_exit_3_with_one_line(exc, tmp_path, capsys, monkeypatc
     assert err == f"error: {type(exc).__name__}: {exc}\n"
 
 
+def test_a_failure_inside_a_step_names_the_step(tmp_path, capsys, monkeypatch):
+    real = scheme.pressure_correction
+    calls = []
+
+    def fails_third(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise SolverError("projected conjugate gradients did not converge", 0.5)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scheme, "pressure_correction", fails_third)
+    assert main(["coarsen", "--nx", "4", "--tau", "1e-2", "--t-end", "0.05",
+                 "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == ("error: SolverError: step 3: projected conjugate "
+                                       "gradients did not converge (relative residual 5.000e-01)\n")
+
+
 def test_a_nan_in_phi_stops_the_run_before_any_solve(tmp_path, capsys, monkeypatch):
     # a NaN fails the energy check at once instead of failing a solve later
     def with_nan(seed, ndofs):
@@ -341,7 +366,10 @@ def test_a_nan_in_phi_stops_the_run_before_any_solve(tmp_path, capsys, monkeypat
         monkeypatch.setattr(scheme, name, no_solve)
     assert main(["coarsen", "--nx", "16", "--tau", "1e-3", "--t-end", "1e-2",
                  "--out", str(tmp_path / "o")]) == 3
-    assert capsys.readouterr().err.startswith("error: NonpositiveEnergyError: ")
+    err = capsys.readouterr().err
+    # the initial state's energies are checked first: it is step 0
+    assert err.startswith("error: NonpositiveEnergyError: step 0: shifted energies must be positive")
+    assert err.count("\n") == 1
 
 
 def test_cli_selftest_passes():

@@ -1,9 +1,9 @@
 """What a fresh interpreter imports, checked where it matters.
 
-`scipy.sparse.linalg` alone adds about 9 MB to a process, so the velocity
-and pressure solves must not pull it in; only the LU fallback of the
-nonsymmetric solver may. And `io` writes the experiments' records without
-depending on the experiments module.
+`scipy.sparse.linalg` alone adds about 9 MB to a process, and no solve
+needs it: a whole time step, with its phase block on either solver path
+or on the GMRES fallback, must leave it unimported. And `io` writes the
+experiments' records without depending on the experiments module.
 """
 
 import os
@@ -21,28 +21,47 @@ def _run_fresh(code: str) -> str:
     return proc.stdout.strip()
 
 
-def test_velocity_and_pressure_solves_leave_sparse_linalg_unimported():
+def test_whole_steps_leave_sparse_linalg_unimported():
     out = _run_fresh("""
 import sys
+from dataclasses import replace
 import numpy as np
-from chns.experiments import coarsening_params, random_phase_field
+from chns import linsolve
+from chns.experiments import coarsening_params, random_phase_field, relaxation_params
 from chns.fem import build_space
-from chns.linsolve import VCycle
+from chns.linsolve import SolverError, VCycle
 from chns.mesh import build_uniform_mesh
-from chns.scheme import build_operators, explicit_terms, init_state, pressure_correction, \\
-    velocity_split_solve
+from chns.scheme import build_operators, init_state, step
 
-params = coarsening_params()
 mesh = build_uniform_mesh(16, 16)
 p1, p2v = build_space(mesh, "p1"), build_space(mesh, "p2vec")
-ops = build_operators(p1, p2v, params)
-phi = random_phase_field(1, p1.ndofs)
-state = init_state(ops, phi, np.zeros(p2v.ndofs), np.zeros(p1.ndofs), params, mu0=phi.copy())
-terms = explicit_terms(ops, params, state)
-y0, y1, y2 = velocity_split_solve(ops, params, state.u, terms)
-pressure_correction(ops, params, y0 + y1 + y2, state.p)
-assert isinstance(ops.velocity_precondition, VCycle)
-assert isinstance(ops.pressure_precondition, VCycle)
+
+
+def one_step(params):
+    ops = build_operators(p1, p2v, params)
+    phi = random_phase_field(1, p1.ndofs)
+    state = init_state(ops, phi, np.zeros(p2v.ndofs), np.zeros(p1.ndofs), params,
+                       mu0=phi.copy())
+    new, report = step(state, params, ops)
+    assert new.step == 1 and report.iterations["ch_x0"] >= 1
+    return ops
+
+
+def gives_up(*args):
+    raise SolverError("bicgstab stagnated", 1.0)
+
+
+stiff = one_step(replace(relaxation_params(), tau=4e-3))  # median c K_ii / M_ii 1.30
+mass = one_step(coarsening_params())                      # median 0.09
+assert stiff.ch_solver.direct and not mass.ch_solver.direct
+assert isinstance(stiff.velocity_precondition, VCycle)
+assert isinstance(mass.pressure_precondition, VCycle)
+calls = []
+fallback = linsolve._gmres_fallback
+linsolve._bicgstab = gives_up
+linsolve._gmres_fallback = lambda *args: calls.append(1) or fallback(*args)
+one_step(coarsening_params())
+assert len(calls) == 2
 print("scipy.sparse.linalg" in sys.modules)
 """)
     assert out == "False"
