@@ -64,12 +64,13 @@ class VCycle:
 
     Level 0 is `a`; level l + 1 is the Galerkin product P^T A_l P of the
     l-th prolongation P. Each level but the coarsest smooths with `sweeps`
-    damped Jacobi sweeps before its coarse correction and as many after,
-    starting from zero. The coarsest level is smoothed the same way, or,
-    with `coarse_pinv`, solved by its dense pseudo-inverse; that option is
-    for a Neumann problem, whose kernel is the constant vector e / |e| = q,
-    and forms the pseudo-inverse as inv(A + q q^T) - q q^T (an eigenvalue
-    decomposition would load more of LAPACK, about 2 MB of memory). With
+    damped Jacobi sweeps (SWEEPS unless a subclass sets fewer) before its
+    coarse correction and as many after, starting from zero. The coarsest
+    level is smoothed the same way, or, with `coarse_pinv`, solved by its
+    dense pseudo-inverse; that option is for a Neumann problem, whose
+    kernel is the constant vector e / |e| = q, and forms the pseudo-inverse
+    as inv(A + q q^T) - q q^T (an eigenvalue decomposition would load more
+    of LAPACK, about 2 MB of memory). With
     equal sweeps before and after, restriction P^T and a symmetric
     coarsest step, the cycle is a symmetric operator.
 
@@ -79,9 +80,10 @@ class VCycle:
     same way, so their Galerkin products cost a scalar's.
     """
 
+    sweeps = SWEEPS
+
     def __init__(self, a: sp.csr_matrix, prolongations=(), interleaved: bool = False,
-                 coarse_pinv: bool = False, sweeps: int = SWEEPS):
-        self.sweeps = sweeps
+                 coarse_pinv: bool = False):
         ncomp = 2 if interleaved else 1
         scalar = a[0::2, 0::2].tocsr() if interleaved else a
         self.ops, self.smoothers, self.prolong, self.restrict = [], [], [], []
@@ -385,6 +387,17 @@ def _gmres(apply, b, precondition, tol, max_it, x, k=0):
         if rnorm >= last:  # a NaN passes on, to the non-finite test above
             raise SolverError("gmres stagnated", rnorm / bnorm)
     return x, k
+
+
+class PresbCycle(VCycle):
+    """The V-cycle that stands in for H^-1 in `Presb`: one damped Jacobi
+    sweep before and one after each coarse correction. PRESB-GMRES then
+    takes 15-17 iterations instead of 13-14, but a solve at nx=32 takes
+    3.0-4.6 ms instead of 4.0-5.8 (2 cores, one BLAS thread), which keeps
+    the `relax32` benchmark's step time inside its bound (BENCH_presb.json).
+    """
+
+    sweeps = 1
 
 
 class Presb:

@@ -229,6 +229,22 @@ def test_stiff_ch_block_skips_bicgstab_and_builds_presb_once(monkeypatch):
     assert ops.ch_solver is presb
 
 
+@pytest.mark.parametrize("nx", [1, 2, 4])
+def test_a_very_stiff_ch_block_ends_its_hierarchy_at_the_one_cell_grid(nx):
+    # c = sqrt(tau m lam) above 1/9 leaves even the 1 x 1 grid stiffness-dominated
+    # (median c K_ii / M_ii 9 c there), which has no coarser grid below it
+    params = replace(relaxation_params(), tau=200.0, t_end=200.0)
+    mesh = build_uniform_mesh(nx, nx)
+    ops = build_operators(build_space(mesh, "p1"), build_space(mesh, "p2vec"), params)
+    assert ops.ch_c > 1.0 / 9.0
+    presb = ops.ch_solver
+    assert presb.direct and len(presb.h_inverse.ops) == nx.bit_length()
+    b = np.random.default_rng(nx).standard_normal(ops.a_ch.shape[0])
+    x, iterations = solve_general(ops.a_ch, b, params.solver_tol, presb)
+    assert 1 <= iterations <= 30
+    assert np.linalg.norm(b - ops.a_ch @ x) <= params.solver_tol * np.linalg.norm(b)
+
+
 def _ch_rhs(ops, params, seed):
     """The two right-hand sides of the phase block for a random phase field."""
     n = ops.p1.ndofs

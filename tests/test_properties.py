@@ -71,9 +71,16 @@ def test_quadratic_roots_solve_it_and_obey_vieta(a2, a1, a0):
     _check_roots(a2, a1, a0)
 
 
+# a2 / max(|a1|, |a0|): zero, or a magnitude in [1e-20, 1e-13]; a smaller
+# nonzero one lets a2 reach subnormal values, and a0 / a2 in the Vieta check
+# then overflows
+small_ratio = st.floats(1e-20, 1e-13)
+
+
 @settings(max_examples=400, deadline=None)
 @given(a1=st.one_of(magnitude, magnitude.map(lambda v: -v)), a0=coefficient,
-       ratio=st.floats(-1e-13, 1e-13))
+       ratio=st.one_of(st.just(0.0), small_ratio, small_ratio.map(lambda v: -v)))
+@example(a1=1e-100, a0=4.5e54, ratio=1e-20)  # a2 = 4.5e34, a1 far below both
 def test_quadratic_roots_near_the_linear_branch(a1, a0, ratio):
     # a2 at most about the threshold below which the quadratic degrades to linear
     _check_roots(ratio * max(abs(a1), abs(a0)), a1, a0)
