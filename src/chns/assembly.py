@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fem import ASSEMBLY_DEGREE, NORM_DEGREE, FeSpace, p1_tables, p2_tables, triangle_quadrature
-from .linsolve import expand_vector
+from .linsolve import Planar
 from .mesh import Mesh
 
 
@@ -109,24 +109,12 @@ def _basis_gradients(tab: dict) -> np.ndarray:
     return out
 
 
-def _cell_dofs(space: FeSpace) -> np.ndarray:
-    """Global dof of each (cell, component, local basis function): (nt, ncomp, nloc)."""
-    dofs = space._cache.get("cell_dofs")
-    if dofs is None:
-        nt, nloc = space.scalar_cell_dofs.shape
-        dofs = np.ascontiguousarray(
-            space.cell_dofs.reshape(nt, nloc, space.ncomp).transpose(0, 2, 1))
-        space._cache["cell_dofs"] = dofs
-    return dofs
-
-
 def _gather(space: FeSpace, coeffs: np.ndarray) -> np.ndarray:
     """Per-cell coefficient blocks as GEMM rows: (nt * ncomp, nloc)."""
     coeffs = np.asarray(coeffs)
     if coeffs.shape[0] != space.ndofs:
         raise ValueError(f"coefficient length {coeffs.shape[0]} != ndofs {space.ndofs}")
-    dofs = _cell_dofs(space)
-    return coeffs[dofs].reshape(-1, dofs.shape[2])
+    return coeffs[space.cell_dofs].reshape(-1, space.scalar_cell_dofs.shape[1])
 
 
 def _values(space: FeSpace, coeffs, tab: dict) -> np.ndarray:
@@ -163,7 +151,7 @@ def _load(space: FeSpace, tab: dict, integrand: np.ndarray) -> np.ndarray:
     wdet = tab["wdet"] if integrand.ndim == 2 else tab["wdet"][:, None]
     nq = tab["vals"].shape[0]
     cellwise = (wdet * integrand).reshape(-1, nq) @ tab["vals"]
-    return np.bincount(_cell_dofs(space).ravel(), weights=cellwise.ravel(),
+    return np.bincount(space.cell_dofs.ravel(), weights=cellwise.ravel(),
                        minlength=space.ndofs)
 
 
@@ -172,7 +160,7 @@ def _matrix_from_cells(space: FeSpace, elem: np.ndarray) -> sp.csr_matrix:
     nloc = dofs.shape[1]
     rows = np.repeat(dofs, nloc, axis=1).ravel()
     cols = np.tile(dofs, (1, nloc)).ravel()
-    n = space.ndofs if space.ncomp == 1 else space.ndofs // 2
+    n = space.dof_coords.shape[0]  # scalar nodes
     return sp.coo_matrix((elem.ravel(), (rows, cols)), shape=(n, n)).tocsr()
 
 
@@ -181,20 +169,20 @@ def _matrix_from_cells(space: FeSpace, elem: np.ndarray) -> sp.csr_matrix:
 
 
 def assemble_mass(space: FeSpace) -> sp.csr_matrix:
+    """The mass matrix of the space's scalar basis; a vector space's components share it."""
     tab = _tables(space, ASSEMBLY_DEGREE)
     elem = np.einsum("tq,qi,qj->tij", tab["wdet"], tab["vals"], tab["vals"])
-    m = _matrix_from_cells(space, elem)
-    return expand_vector(m) if space.ncomp == 2 else m
+    return _matrix_from_cells(space, elem)
 
 
 def _stiffness(space: FeSpace, grads: np.ndarray) -> sp.csr_matrix:
     tab = _tables(space, ASSEMBLY_DEGREE)
     elem = np.einsum("tq,tqid,tqjd->tij", tab["wdet"], grads, grads)
-    k = _matrix_from_cells(space, elem)
-    return expand_vector(k) if space.ncomp == 2 else k
+    return _matrix_from_cells(space, elem)
 
 
 def assemble_stiffness(space: FeSpace) -> sp.csr_matrix:
+    """The stiffness matrix of the space's scalar basis, as `assemble_mass`."""
     return _stiffness(space, _basis_gradients(_tables(space, ASSEMBLY_DEGREE)))
 
 
@@ -204,9 +192,8 @@ def _pressure_gradient(p2v: FeSpace, p1: FeSpace, grads1: np.ndarray) -> sp.csr_
     # P1 gradients are constant per triangle
     gradp1 = grads1[:, 0]  # (nt, 3, 2)
     intn2 = np.einsum("tq,qm->tm", tab2["wdet"], tab2["vals"])
-    elem = np.einsum("tm,tkc->tmck", intn2, gradp1)  # (nt, 6, 2, 3)
-    vdofs = np.stack([2 * p2v.scalar_cell_dofs, 2 * p2v.scalar_cell_dofs + 1], axis=-1)
-    rows = np.repeat(vdofs.reshape(-1, 12), 3, axis=1).ravel()
+    elem = np.einsum("tm,tkc->tcmk", intn2, gradp1)  # (nt, 2, 6, 3), rows as in cell_dofs
+    rows = np.repeat(p2v.cell_dofs, 3, axis=1).ravel()
     cols = np.tile(p1.scalar_cell_dofs, (1, 12)).ravel()
     return sp.coo_matrix((elem.ravel(), (rows, cols)), shape=(p2v.ndofs, p1.ndofs)).tocsr()
 
@@ -215,10 +202,9 @@ def _divergence(p1: FeSpace, p2v: FeSpace, grads2: np.ndarray) -> sp.csr_matrix:
     """D[k, i] = (div v_i, q_k); div_load(u) is then D @ u."""
     tab2 = _tables(p2v, ASSEMBLY_DEGREE)
     tab1 = _tables(p1, ASSEMBLY_DEGREE)
-    elem = np.einsum("tq,qk,tqmc->tkmc", tab2["wdet"], tab1["vals"], grads2)
-    vdofs = np.stack([2 * p2v.scalar_cell_dofs, 2 * p2v.scalar_cell_dofs + 1], axis=-1)
+    elem = np.einsum("tq,qk,tqmc->tkcm", tab2["wdet"], tab1["vals"], grads2)  # (nt, 3, 2, 6)
     rows = np.repeat(p1.scalar_cell_dofs, 12, axis=1).ravel()
-    cols = np.tile(vdofs.reshape(-1, 12), (1, 3)).ravel()
+    cols = np.tile(p2v.cell_dofs, (1, 3)).ravel()
     return sp.coo_matrix((elem.ravel(), (rows, cols)), shape=(p1.ndofs, p2v.ndofs)).tocsr()
 
 
@@ -228,8 +214,8 @@ class AssembledForms:
 
     m_p1: sp.csr_matrix
     k_p1: sp.csr_matrix
-    m_v: sp.csr_matrix
-    k_v: sp.csr_matrix
+    m_p2: sp.csr_matrix           # scalar P2 mass, each velocity component's block
+    k_p2: sp.csr_matrix           # scalar P2 stiffness, likewise
     grad_coupling: sp.csr_matrix  # (grad q_k, v_i)
     div_coupling: sp.csr_matrix   # (div v_i, q_k)
     lumped_p1: np.ndarray         # row sums of m_p1, i.e. (1, q_k)
@@ -242,15 +228,15 @@ def assemble_forms(p1: FeSpace, p2v: FeSpace) -> AssembledForms:
     grad_coupling = _pressure_gradient(p2v, p1, grads1)
     del grads1
     grads2 = _basis_gradients(_tables(p2v, ASSEMBLY_DEGREE))
-    k_v = _stiffness(p2v, grads2)
+    k_p2 = _stiffness(p2v, grads2)
     div_coupling = _divergence(p1, p2v, grads2)
     del grads2
     m_p1 = assemble_mass(p1)
     return AssembledForms(
         m_p1=m_p1,
         k_p1=k_p1,
-        m_v=assemble_mass(p2v),
-        k_v=k_v,
+        m_p2=assemble_mass(p2v),
+        k_p2=k_p2,
         grad_coupling=grad_coupling,
         div_coupling=div_coupling,
         lumped_p1=np.asarray(m_p1.sum(axis=1)).ravel(),
@@ -349,12 +335,18 @@ def _eliminated_matrix(a: sp.csr_matrix, dofs: np.ndarray) -> sp.csr_matrix:
 
 
 class DirichletOperator:
-    """Symmetric elimination of constrained dofs, reusable across right-hand sides."""
+    """Symmetric elimination of constrained dofs, reusable across right-hand sides; a
+    `Planar` operator, constrained alike in both components, is eliminated in its block."""
 
-    def __init__(self, a: sp.csr_matrix, dofs: np.ndarray):
+    def __init__(self, a, dofs: np.ndarray):
         self.dofs = np.asarray(dofs, dtype=np.int64)
-        self.matrix = _eliminated_matrix(a, self.dofs)
-        self._columns = a[:, self.dofs].tocsr()
+        if isinstance(a, Planar):
+            nodes = self.dofs[:self.dofs.size // 2]
+            self.matrix = Planar(_eliminated_matrix(a.block, nodes))
+            self._columns = Planar(a.block[:, nodes].tocsr())
+        else:
+            self.matrix = _eliminated_matrix(a, self.dofs)
+            self._columns = a[:, self.dofs].tocsr()
 
     def prepare_rhs(self, b: np.ndarray, values: np.ndarray | None = None) -> np.ndarray:
         out = np.array(b, dtype=float, copy=True)
@@ -381,7 +373,7 @@ def mixing_energy(p1: FeSpace, phi, eps: float, gamma: float) -> float:
     return float(np.sum(tab["wdet"] * free_energy_density(phiq, eps, gamma)))
 
 
-def compute_discrete_energies(p1: FeSpace, m_v: sp.csr_matrix, phi, u, params) -> tuple[float, float]:
+def compute_discrete_energies(p1: FeSpace, m_v: Planar, phi, u, params) -> tuple[float, float]:
     """Shifted energies (E1 + C1, E2 + C2) whose square roots drive the scheme."""
     e1 = mixing_energy(p1, phi, params.eps, params.gamma) + params.c1
     e2 = 0.5 * float(u @ (m_v @ u)) + params.c2

@@ -142,20 +142,20 @@ def p2_tables(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class FeSpace:
     """Degree-of-freedom map of a Lagrange space on a triangulation.
 
-    kind is one of "p1" (linear scalar), "p2" (quadratic scalar) or
-    "p2vec" (quadratic 2D vector with x/y components interleaved per
-    scalar node). Global numbering: vertex nodes first, then edge
-    midpoints in mesh edge order; for vector spaces scalar node k owns
-    dofs (2k, 2k+1).
+    kind is one of "p1" (linear scalar), "p2" (quadratic scalar) or "p2vec"
+    (quadratic 2D vector). Nodes are numbered vertices first, then edge
+    midpoints in mesh edge order. A vector space is planar: component c of
+    node k is dof c * N + k for N nodes, so coefficients read [u_x; u_y]
+    (`linsolve.Planar`); `cell_dofs` and `boundary_dofs` go component by component.
     """
 
     kind: str
     mesh: Mesh
     ndofs: int
     ncomp: int
-    cell_dofs: np.ndarray      # (nt, nloc) global dof per local basis slot
+    cell_dofs: np.ndarray      # (nt, ncomp * nloc) global dof per component and basis slot
     boundary_dofs: np.ndarray
-    dof_coords: np.ndarray     # (ndofs, 2); repeated per component for vectors
+    dof_coords: np.ndarray     # (nodes, 2), the coordinates of each scalar node
     scalar_cell_dofs: np.ndarray
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -181,11 +181,10 @@ def build_space(mesh: Mesh, kind: str) -> FeSpace:
         raise ValueError(f"unknown space kind {kind!r}")
 
     if kind == "p2vec":
-        cell_dofs = np.stack([2 * scalar_dofs, 2 * scalar_dofs + 1], axis=-1)
-        cell_dofs = cell_dofs.reshape(scalar_dofs.shape[0], -1)
-        bdofs = np.sort(np.concatenate([2 * bdofs, 2 * bdofs + 1]))
-        coords = np.repeat(coords, 2, axis=0)
-        ndofs, ncomp = 2 * (coords.shape[0] // 2), 2
+        n = coords.shape[0]
+        cell_dofs = np.concatenate([scalar_dofs, scalar_dofs + n], axis=1)
+        bdofs = np.concatenate([bdofs, bdofs + n])
+        ndofs, ncomp = 2 * n, 2
     else:
         cell_dofs = scalar_dofs
         ndofs, ncomp = coords.shape[0], 1
@@ -201,16 +200,12 @@ def interpolate(space: FeSpace, f) -> np.ndarray:
     Scalar spaces expect a scalar-valued f, vector spaces a pair
     (fx, fy). Exact for polynomials up to the space degree.
     """
+    x, y = space.dof_coords.T
     if space.ncomp == 1:
-        x, y = space.dof_coords[:, 0], space.dof_coords[:, 1]
         return np.asarray(f(x, y), dtype=float).copy()
-    x = space.dof_coords[0::2, 0]
-    y = space.dof_coords[0::2, 1]
-    fx, fy = f(x, y)
-    out = np.empty(space.ndofs)
-    out[0::2] = fx
-    out[1::2] = fy
-    return out
+    out = np.empty((2, x.size))
+    out[0], out[1] = f(x, y)
+    return out.ravel()
 
 
 # ---------------------------------------------------------------------------

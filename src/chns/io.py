@@ -72,12 +72,14 @@ def write_energy_csv(trace: EnergyTrace, path: str) -> None:
 def write_vtk_snapshot(mesh: Mesh, fields: dict, path: str) -> None:
     """Legacy ASCII unstructured-grid snapshot.
 
-    Scalar entries of `fields` are written per vertex; an entry named "u"
-    holding interleaved quadratic vector coefficients is sampled at the
-    vertices (the first block of its nodes).
+    Scalar entries of `fields` are written per vertex. An entry named "u"
+    holds planar quadratic vector coefficients, [u_x; u_y] with one value
+    per vertex and edge in each, or raises ValueError; it is sampled at the
+    vertices, the first nodes of each component.
     """
     nv = mesh.num_vertices
     nt = mesh.num_triangles
+    nodes = nv + mesh.num_edges
     lines = [
         "# vtk DataFile Version 3.0",
         "two-phase flow snapshot",
@@ -96,9 +98,10 @@ def write_vtk_snapshot(mesh: Mesh, fields: dict, path: str) -> None:
     for name, values in fields.items():
         values = np.asarray(values)
         if name == "u":
+            if values.shape[0] != 2 * nodes:
+                raise ValueError(f"velocity has {values.shape[0]} values, expected 2 * {nodes}")
             lines.append("VECTORS u double")
-            vx, vy = values[0:2 * nv:2], values[1:2 * nv:2]
-            for a, b in zip(vx, vy):
+            for a, b in zip(values[:nv], values[nodes:nodes + nv]):
                 lines.append(f"{a:.12g} {b:.12g} 0")
         else:
             lines.append(f"SCALARS {name} double")

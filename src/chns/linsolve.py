@@ -30,6 +30,7 @@ from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec
 
 
 class SolverError(RuntimeError):
@@ -72,26 +73,17 @@ class VCycle:
     as inv(A + q q^T) - q q^T (an eigenvalue decomposition would load more
     of LAPACK, about 2 MB of memory). With
     equal sweeps before and after, restriction P^T and a symmetric
-    coarsest step, the cycle is a symmetric operator.
-
-    With `interleaved`, `a` is the interleaved two-component form
-    `expand_vector(A)` of a scalar operator A, and the prolongations act on
-    A's nodes: the coarse levels are built from A, then interleaved the
-    same way, so their Galerkin products cost a scalar's.
+    coarsest step, the cycle is a symmetric operator (of one scalar field).
     """
 
     sweeps = SWEEPS
 
-    def __init__(self, a: sp.csr_matrix, prolongations=(), interleaved: bool = False,
-                 coarse_pinv: bool = False):
-        ncomp = 2 if interleaved else 1
-        scalar = a[0::2, 0::2].tocsr() if interleaved else a
+    def __init__(self, a: sp.csr_matrix, prolongations=(), coarse_pinv: bool = False):
         self.ops, self.smoothers, self.prolong, self.restrict = [], [], [], []
         for p in prolongations:
-            self._add_level(a, scalar, ncomp)
+            self._add_level(a)
             p = sp.csr_matrix(p)
-            scalar = (p.T @ (scalar @ p)).tocsr()
-            a, p = (expand_vector(scalar), expand_vector(p)) if interleaved else (scalar, p)
+            a = (p.T @ (a @ p)).tocsr()
             self.prolong.append(p)
             self.restrict.append(p.T)  # a CSC view of p's arrays, not a copy
         self.coarse_inverse = None
@@ -101,13 +93,12 @@ class VCycle:
             inv = np.linalg.inv(a.toarray() + qqt) - qqt
             self.coarse_inverse = 0.5 * (inv + inv.T)
         else:
-            self._add_level(a, scalar, ncomp)
+            self._add_level(a)
 
-    def _add_level(self, a: sp.csr_matrix, scalar: sp.csr_matrix, ncomp: int) -> None:
-        # kron(A, I) and A share D^-1 A's spectrum, so the scalar gives the weight
-        dinv = _inv_diagonal(scalar)
+    def _add_level(self, a: sp.csr_matrix) -> None:
+        dinv = _inv_diagonal(a)
         self.ops.append(a)
-        self.smoothers.append(np.repeat(_jacobi_weight(scalar, dinv) * dinv, ncomp))
+        self.smoothers.append(_jacobi_weight(a, dinv) * dinv)
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         return self._cycle(0, r)
@@ -136,23 +127,31 @@ def _smooth(a: sp.csr_matrix, w: np.ndarray, b: np.ndarray, x: np.ndarray) -> No
     x += r
 
 
-def expand_vector(m_scalar: sp.csr_matrix) -> sp.csr_matrix:
-    """The interleaved vector form kron(m_scalar, I2): row 2i + c holds row i at columns 2j + c."""
-    indptr, indices, data = m_scalar.indptr, m_scalar.indices, m_scalar.data
-    n = m_scalar.shape[0]
-    out_indptr = np.empty(2 * n + 1, dtype=indptr.dtype)
-    out_indptr[0::2] = 2 * indptr
-    out_indptr[1::2] = indptr[:-1] + indptr[1:]
-    # entry k of row i lands at indptr[i] + k for c = 0, one row length further for c = 1
-    row_nnz = np.diff(indptr)
-    row = np.repeat(np.arange(n), row_nnz)
-    pos = np.arange(m_scalar.nnz) + indptr[row]
-    pos = np.concatenate([pos, pos + row_nnz[row]])
-    out_indices = np.empty(2 * m_scalar.nnz, dtype=indices.dtype)
-    out_indices[pos] = np.concatenate([2 * indices, 2 * indices + 1])
-    out_data = np.empty(2 * m_scalar.nnz, dtype=data.dtype)
-    out_data[pos] = np.concatenate([data, data])
-    return sp.csr_matrix((out_data, out_indices, out_indptr), shape=(2 * n, 2 * m_scalar.shape[1]))
+class Planar:
+    """A velocity operator kron(I_2, block), stored once as the `block` of one component.
+
+    It applies `block` to each half of a planar vector [x_1; x_2] in turn
+    (`fem.build_space` numbers vector spaces so). A CSR block, which may be
+    rectangular, is applied by `@`, through scipy's own CSR product kernel
+    (what `block @ x` runs, bit for bit) writing straight into the halves
+    of one output; a preconditioner such as a `VCycle` by calling.
+    """
+
+    def __init__(self, block):
+        self.block = block
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        a, out = self.block, np.zeros(2 * self.block.shape[0])
+        for xc, yc in zip(np.ascontiguousarray(x, dtype=float).reshape(2, -1), out.reshape(2, -1)):
+            csr_matvec(*a.shape, a.indptr, a.indices, a.data, xc, yc)  # yc += a @ xc
+        return out
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        n = x.shape[0] // 2
+        return np.concatenate([self.block(x[:n]), self.block(x[n:])])
+
+    def diagonal(self) -> np.ndarray:
+        return np.tile(self.block.diagonal(), 2)
 
 
 def _inv_diagonal(a: sp.csr_matrix) -> np.ndarray:
@@ -218,11 +217,20 @@ def solve_spd(a: sp.csr_matrix, b: np.ndarray, tol: float = 1e-10,
     matrix and pass it to every solve with that matrix. The default is
     `jacobi(a)`, made for this solve.
     """
-    b = np.asarray(b, dtype=float)
+    b, e = _unit_scaled(b)
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return np.zeros_like(b), 0
-    return _pcg(a, b, precondition or jacobi(a), tol * bnorm)
+    x, k = _pcg(a, b, precondition or jacobi(a), tol * bnorm)
+    return np.ldexp(x, e), k
+
+
+def _unit_scaled(b) -> tuple[np.ndarray, int]:
+    """(b 2^-e, e) with max |b_i| 2^-e in [0.5, 1): exact, and it keeps a tiny b (below
+    about 1e-154) from underflowing ||b|| and the Krylov inner products to 0."""
+    b = np.asarray(b, dtype=float)
+    e = int(np.frexp(np.abs(b).max())[1])
+    return np.ldexp(b, -e), e
 
 
 def _bicgstab(a, b, dinv, tol, max_it):
@@ -476,7 +484,7 @@ def solve_general(a: sp.csr_matrix, b: np.ndarray, tol: float = 1e-10,
     down or stagnates, GMRES finishes the solve, preconditioned by the
     `Presb` if given, else by the Jacobi diagonal.
     """
-    b = np.asarray(b, dtype=float)
+    b, e = _unit_scaled(b)
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return np.zeros_like(b), 0
@@ -484,14 +492,15 @@ def solve_general(a: sp.csr_matrix, b: np.ndarray, tol: float = 1e-10,
     tol = tol * bnorm
     max_it = 10 * b.shape[0]
     if presb is not None and presb.direct:
-        return _presb_gmres(a, b, tol, max_it, presb)
-    dinv = presb.dinv if presb is not None else _inv_diagonal(a)
-    try:
-        # give the cheap method a bounded attempt before the robust one
-        return _bicgstab(a, b, dinv, tol, min(max_it, max(300, b.shape[0] // 4)))
-    except SolverError:
-        pass
-    return _gmres_fallback(a, b, tol, max_it, presb)
+        x, k = _presb_gmres(a, b, tol, max_it, presb)
+    else:
+        dinv = presb.dinv if presb is not None else _inv_diagonal(a)
+        try:
+            # give the cheap method a bounded attempt before the robust one
+            x, k = _bicgstab(a, b, dinv, tol, min(max_it, max(300, b.shape[0] // 4)))
+        except SolverError:
+            x, k = _gmres_fallback(a, b, tol, max_it, presb)
+    return np.ldexp(x, e), k
 
 
 def solve_neumann_zero_mean(k_mat: sp.csr_matrix, b: np.ndarray, mass_row_sums: np.ndarray,

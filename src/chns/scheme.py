@@ -37,7 +37,7 @@ import scipy.sparse as sp
 from . import assembly as asm
 from .assembly import AssembledForms, DirichletOperator, NonpositiveEnergyError
 from .fem import FeSpace, coarser_grid, grid_interpolation, interpolate, p1_to_p2
-from .linsolve import Presb, PresbCycle, SolverError, VCycle, jacobi, solve_general, \
+from .linsolve import Planar, Presb, PresbCycle, SolverError, VCycle, jacobi, solve_general, \
     solve_neumann_zero_mean, solve_spd
 from .mesh import Mesh
 
@@ -136,8 +136,8 @@ class Operators:
     p2v: FeSpace
     forms: AssembledForms
     a_ch: sp.csr_matrix
-    velocity: DirichletOperator     # m_v / tau + nu k_v, boundary rows eliminated
-    projection: DirichletOperator   # m_v with boundary rows eliminated
+    velocity: DirichletOperator     # m_p2 / tau + nu k_p2 per component, boundary rows eliminated
+    projection: DirichletOperator   # m_p2 per component, boundary rows eliminated
     nu_tau: float                   # nu * tau, which sets the velocity's coarse levels
     tau: float
     ch_c: float                     # sqrt(tau m lam), the coupling of the scaled phase block
@@ -168,13 +168,13 @@ def build_operators(p1: FeSpace, p2v: FeSpace, params: Params,
         [forms.m_p1 / tau, params.mobility * forms.k_p1],
         [-lam * forms.k_p1 - lam * gamma * forms.m_p1, forms.m_p1],
     ], format="csr")
-    a_v = (forms.m_v / tau + params.nu * forms.k_v).tocsr()
+    a_v = (forms.m_p2 / tau + params.nu * forms.k_p2).tocsr()
     bdofs = p2v.boundary_dofs
     ch_c = np.sqrt(tau * params.mobility * lam)
     return Operators(
         mesh=p1.mesh, p1=p1, p2v=p2v, forms=forms, a_ch=a_ch,
-        velocity=DirichletOperator(a_v, bdofs),
-        projection=DirichletOperator(forms.m_v.tocsr(), bdofs),
+        velocity=DirichletOperator(Planar(a_v), bdofs),
+        projection=DirichletOperator(Planar(forms.m_p2), bdofs),
         nu_tau=params.nu * tau, tau=tau, ch_c=ch_c, ch_s=ch_c / (tau * params.mobility),
     )
 
@@ -222,7 +222,7 @@ def _grid_prolongations(grid, k: sp.csr_matrix, m: sp.csr_matrix, weight: float,
 
 
 def _velocity_precondition(ops: Operators):
-    """V-cycle of the eliminated velocity matrix, or its Jacobi diagonal.
+    """V-cycle of the eliminated velocity block on each component, or the Jacobi diagonal.
 
     The first coarse level is P1 on the same mesh, the next ones P1 on ever
     coarser grids of the rectangle (`_grid_prolongations` with weight
@@ -230,8 +230,8 @@ def _velocity_precondition(ops: Operators):
     is mass-dominated keeps Jacobi.
     """
     a, forms, p1, p2v = ops.velocity.matrix, ops.forms, ops.p1, ops.p2v
-    free = np.setdiff1d(np.arange(p2v.ndofs // 2), p2v.boundary_dofs[0::2] // 2)
-    k_diag, m_diag = forms.k_v.diagonal()[0::2], forms.m_v.diagonal()[0::2]
+    free = np.setdiff1d(np.arange(a.block.shape[0]), p2v.boundary_dofs)  # nodes off the boundary
+    k_diag, m_diag = forms.k_p2.diagonal(), forms.m_p2.diagonal()
     if not _stiffness_dominates(ops.nu_tau, k_diag[free], m_diag[free]):
         return jacobi(a)
     free = np.setdiff1d(np.arange(p1.ndofs), p1.boundary_dofs)
@@ -240,7 +240,7 @@ def _velocity_precondition(ops: Operators):
     prolongations = [p1_to_p2(ops.mesh)[:, free]]
     prolongations += _grid_prolongations(ops.mesh.grid, forms.k_p1[free][:, free],
                                          forms.m_p1[free][:, free], ops.nu_tau, _grid_interior)
-    return VCycle(a, prolongations, interleaved=True)
+    return Planar(VCycle(a.block, prolongations))
 
 
 def _ch_solver(ops: Operators) -> Presb:
@@ -309,7 +309,7 @@ def init_state(ops: Operators, phi0, u0, p0, params: Params, mu0=None) -> State:
     u = _as_coeffs(ops.p2v, u0)
     p = zero_mean(ops.forms, _as_coeffs(ops.p1, p0))
     with _naming_step(0):
-        e1h, e2h = asm.compute_discrete_energies(ops.p1, ops.forms.m_v, phi, u, params)
+        e1h, e2h = asm.compute_discrete_energies(ops.p1, Planar(ops.forms.m_p2), phi, u, params)
         if mu0 is not None:
             mu = _as_coeffs(ops.p1, mu0)
         else:
@@ -343,7 +343,7 @@ def explicit_terms(ops: Operators, params: Params, state: State,
     """Assemble the explicit data of the step that starts from state."""
     # each load is looked up on the assembly module at call time, so a
     # wrapper installed there sees every call
-    e1h, e2h = asm.compute_discrete_energies(ops.p1, ops.forms.m_v,
+    e1h, e2h = asm.compute_discrete_energies(ops.p1, Planar(ops.forms.m_p2),
                                              state.phi, state.u, params)
     terms = ExplicitTerms(
         e1h=e1h, e2h=e2h, sqrt_e1=np.sqrt(e1h), sqrt_e2=np.sqrt(e2h),
@@ -391,7 +391,7 @@ def velocity_split_solve(ops: Operators, params: Params, u_n: np.ndarray,
     Y2 (the r- and rho-scaled parts) use homogeneous conditions so the
     combination Y0 + r Y1 + rho Y2 keeps the prescribed trace.
     """
-    rhs0 = ops.forms.m_v @ u_n / params.tau - terms.grad_p
+    rhs0 = Planar(ops.forms.m_p2) @ u_n / params.tau - terms.grad_p
     if terms.g_u_load is not None:
         rhs0 += terms.g_u_load
     rhs = (ops.velocity.prepare_rhs(rhs0, bc_values),
@@ -444,7 +444,7 @@ def affine_reduction(r_n: float, tau: float, kappa0: float, kappa1: float,
     return (r_n / tau + kappa0) / denom, kappa_rho / denom
 
 
-def closest_ratio_root(roots, velocity_of, m_v: sp.csr_matrix, c2: float):
+def closest_ratio_root(roots, velocity_of, m_v: Planar, c2: float):
     """Pick the root whose ratio rho / sqrt(E2(u_tilde) + c2) lies nearest 1.
 
     u_tilde = velocity_of(rho); the first of two equally near roots wins.
@@ -471,7 +471,7 @@ def scalar_reduction(ops: Operators, params: Params, state: State,
     (phi0, mu0), (phi1, mu1) = ch
     y0, y1, y2 = vel
     tau, lam = params.tau, params.lam
-    m_v = ops.forms.m_v
+    m_v = Planar(ops.forms.m_p2)
 
     kappa1 = ((terms.fp @ phi1) / tau + (terms.conv_scalar @ mu1) / lam
               - (terms.capillary @ y1) / lam) / (2.0 * terms.sqrt_e1)
@@ -514,7 +514,7 @@ def pressure_correction(ops: Operators, params: Params, u_tilde: np.ndarray,
     psi, k_p = solve_neumann_zero_mean(ops.forms.k_p1, rhs, ops.forms.lumped_p1, tol,
                                        ops.pressure_precondition)
     p_new = zero_mean(ops.forms, p_n + psi)
-    rhs_u = ops.forms.m_v @ u_tilde - tau * (ops.forms.grad_coupling @ psi)
+    rhs_u = Planar(ops.forms.m_p2) @ u_tilde - tau * (ops.forms.grad_coupling @ psi)
     bvals = u_tilde[ops.p2v.boundary_dofs]
     u_new, k_m = solve_spd(ops.projection.matrix, ops.projection.prepare_rhs(rhs_u, bvals),
                            tol, ops.projection_precondition)
@@ -529,7 +529,7 @@ def modified_energy(ops: Operators, params: Params, state: State) -> float:
     return (lam * float(state.phi @ (f.k_p1 @ state.phi))
             + lam * gamma * float(state.phi @ (f.m_p1 @ state.phi))
             + 2.0 * lam * state.r ** 2
-            + 0.5 * float(state.u @ (f.m_v @ state.u))
+            + 0.5 * quad(Planar(f.m_p2), state.u)
             + tau ** 2 * float(state.p @ (f.k_p1 @ state.p))
             + state.rho ** 2)
 
@@ -538,7 +538,7 @@ def dissipation(ops: Operators, params: Params, new: State) -> float:
     """Energy the step into `new` dissipates: 2 tau (M ||grad mu||^2 + nu ||grad u_tilde||^2)."""
     f, tau = ops.forms, params.tau
     return (2.0 * params.mobility * tau * quad(f.k_p1, new.mu)
-            + 2.0 * params.nu * tau * quad(f.k_v, new.u_tilde))
+            + 2.0 * params.nu * tau * quad(Planar(f.k_p2), new.u_tilde))
 
 
 def energy_identity_residual(ops: Operators, params: Params,
@@ -556,22 +556,19 @@ def energy_identity_residual(ops: Operators, params: Params,
     dphi = new.phi - old.phi
     increments = (lam * (quad(f.k_p1, dphi) + params.gamma * quad(f.m_p1, dphi))
                   + 2.0 * lam * (new.r - old.r) ** 2
-                  + 0.5 * quad(f.m_v, new.u_tilde - old.u)
-                  - 0.5 * quad(f.m_v, new.u_tilde - new.u)
+                  + 0.5 * quad(Planar(f.m_p2), new.u_tilde - old.u)
+                  - 0.5 * quad(Planar(f.m_p2), new.u_tilde - new.u)
                   + (new.rho - old.rho) ** 2)
     return (modified_energy(ops, params, new) - modified_energy(ops, params, old)
             + increments + dissipation(ops, params, new))
 
 
-def quad(a: sp.csr_matrix, x: np.ndarray) -> float:
+def quad(a, x: np.ndarray) -> float:
     return float(x @ (a @ x))
 
 
 def _boundary_values(space: FeSpace, bc) -> np.ndarray:
-    coords = space.dof_coords[space.boundary_dofs]
-    gx, gy = bc(coords[:, 0], coords[:, 1])
-    comp = space.boundary_dofs % 2
-    return np.where(comp == 0, gx, gy)
+    return interpolate(space, bc)[space.boundary_dofs]
 
 
 def step(state: State, params: Params, ops: Operators,
@@ -636,7 +633,7 @@ def scalar_equation_residuals(ops: Operators, params: Params, old: State, new: S
              - (terms.capillary @ new.u_tilde) / lam) / (2.0 * terms.sqrt_e1)
     res_r = abs(lhs_r - rhs_r) / max(1.0, abs(lhs_r), abs(rhs_r))
     lhs_rho = 2.0 * new.rho * (new.rho - old.rho) / tau
-    rhs_rho = ((new.u_tilde - old.u) @ (ops.forms.m_v @ new.u_tilde)) / tau \
+    rhs_rho = ((new.u_tilde - old.u) @ (Planar(ops.forms.m_p2) @ new.u_tilde)) / tau \
         + 2.0 * new.rho * (terms.convection @ new.u_tilde) / terms.sqrt_e2
     res_rho = abs(lhs_rho - rhs_rho) / max(1.0, abs(lhs_rho), abs(rhs_rho))
     return res_r, res_rho
@@ -667,13 +664,14 @@ def scheme_residuals(ops: Operators, params: Params, old: State, new: State,
         - (lam * new.r / terms.sqrt_e1) * terms.fp
     res_mu = rel(r2, f.m_p1 @ new.mu, lam * (f.k_p1 @ new.phi))
 
-    r4 = f.m_v @ (new.u_tilde - old.u) / tau + (new.rho / terms.sqrt_e2) * terms.convection \
-        + params.nu * (f.k_v @ new.u_tilde) + terms.grad_p \
+    m_v = Planar(f.m_p2)
+    r4 = m_v @ (new.u_tilde - old.u) / tau + (new.rho / terms.sqrt_e2) * terms.convection \
+        + params.nu * (Planar(f.k_p2) @ new.u_tilde) + terms.grad_p \
         - (new.r / terms.sqrt_e1) * terms.capillary
     if forcing is not None:
         r4 -= terms.g_u_load
     interior = np.setdiff1d(np.arange(ops.p2v.ndofs), ops.p2v.boundary_dofs)
-    res_u = rel(r4[interior], f.m_v @ old.u / tau)
+    res_u = rel(r4[interior], m_v @ old.u / tau)
 
     res_r, res_rho = scalar_equation_residuals(ops, params, old, new, terms)
     return {"phi": res_phi, "mu": res_mu, "r": res_r, "u": res_u, "rho": res_rho}

@@ -28,6 +28,7 @@ def picard_step(state, params, ops, forcing=None, tol=1e-12, max_iter=400):
     g_u_load = 0.0 if forcing is None else terms.g_u_load
 
     n = ops.p1.ndofs
+    m_v = kron_planar(f.m_p2)
     r, rho = state.r, state.rho
     phi = mu = u_tilde = None
     for _ in range(max_iter):
@@ -38,7 +39,7 @@ def picard_step(state, params, ops, forcing=None, tol=1e-12, max_iter=400):
         x, _ = solve_general(ops.a_ch, rhs, 1e-13)
         phi, mu = x[:n], x[n:]
 
-        rhs_v = f.m_v @ state.u / tau - terms.grad_p + g_u_load \
+        rhs_v = m_v @ state.u / tau - terms.grad_p + g_u_load \
             + (r / se1) * capillary - (rho / se2) * convection
         u_tilde, _ = solve_spd(ops.velocity.matrix, ops.velocity.prepare_rhs(rhs_v), 1e-13)
 
@@ -49,13 +50,13 @@ def picard_step(state, params, ops, forcing=None, tol=1e-12, max_iter=400):
 
         a2 = 2.0 / tau
         a1 = -2.0 * state.rho / tau - 2.0 * (convection @ u_tilde) / se2
-        a0 = -((u_tilde - state.u) @ (f.m_v @ u_tilde)) / tau
+        a0 = -((u_tilde - state.u) @ (m_v @ u_tilde)) / tau
         disc = max(a1 * a1 - 4.0 * a2 * a0, 0.0)
         sq = np.sqrt(disc)
         q = -0.5 * (a1 + np.copysign(sq, a1)) if a1 != 0.0 else -0.5 * sq
         candidates = [q / a2, a0 / q] if q != 0.0 else [0.0]
         rho_new, _, _ = closest_ratio_root(candidates, lambda root: u_tilde,
-                                           f.m_v, params.c2)
+                                           m_v, params.c2)
 
         done = (abs(r_new - r) <= tol * max(1.0, abs(r))
                 and abs(rho_new - rho) <= tol * max(1.0, abs(rho)))
@@ -69,18 +70,22 @@ def picard_step(state, params, ops, forcing=None, tol=1e-12, max_iter=400):
 # einsum forms of the per-step field evaluations and loads
 
 
+def _planar_dofs(space):
+    """Global dof of each (cell, local node, component) of a planar vector space."""
+    dofs, n = space.scalar_cell_dofs, space.ndofs // 2
+    return np.stack([dofs, dofs + n], axis=-1)
+
+
 def _einsum_gather(space, coeffs):
     """Per-cell coefficients: (nt, nloc) scalar or (nt, nloc, 2) vector."""
     coeffs = np.asarray(coeffs)
     if space.ncomp == 1:
         return coeffs[space.scalar_cell_dofs]
-    return coeffs.reshape(-1, 2)[space.scalar_cell_dofs]
+    return coeffs[_planar_dofs(space)]
 
 
 def _einsum_scatter(space, cellwise):
-    dofs = space.scalar_cell_dofs
-    if space.ncomp == 2:
-        dofs = np.stack([2 * dofs, 2 * dofs + 1], axis=-1)
+    dofs = space.scalar_cell_dofs if space.ncomp == 1 else _planar_dofs(space)
     return np.bincount(dofs.ravel(), weights=cellwise.ravel(), minlength=space.ndofs)
 
 
@@ -274,11 +279,15 @@ def dict_space(mesh, kind):
         coords = np.vstack([mesh.vertices, midpoints])
         bdofs = np.sort(np.concatenate([mesh.boundary_vertices, nv + mesh.boundary_edges]))
     if kind == "p2vec":
-        cell_dofs = np.stack([2 * scalar_dofs, 2 * scalar_dofs + 1], axis=-1)
-        cell_dofs = cell_dofs.reshape(scalar_dofs.shape[0], -1)
-        bdofs = np.sort(np.concatenate([2 * bdofs, 2 * bdofs + 1]))
-        coords = np.repeat(coords, 2, axis=0)
-        ndofs, ncomp = 2 * (coords.shape[0] // 2), 2
+        # planar: component c of node k is dof c * n + k
+        n = coords.shape[0]
+        cell_dofs = np.empty((scalar_dofs.shape[0], 12), dtype=scalar_dofs.dtype)
+        for t, dofs in enumerate(scalar_dofs):
+            for c in range(2):
+                for i in range(6):
+                    cell_dofs[t, 6 * c + i] = c * n + dofs[i]
+        bdofs = np.array([c * n + k for c in range(2) for k in bdofs], dtype=bdofs.dtype)
+        ndofs, ncomp = 2 * n, 2
     else:
         cell_dofs = scalar_dofs
         ndofs, ncomp = coords.shape[0], 1
@@ -286,8 +295,9 @@ def dict_space(mesh, kind):
                    boundary_dofs=bdofs, dof_coords=coords, scalar_cell_dofs=scalar_dofs)
 
 
-def kron_expand_vector(m_scalar):
-    return sp.kron(m_scalar, sp.eye(2), format="csr")
+def kron_planar(block):
+    """The vector operator of a planar space: kron(I_2, block), one block per component."""
+    return sp.kron(sp.eye(2), block, format="csr")
 
 
 def broadcast_basis_gradients(tab):
@@ -300,34 +310,35 @@ def broadcast_basis_gradients(tab):
     return out
 
 
-def kron_assemble_forms(p1, p2v):
-    """assemble_forms with basis gradients made per matrix and vector blocks by kron."""
+def assemble_forms_by_hand(p1, p2v):
+    """assemble_forms with basis gradients made per matrix, and the coupling
+    blocks' planar velocity dofs numbered from the scalar ones by hand."""
     tab1, tab2 = asm._tables(p1, 5), asm._tables(p2v, 5)
 
     def mass(space, tab):
-        m = asm._matrix_from_cells(space, np.einsum("tq,qi,qj->tij", tab["wdet"],
-                                                    tab["vals"], tab["vals"]))
-        return kron_expand_vector(m) if space.ncomp == 2 else m
+        return asm._matrix_from_cells(space, np.einsum("tq,qi,qj->tij", tab["wdet"],
+                                                       tab["vals"], tab["vals"]))
 
     def stiffness(space, tab):
         g = broadcast_basis_gradients(tab)
-        k = asm._matrix_from_cells(space, np.einsum("tq,tqid,tqjd->tij", tab["wdet"], g, g))
-        return kron_expand_vector(k) if space.ncomp == 2 else k
+        return asm._matrix_from_cells(space, np.einsum("tq,tqid,tqjd->tij", tab["wdet"], g, g))
 
-    vdofs = np.stack([2 * p2v.scalar_cell_dofs, 2 * p2v.scalar_cell_dofs + 1], axis=-1)
+    # component-major within a cell, as assemble_forms lists the entries: COO sums
+    # repeated entries in an order that depends on it, and that order sets the last bits
+    vdofs = _planar_dofs(p2v).transpose(0, 2, 1)
     intn2 = np.einsum("tq,qm->tm", tab2["wdet"], tab2["vals"])
-    elem = np.einsum("tm,tkc->tmck", intn2, broadcast_basis_gradients(tab1)[:, 0])
+    elem = np.einsum("tm,tkc->tcmk", intn2, broadcast_basis_gradients(tab1)[:, 0])
     rows = np.repeat(vdofs.reshape(-1, 12), 3, axis=1).ravel()
     cols = np.tile(p1.scalar_cell_dofs, (1, 12)).ravel()
     grad = sp.coo_matrix((elem.ravel(), (rows, cols)), shape=(p2v.ndofs, p1.ndofs)).tocsr()
-    elem = np.einsum("tq,qk,tqmc->tkmc", tab2["wdet"], tab1["vals"],
+    elem = np.einsum("tq,qk,tqmc->tkcm", tab2["wdet"], tab1["vals"],
                      broadcast_basis_gradients(tab2))
     rows = np.repeat(p1.scalar_cell_dofs, 12, axis=1).ravel()
     cols = np.tile(vdofs.reshape(-1, 12), (1, 3)).ravel()
     div = sp.coo_matrix((elem.ravel(), (rows, cols)), shape=(p1.ndofs, p2v.ndofs)).tocsr()
     m_p1 = mass(p1, tab1)
-    return asm.AssembledForms(m_p1=m_p1, k_p1=stiffness(p1, tab1), m_v=mass(p2v, tab2),
-                              k_v=stiffness(p2v, tab2), grad_coupling=grad, div_coupling=div,
+    return asm.AssembledForms(m_p1=m_p1, k_p1=stiffness(p1, tab1), m_p2=mass(p2v, tab2),
+                              k_p2=stiffness(p2v, tab2), grad_coupling=grad, div_coupling=div,
                               lumped_p1=np.asarray(m_p1.sum(axis=1)).ravel())
 
 

@@ -5,7 +5,7 @@ import scipy.sparse as sp
 import oracles
 from chns import assembly as asm
 from chns.fem import build_space, interpolate
-from chns.linsolve import expand_vector
+from chns.linsolve import Planar
 from chns.mesh import Mesh, build_uniform_mesh
 from chns.scheme import Params, build_operators
 
@@ -58,9 +58,9 @@ def test_mass_positive_definite(spaces4_module):
     p1, _, p2v = spaces4_module
     rng = np.random.default_rng(11)
     for space in (p1, p2v):
-        m = asm.assemble_mass(space)
+        m = asm.assemble_mass(space)  # for p2v, the block of each component
         for _ in range(10):
-            x = rng.standard_normal(space.ndofs)
+            x = rng.standard_normal(m.shape[0])
             assert x @ (m @ x) > 0.0
 
 
@@ -68,7 +68,7 @@ def test_stiffness_kernel_and_positivity(spaces4_module):
     p1, _, p2v = spaces4_module
     k1 = asm.assemble_stiffness(p1)
     assert np.abs(k1 @ np.ones(p1.ndofs)).max() <= 1e-13
-    kv = asm.assemble_stiffness(p2v)
+    kv = Planar(asm.assemble_stiffness(p2v))
     const = interpolate(p2v, lambda x, y: (np.full_like(x, 1.7), np.full_like(x, -0.3)))
     assert np.abs(kv @ const).max() <= 1e-13
     rng = np.random.default_rng(5)
@@ -78,7 +78,7 @@ def test_stiffness_kernel_and_positivity(spaces4_module):
 
 
 def test_symmetry(forms4):
-    for a in (forms4.m_p1, forms4.k_p1, forms4.m_v, forms4.k_v):
+    for a in (forms4.m_p1, forms4.k_p1, forms4.m_p2, forms4.k_p2):
         scale = np.abs(a.data).max()
         diff = (a - a.T).tocoo()
         asym = np.abs(diff.data).max() if diff.nnz else 0.0
@@ -253,11 +253,14 @@ def test_forms_and_elimination_match_kron_and_coo_oracles(nx, ny, rect):
     p1, p2v = build_space(mesh, "p1"), build_space(mesh, "p2vec")
     forms = asm.assemble_forms(p1, p2v)
     ref_mesh = oracles.loop_uniform_mesh(nx, ny, rect)
-    ref = oracles.kron_assemble_forms(oracles.dict_space(ref_mesh, "p1"),
-                                      oracles.dict_space(ref_mesh, "p2vec"))
-    for name in ("m_p1", "k_p1", "m_v", "k_v", "grad_coupling", "div_coupling", "lumped_p1"):
+    ref = oracles.assemble_forms_by_hand(oracles.dict_space(ref_mesh, "p1"),
+                                         oracles.dict_space(ref_mesh, "p2vec"))
+    for name in ("m_p1", "k_p1", "m_p2", "k_p2", "grad_coupling", "div_coupling", "lumped_p1"):
         assert oracles.identical(getattr(forms, name), getattr(ref, name)), name
-    assert oracles.identical(expand_vector(forms.k_p1), oracles.kron_expand_vector(forms.k_p1))
+    # a planar velocity product is the block-diagonal kron(I_2, block) one, bit for bit
+    x = np.random.default_rng(nx).standard_normal(p2v.ndofs)
+    for block in (forms.m_p2, forms.k_p2):
+        assert (Planar(block) @ x).tobytes() == (oracles.kron_planar(block) @ x).tobytes()
     for space in (p1, build_space(mesh, "p2"), p2v):
         for degree in (5, 8):
             tab = asm._tables(space, degree)
@@ -266,11 +269,15 @@ def test_forms_and_elimination_match_kron_and_coo_oracles(nx, ny, rect):
 
     params = Params()
     ops = build_operators(p1, p2v, params, forms)
-    a_v = (ref.m_v / params.tau + params.nu * ref.k_v).tocsr()
-    for op, a in ((ops.velocity, a_v), (ops.projection, ref.m_v)):
-        dofs = p2v.boundary_dofs
-        assert oracles.identical(op.matrix, oracles.coo_eliminated_matrix(a, dofs))
-        assert oracles.identical(op._columns, a[:, dofs].tocsr())
+    a_v = (ref.m_p2 / params.tau + params.nu * ref.k_p2).tocsr()
+    dofs = p2v.boundary_dofs
+    for op, a in ((ops.velocity, a_v), (ops.projection, ref.m_p2)):
+        # eliminating the vector operator's boundary rows leaves kron(I_2, eliminated block)
+        vector = oracles.kron_planar(a)
+        assert oracles.identical(oracles.kron_planar(op.matrix.block),
+                                 oracles.coo_eliminated_matrix(vector, dofs))
+        assert oracles.identical(oracles.kron_planar(op._columns.block),
+                                 vector[:, dofs].tocsr())
 
 
 def test_elimination_matches_coo_oracle_on_any_input():
@@ -290,7 +297,7 @@ def test_elimination_matches_coo_oracle_on_any_input():
 
 def test_discrete_energies_examples(spaces4_module):
     p1, _, p2v = spaces4_module
-    m_v = asm.assemble_mass(p2v)
+    m_v = Planar(asm.assemble_mass(p2v))
     prm = Params(gamma=1.0, c1=1.0, c2=0.1, eps=0.04)
     e1, e2 = asm.compute_discrete_energies(p1, m_v, np.ones(p1.ndofs),
                                            np.zeros(p2v.ndofs), prm)
@@ -305,7 +312,7 @@ def test_discrete_energies_examples(spaces4_module):
 
 def test_discrete_energies_rejects_nonpositive(spaces4_module):
     p1, _, p2v = spaces4_module
-    m_v = asm.assemble_mass(p2v)
+    m_v = Planar(asm.assemble_mass(p2v))
     prm = Params(gamma=10.0, c1=0.05, c2=0.1, eps=10.0)  # G tiny, -gamma/2 phi^2 dominates
     with pytest.raises(asm.NonpositiveEnergyError):
         asm.compute_discrete_energies(p1, m_v, np.ones(p1.ndofs), np.zeros(p2v.ndofs), prm)

@@ -208,10 +208,11 @@ def parse_legacy_vtk(path):
 
 
 def test_vtk_snapshot_two_triangles(tmp_path):
-    mesh = build_uniform_mesh(1, 1)
+    mesh = build_uniform_mesh(1, 1)  # 4 vertices and 5 edges: 9 velocity nodes
     path = tmp_path / "snap.vtk"
-    fields = {"phi": np.ones(4), "mu": np.arange(4.0), "p": np.zeros(4),
-              "u": np.arange(8.0)}
+    # planar velocity: u_x = 0..8 on the nodes, then u_y = 100..108
+    u = np.concatenate([np.arange(9.0), 100.0 + np.arange(9.0)])
+    fields = {"phi": np.ones(4), "mu": np.arange(4.0), "p": np.zeros(4), "u": u}
     write_vtk_snapshot(mesh, fields, str(path))
     pts, cells, types, data = parse_legacy_vtk(str(path))
     assert pts.shape == (4, 3)
@@ -219,8 +220,12 @@ def test_vtk_snapshot_two_triangles(tmp_path):
     assert types == [5, 5]
     assert np.allclose(data["phi"], 1.0)
     assert np.allclose(data["mu"], [0, 1, 2, 3])
-    assert np.allclose(data["u"][:, 0], [0, 2, 4, 6])
-    assert np.allclose(data["u"][:, 2], 0.0)
+    assert np.array_equal(data["u"][:, 0], [0, 1, 2, 3])
+    assert np.array_equal(data["u"][:, 1], [100, 101, 102, 103])
+    assert np.array_equal(data["u"][:, 2], [0, 0, 0, 0])
+    for wrong in (u[:8], u[:-1], np.append(u, 0.0)):
+        with pytest.raises(ValueError, match="expected 2 \\* 9"):
+            write_vtk_snapshot(mesh, {**fields, "u": wrong}, str(path))
 
 
 # -- CLI ---------------------------------------------------------------------

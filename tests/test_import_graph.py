@@ -54,7 +54,7 @@ def gives_up(*args):
 stiff = one_step(replace(relaxation_params(), tau=4e-3))  # median c K_ii / M_ii 1.30
 mass = one_step(coarsening_params())                      # median 0.09
 assert stiff.ch_solver.direct and not mass.ch_solver.direct
-assert isinstance(stiff.velocity_precondition, VCycle)
+assert isinstance(stiff.velocity_precondition.block, VCycle)
 assert isinstance(mass.pressure_precondition, VCycle)
 calls = []
 fallback = linsolve._gmres_fallback

@@ -12,7 +12,7 @@ from chns import fem
 from chns.experiments import coarsening_params, default_tau_rule, random_phase_field, \
     relaxation_params
 from chns.fem import build_space, interpolate
-from chns.linsolve import SolverError, VCycle, jacobi, solve_general, \
+from chns.linsolve import Planar, SolverError, VCycle, jacobi, solve_general, \
     solve_neumann_zero_mean, solve_spd
 from chns.mesh import build_uniform_mesh
 from chns.scheme import ExplicitTerms, Params, build_operators, ch_split_solve
@@ -366,7 +366,7 @@ def test_cg_iterates_match_loop_oracles(preconditioner):
         velocity, pressure = ops.velocity.matrix, ops.forms.k_p1
         if preconditioner == "vcycle":
             vel_pre, p_pre = ops.velocity_precondition, ops.pressure_precondition
-            assert isinstance(vel_pre, VCycle) and isinstance(p_pre, VCycle)
+            assert isinstance(vel_pre.block, VCycle) and isinstance(p_pre, VCycle)
             vel_oracle, p_oracle = vel_pre, p_pre
         else:  # the solves' default
             vel_pre = p_pre = None
@@ -397,7 +397,7 @@ def test_velocity_solves_reuse_the_diagonal_bit_for_bit(spaces16):
         x, _ = solve_spd(a, b, 1e-10, ops.velocity_precondition)
         assert x.tobytes() == solve_spd(a, b)[0].tobytes()
         kept.append(ops.velocity_precondition)
-    assert not isinstance(kept[0], VCycle) and kept[1] is kept[0]
+    assert not isinstance(kept[0], Planar) and kept[1] is kept[0]
 
 
 def _coarsening_ops(nx, tau=1e-3):
@@ -430,7 +430,8 @@ def test_velocity_vcycle_iterations_do_not_grow_with_the_mesh(nx, tau):
         assert np.linalg.norm(b - a @ x) <= 1e-10 * np.linalg.norm(b)
         built.append(ops.velocity_precondition)
     # built by the first solve, reused by the second
-    assert isinstance(built[0], VCycle) and built[1] is built[0] and len(built[0].prolong) >= 2
+    cycle = built[0].block
+    assert isinstance(cycle, VCycle) and built[1] is built[0] and len(cycle.prolong) >= 2
 
 
 @pytest.mark.parametrize("nx", [16, 32, 64])
@@ -452,8 +453,8 @@ def test_pressure_vcycle_iterations_and_agreement_with_jacobi(nx):
 def test_vcycle_preconditioners_are_symmetric(tau):
     ops = _coarsening_ops(32, tau)
     rng = np.random.default_rng(7)
-    for vcycle in (ops.velocity_precondition, ops.pressure_precondition):
-        n = vcycle.ops[0].shape[0]
+    for vcycle, n in ((ops.velocity_precondition, ops.p2v.ndofs),
+                      (ops.pressure_precondition, ops.p1.ndofs)):
         for _ in range(3):
             x, y = rng.standard_normal(n), rng.standard_normal(n)
             xcy, ycx = x @ vcycle(y), y @ vcycle(x)
@@ -469,26 +470,25 @@ def test_vcycle_solves_keep_the_failure_contract():
     with pytest.raises(SolverError, match="conjugate gradients did not converge") as err:
         _velocity_solve(ops, b, 1e-20)
     assert 0.0 < err.value.residual < 1e-10
-    assert isinstance(ops.velocity_precondition, VCycle)
+    assert isinstance(ops.velocity_precondition.block, VCycle)
     with pytest.raises(SolverError, match="projected conjugate gradients did not") as err:
         _pressure_solve(ops, rng.standard_normal(ops.p1.ndofs), 1e-20)
     assert 0.0 < err.value.residual < 1e-10
 
 
-def test_vcycle_of_an_interleaved_operator_is_its_scalar_cycle_per_component():
-    ops = _coarsening_ops(16)
-    a = ops.velocity.matrix
-    scalar = a[0::2, 0::2].tocsr()
-    assert oracles.identical(linsolve.expand_vector(scalar), a)
-    free = np.setdiff1d(np.arange(ops.p1.ndofs), ops.p1.boundary_dofs)
-    levels = [fem.p1_to_p2(ops.mesh)[:, free]]
-    vector = linsolve.VCycle(a, levels, interleaved=True)
-    per_component = linsolve.VCycle(scalar, levels)
-    r = np.random.default_rng(2).standard_normal(a.shape[0])
-    z = vector(r)
-    for c in (0, 1):
-        assert np.allclose(z[c::2], per_component(r[c::2]), rtol=1e-13,
-                           atol=1e-13 * np.abs(z).max())
+@pytest.mark.parametrize("tau", [1e-3, 1e-5])
+def test_velocity_precondition_is_the_scalar_cycle_per_component(tau):
+    # tau 1e-3 is stiffness-dominated (a V-cycle), 1e-5 mass-dominated (Jacobi)
+    ops = _coarsening_ops(16, tau)
+    block, pre = ops.velocity.matrix.block, ops.velocity_precondition
+    n = block.shape[0]
+    assert isinstance(pre, Planar) == (tau == 1e-3)
+    # a scalar cycle made afresh on the same levels, or the scalar Jacobi diagonal
+    per_component = linsolve.VCycle(block, pre.block.prolong) if tau == 1e-3 else jacobi(block)
+    r = np.random.default_rng(2).standard_normal(2 * n)
+    z = pre(r)
+    assert z[:n].tobytes() == per_component(r[:n]).tobytes()
+    assert z[n:].tobytes() == per_component(r[n:]).tobytes()
 
 
 @pytest.mark.parametrize("nx", [1, 2, 3])
@@ -500,7 +500,7 @@ def test_vcycles_on_the_smallest_grids(nx):
     x, _ = _velocity_solve(ops, b)
     assert np.linalg.norm(b - ops.velocity.matrix @ x) <= 1e-10 * np.linalg.norm(b)
     # a mesh without interior vertices has no coarse velocity level
-    assert isinstance(ops.velocity_precondition, VCycle) == (nx != 1)
+    assert isinstance(ops.velocity_precondition, Planar) == (nx != 1)
     _, iterations = _pressure_solve(ops, rng.standard_normal(ops.p1.ndofs))
     assert iterations == 1
 

@@ -7,6 +7,7 @@ from chns import assembly as asm
 from chns.experiments import default_cross_polygon, points_in_polygon, \
     random_phase_field, relaxation_params
 from chns.fem import build_space, interpolate
+from chns.linsolve import Planar
 from chns.mesh import build_uniform_mesh
 from chns.mms import trig_case
 from chns.scheme import Forcing, Params, ReductionError, build_operators, \
@@ -78,13 +79,14 @@ def test_build_operators_velocity_spd_and_tau_scaling(small_ops, coarsen_params)
         assert x @ (small_ops.velocity.matrix @ x) > 0.0
     p1, p2v = small_ops.p1, small_ops.p2v
     ops2 = build_operators(p1, p2v, replace(coarsen_params, tau=2 * coarsen_params.tau))
-    interior = np.setdiff1d(np.arange(p2v.ndofs), p2v.boundary_dofs)
+    interior = np.setdiff1d(np.arange(p2v.ndofs // 2), p2v.boundary_dofs)
     i = interior[0]
-    m_ii = small_ops.forms.m_v[i, i]
-    k_ii = small_ops.forms.k_v[i, i]
-    assert small_ops.velocity.matrix[i, i] == pytest.approx(
+    m_ii = small_ops.forms.m_p2[i, i]
+    k_ii = small_ops.forms.k_p2[i, i]
+    # one block serves both components
+    assert small_ops.velocity.matrix.block[i, i] == pytest.approx(
         m_ii / coarsen_params.tau + coarsen_params.nu * k_ii)
-    assert ops2.velocity.matrix[i, i] == pytest.approx(
+    assert ops2.velocity.matrix.block[i, i] == pytest.approx(
         m_ii / (2 * coarsen_params.tau) + coarsen_params.nu * k_ii)
 
 
@@ -206,16 +208,15 @@ def test_velocity_split_residual_and_bc(small_ops, coarsen_params):
     bvals = _boundary_values(ops.p2v, bc)
     y0, y1, y2 = velocity_split_solve(ops, prm, u0, terms, bvals)
     # prescribed trace is imposed exactly on the explicit part
-    coords = ops.p2v.dof_coords[ops.p2v.boundary_dofs]
-    expect = np.where(ops.p2v.boundary_dofs % 2 == 0, coords[:, 1] - 0.5,
-                      -(coords[:, 0] - 0.5))
-    assert np.allclose(y0[ops.p2v.boundary_dofs], expect, atol=1e-14)
+    bd = ops.p2v.boundary_dofs
+    x, y = ops.p2v.dof_coords[bd[:bd.size // 2]].T  # the nodes of u_x, then of u_y
+    assert np.allclose(y0[bd], np.concatenate([y - 0.5, -(x - 0.5)]), atol=1e-14)
     assert np.abs(y1[ops.p2v.boundary_dofs]).max() == 0.0
     assert np.abs(y2[ops.p2v.boundary_dofs]).max() == 0.0
 
     r, rho = 2.0, 3.0
     combo = y0 + r * y1 + rho * y2
-    rhs = ops.forms.m_v @ u0 / prm.tau - terms.grad_p + (r / 2.0) * terms.capillary \
+    rhs = Planar(ops.forms.m_p2) @ u0 / prm.tau - terms.grad_p + (r / 2.0) * terms.capillary \
         - (rho / 3.0) * terms.convection
     rhs = ops.velocity.prepare_rhs(rhs, bvals)
     res = np.linalg.norm(ops.velocity.matrix @ combo - rhs) / np.linalg.norm(rhs)
@@ -375,7 +376,7 @@ def test_modified_energy_examples(small_ops):
     # dropping the velocity removes exactly the kinetic part
     s.u = interpolate(ops.p2v, lambda x, y: (x, y))
     with_u = modified_energy(ops, prm, s)
-    kinetic = 0.5 * quad(ops.forms.m_v, s.u)
+    kinetic = 0.5 * quad(Planar(ops.forms.m_p2), s.u)
     s.u = np.zeros(ops.p2v.ndofs)
     assert with_u - modified_energy(ops, prm, s) == pytest.approx(kinetic, rel=1e-12)
 
