@@ -19,6 +19,8 @@ by PRESB, whose two inner solves are V-cycles; any other block tries
 BiCGStab first, and GMRES with the same PRESB finishes a solve BiCGStab
 gives up on. Any other matrix falls back to Jacobi GMRES.
 
+Each sparse product of a solve calls scipy's compressed-sparse kernel
+directly (`_kernel`): bit for bit `a @ x`, without the checks `@` makes.
 Nothing here imports scipy's sparse linear-algebra package: it alone adds
 about 9 MB to a process (`tests/test_import_graph.py` checks a whole step).
 """
@@ -30,7 +32,7 @@ from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse._sparsetools import csr_matvec
+from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 
 
 class SolverError(RuntimeError):
@@ -41,7 +43,6 @@ class SolverError(RuntimeError):
         self.residual = residual
 
 
-SWEEPS = 2            # damped Jacobi sweeps before and after each coarse correction, by default
 JACOBI_SCALE = 1.3    # smoothing weight times the estimated lambda_max(D^-1 A)
 POWER_STEPS = 10      # power steps of that estimate
 RESTART = 30          # GMRES basis vectors per cycle
@@ -60,32 +61,49 @@ def _jacobi_weight(a: sp.csr_matrix, dinv: np.ndarray) -> float:
     return JACOBI_SCALE * (x @ (x / dinv)) / (x @ (a @ x))
 
 
+def _kernel(a):
+    """x -> a x for a CSR or CSC matrix: its product kernel, arguments bound once, run
+    into zeros (bit for bit `a @ x`), once per row for a stack x."""
+    rows, matvec = a.shape[0], {"csr": csr_matvec, "csc": csc_matvec}[a.format]
+    matvec = partial(matvec, *a.shape, a.indptr, a.indices, a.data)
+
+    def times(x: np.ndarray) -> np.ndarray:
+        y = np.zeros(x.shape[:-1] + (rows,))
+        if y.ndim == 1:
+            matvec(x, y)
+        else:
+            for xi, yi in zip(x, y):
+                matvec(xi, yi)
+        return y
+    return times
+
+
+def _product(a):
+    """x -> a @ x: `_kernel` for a float CSR matrix, else `a`'s own `@`."""
+    csr = sp.issparse(a) and a.format == "csr" and a.dtype == np.float64
+    return _kernel(a) if csr else a.__matmul__
+
+
 class VCycle:
     """Symmetric multigrid V-cycle, a preconditioner for conjugate gradients.
 
     Level 0 is `a`; level l + 1 is the Galerkin product P^T A_l P of the
-    l-th prolongation P. Each level but the coarsest smooths with `sweeps`
-    damped Jacobi sweeps (SWEEPS unless a subclass sets fewer) before its
-    coarse correction and as many after, starting from zero. The coarsest
-    level is smoothed the same way, or, with `coarse_pinv`, solved by its
-    dense pseudo-inverse; that option is for a Neumann problem, whose
-    kernel is the constant vector e / |e| = q, and forms the pseudo-inverse
-    as inv(A + q q^T) - q q^T (an eigenvalue decomposition would load more
-    of LAPACK, about 2 MB of memory). With
-    equal sweeps before and after, restriction P^T and a symmetric
-    coarsest step, the cycle is a symmetric operator (of one scalar field).
+    l-th prolongation P. Each level smooths with one damped Jacobi sweep
+    before its coarse correction and one after, starting from zero. The
+    coarsest level is smoothed alike or, with `coarse_pinv`, solved by its
+    dense pseudo-inverse: for a Neumann problem, whose kernel is q = e / |e|,
+    inv(A + q q^T) - q q^T (an eigendecomposition would load about 2 MB
+    more of LAPACK). The cycle is symmetric. It takes a vector or a (k, n)
+    stack: one kernel call per row and product, elementwise work on the stack.
     """
 
-    sweeps = SWEEPS
-
     def __init__(self, a: sp.csr_matrix, prolongations=(), coarse_pinv: bool = False):
-        self.ops, self.smoothers, self.prolong, self.restrict = [], [], [], []
+        self.ops, self.smoothers, self.prolong = [], [], []
         for p in prolongations:
             self._add_level(a)
             p = sp.csr_matrix(p)
             a = (p.T @ (a @ p)).tocsr()
             self.prolong.append(p)
-            self.restrict.append(p.T)  # a CSC view of p's arrays, not a copy
         self.coarse_inverse = None
         if coarse_pinv:
             n = a.shape[0]
@@ -94,6 +112,9 @@ class VCycle:
             self.coarse_inverse = 0.5 * (inv + inv.T)
         else:
             self._add_level(a)
+        self._ops = [_kernel(a) for a in self.ops]
+        self._prolong = [_kernel(p) for p in self.prolong]
+        self._restrict = [_kernel(p.T) for p in self.prolong]  # P^T: a CSC view of P
 
     def _add_level(self, a: sp.csr_matrix) -> None:
         dinv = _inv_diagonal(a)
@@ -105,50 +126,37 @@ class VCycle:
 
     def _cycle(self, level: int, b: np.ndarray) -> np.ndarray:
         if level == len(self.ops):
-            return self.coarse_inverse @ b
-        a, w = self.ops[level], self.smoothers[level]
+            return (self.coarse_inverse @ b.T).T  # of a vector or one row: the gemv C b
+        a, w = self._ops[level], self.smoothers[level]
         x = w * b
-        for _ in range(self.sweeps - 1):
-            _smooth(a, w, b, x)
         if level < len(self.prolong):
-            r = a @ x
+            r = a(x)
             np.subtract(b, r, out=r)
-            x += self.prolong[level] @ self._cycle(level + 1, self.restrict[level] @ r)
-        for _ in range(self.sweeps):
-            _smooth(a, w, b, x)
+            x += self._prolong[level](self._cycle(level + 1, self._restrict[level](r)))
+        r = a(x)  # the damped Jacobi sweep x += w (b - A x)
+        np.subtract(b, r, out=r)
+        r *= w
+        x += r
         return x
-
-
-def _smooth(a: sp.csr_matrix, w: np.ndarray, b: np.ndarray, x: np.ndarray) -> None:
-    """One damped Jacobi sweep in place: x += w (b - A x)."""
-    r = a @ x
-    np.subtract(b, r, out=r)
-    r *= w
-    x += r
 
 
 class Planar:
     """A velocity operator kron(I_2, block), stored once as the `block` of one component.
 
-    It applies `block` to each half of a planar vector [x_1; x_2] in turn
-    (`fem.build_space` numbers vector spaces so). A CSR block, which may be
-    rectangular, is applied by `@`, through scipy's own CSR product kernel
-    (what `block @ x` runs, bit for bit) writing straight into the halves
-    of one output; a preconditioner such as a `VCycle` by calling.
+    It applies `block` to a planar vector [x_1; x_2] (`fem.build_space`
+    numbers vector spaces so) as one (2, n) stack: a CSR block, which may
+    be rectangular, by `@`; a preconditioner such as a `VCycle` by calling.
     """
 
     def __init__(self, block):
         self.block = block
+        self._times = _kernel(block) if sp.issparse(block) else None
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        a, out = self.block, np.zeros(2 * self.block.shape[0])
-        for xc, yc in zip(np.ascontiguousarray(x, dtype=float).reshape(2, -1), out.reshape(2, -1)):
-            csr_matvec(*a.shape, a.indptr, a.indices, a.data, xc, yc)  # yc += a @ xc
-        return out
+        return self._times(np.ascontiguousarray(x, dtype=float).reshape(2, -1)).reshape(-1)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        n = x.shape[0] // 2
-        return np.concatenate([self.block(x[:n]), self.block(x[n:])])
+        return self.block(x.reshape(2, -1)).reshape(-1)
 
     def diagonal(self) -> np.ndarray:
         return np.tile(self.block.diagonal(), 2)
@@ -179,6 +187,7 @@ def _pcg(a, b, precondition, tol, project=None):
         return v if project is None else project(v)
 
     name = "conjugate gradients" if project is None else "projected conjugate gradients"
+    times = _product(a)
     x = np.zeros_like(b)
     r = b.copy()
     z = keep(precondition(r))
@@ -188,14 +197,14 @@ def _pcg(a, b, precondition, tol, project=None):
     k = 0
     while k < 10 * b.shape[0]:
         k += 1
-        ap = a @ p
+        ap = times(p)
         alpha = rz / (p @ ap)
         x += alpha * p
         r -= alpha * ap
         rnorm = np.linalg.norm(r)
         if rnorm <= tol:
             # recursive residual can drift; accept only a verified one
-            r = keep(b - a @ x)
+            r = keep(b - times(x))
             if np.linalg.norm(r) <= tol:
                 return x, k
         elif not np.isfinite(rnorm):
@@ -206,7 +215,7 @@ def _pcg(a, b, precondition, tol, project=None):
         p = z + (rz_new / rz) * p
         rz = rz_new
     raise SolverError(f"{name} did not converge",
-                      np.linalg.norm(b - a @ x) / np.linalg.norm(b))
+                      np.linalg.norm(b - times(x)) / np.linalg.norm(b))
 
 
 def solve_spd(a: sp.csr_matrix, b: np.ndarray, tol: float = 1e-10,
@@ -241,6 +250,7 @@ def _bicgstab(a, b, dinv, tol, max_it):
     keeps the floating-point operations, and their order, of the textbook
     expressions in its comment.
     """
+    times = _product(a)
     bnorm = np.linalg.norm(b)
     x = np.zeros_like(b)
     r = b.copy()
@@ -256,7 +266,7 @@ def _bicgstab(a, b, dinv, tol, max_it):
 
     def restart():
         nonlocal rho, alpha, omega, v, restarts, best, shadow_norm, rnorm
-        np.subtract(b, a @ x, out=r)
+        np.subtract(b, times(x), out=r)
         rnorm = np.linalg.norm(r)
         if not np.isfinite(rnorm) or (rnorm >= best and restarts > 2):
             raise SolverError("bicgstab stagnated", rnorm / bnorm)
@@ -287,7 +297,7 @@ def _bicgstab(a, b, dinv, tol, max_it):
         p *= beta
         p += r
         np.multiply(dinv, p, out=phat)
-        v = a @ phat
+        v = times(phat)
         denom = r_shadow @ v
         scale = shadow_norm * np.linalg.norm(v)
         if denom == 0.0 or abs(denom) < 1e-30 * max(scale, 1e-300):
@@ -301,13 +311,13 @@ def _bicgstab(a, b, dinv, tol, max_it):
             # x += alpha * phat
             np.multiply(phat, alpha, out=work)
             x += work
-            np.subtract(b, a @ x, out=r)
+            np.subtract(b, times(x), out=r)
             rnorm = np.linalg.norm(r)
             if rnorm <= tol:
                 return x, k
             continue
         np.multiply(dinv, s, out=shat)
-        t = a @ shat
+        t = times(shat)
         tt = t @ t
         if tt < 1e-300:
             restart()
@@ -323,11 +333,11 @@ def _bicgstab(a, b, dinv, tol, max_it):
         np.subtract(s, work, out=r)
         rnorm = np.linalg.norm(r)
         if rnorm <= tol:
-            np.subtract(b, a @ x, out=r)
+            np.subtract(b, times(x), out=r)
             rnorm = np.linalg.norm(r)
             if rnorm <= tol:
                 return x, k
-    raise SolverError("bicgstab did not converge", np.linalg.norm(b - a @ x) / bnorm)
+    raise SolverError("bicgstab did not converge", np.linalg.norm(b - times(x)) / bnorm)
 
 
 def _gmres(apply, b, precondition, tol, max_it, x, k=0):
@@ -397,17 +407,6 @@ def _gmres(apply, b, precondition, tol, max_it, x, k=0):
     return x, k
 
 
-class PresbCycle(VCycle):
-    """The V-cycle that stands in for H^-1 in `Presb`: one damped Jacobi
-    sweep before and one after each coarse correction. PRESB-GMRES then
-    takes 15-17 iterations instead of 13-14, but a solve at nx=32 takes
-    3.0-4.6 ms instead of 4.0-5.8 (2 cores, one BLAS thread), which keeps
-    the `relax32` benchmark's step time inside its bound (BENCH_presb.json).
-    """
-
-    sweeps = 1
-
-
 class Presb:
     """Solver data of a Cahn-Hilliard block, made once per block.
 
@@ -421,29 +420,25 @@ class Presb:
         w = H^-1 (f1 + f2),  x2 = H^-1 (M w - f1),  x1 = w - x2.
 
     `h_inverse` stands in for H^-1 (one V-cycle), so the preconditioner is a
-    fixed linear map. A block with `direct` set goes straight to
-    PRESB-GMRES; any other tries Jacobi BiCGStab first, with `dinv`, the
-    inverse diagonal of A.
+    fixed linear map. A block with `direct` set goes straight to PRESB-GMRES;
+    any other tries Jacobi BiCGStab first, with `dinv`, A's inverse diagonal.
     """
 
     def __init__(self, a: sp.csr_matrix, m: sp.csr_matrix, tau: float, s: float,
                  h_inverse, direct: bool):
-        n = m.shape[0]
-        self.m, self.h_inverse, self.direct = m, h_inverse, direct
-        self.row_scale = np.repeat([tau, -1.0 / s], n)
-        self.col_scale = np.repeat([1.0, -s], n)
-        self.scaled = (sp.diags(self.row_scale) @ a @ sp.diags(self.col_scale)).tocsr()
+        self.h_inverse, self.direct = h_inverse, direct
+        self.row_scale = np.repeat([tau, -1.0 / s], m.shape[0])
+        self.col_scale = np.repeat([1.0, -s], m.shape[0])
+        scaled = (sp.diags(self.row_scale) @ a @ sp.diags(self.col_scale)).tocsr()
+        self.times_scaled, self.times_m = _product(scaled), _product(m)
         self.dinv = _inv_diagonal(a)
 
     def __call__(self, f: np.ndarray) -> np.ndarray:
         """The PRESB solve: x with P x = f."""
-        n = self.m.shape[0]
-        f1, f2 = f[:n], f[n:]
+        f1, f2 = f.reshape(2, -1)
         w = self.h_inverse(f1 + f2)
-        x = np.empty_like(f)
-        x[n:] = self.h_inverse(self.m @ w - f1)
-        np.subtract(w, x[n:], out=x[:n])
-        return x
+        x2 = self.h_inverse(self.times_m(w) - f1)
+        return np.concatenate([w - x2, x2])
 
 
 def _presb_gmres(a, b, tol, max_it, presb: Presb):
@@ -453,13 +448,14 @@ def _presb_gmres(a, b, tol, max_it, presb: Presb):
     `a`. If the residual of `a` then misses tol, GMRES goes on from the
     solution it has, aiming the scaled residual lower by the factor missed.
     """
+    times = _product(a)
     f = presb.row_scale * b
     scaled_tol = tol / np.linalg.norm(b) * np.linalg.norm(f)
     y, k = np.zeros_like(b), 0
     while True:
-        y, k = _gmres(presb.scaled.dot, f, presb, scaled_tol, max_it, y, k)
+        y, k = _gmres(presb.times_scaled, f, presb, scaled_tol, max_it, y, k)
         x = presb.col_scale * y
-        res = np.linalg.norm(b - a @ x)
+        res = np.linalg.norm(b - times(x))
         if res <= tol:
             return x, k
         scaled_tol *= 0.5 * tol / res
@@ -470,19 +466,17 @@ def _gmres_fallback(a, b, tol, max_it, presb: Presb | None):
     Cahn-Hilliard block, Jacobi-preconditioned for any other matrix."""
     if presb is not None:
         return _presb_gmres(a, b, tol, max_it, presb)
-    return _gmres(a.dot, b, jacobi(a), tol, max_it, np.zeros_like(b))
+    return _gmres(_product(a), b, jacobi(a), tol, max_it, np.zeros_like(b))
 
 
 def solve_general(a: sp.csr_matrix, b: np.ndarray, tol: float = 1e-10,
                   presb: Presb | None = None) -> tuple[np.ndarray, int]:
     """Solve a square nonsymmetric system; returns (x, iterations).
 
-    Pass a Cahn-Hilliard block's `Presb`, kept with the block, to every
-    solve with it. A block it marks `direct` goes straight to
-    PRESB-preconditioned GMRES. Any other system is first tried with
-    Jacobi-preconditioned stabilized bi-conjugate gradients; if that breaks
-    down or stagnates, GMRES finishes the solve, preconditioned by the
-    `Presb` if given, else by the Jacobi diagonal.
+    Pass a Cahn-Hilliard block's `Presb` to every solve with it. A block it
+    marks `direct` goes straight to PRESB-preconditioned GMRES. Any other
+    system tries Jacobi BiCGStab first; if that breaks down or stagnates,
+    GMRES preconditioned by the `Presb` (else by the Jacobi diagonal) finishes.
     """
     b, e = _unit_scaled(b)
     bnorm = np.linalg.norm(b)

@@ -37,7 +37,7 @@ import scipy.sparse as sp
 from . import assembly as asm
 from .assembly import AssembledForms, DirichletOperator, NonpositiveEnergyError
 from .fem import FeSpace, coarser_grid, grid_interpolation, interpolate, p1_to_p2
-from .linsolve import Planar, Presb, PresbCycle, SolverError, VCycle, jacobi, solve_general, \
+from .linsolve import Planar, Presb, SolverError, VCycle, jacobi, solve_general, \
     solve_neumann_zero_mean, solve_spd
 from .mesh import Mesh
 
@@ -244,7 +244,7 @@ def _velocity_precondition(ops: Operators):
 
 
 def _ch_solver(ops: Operators) -> Presb:
-    """The phase block's PRESB data; H^-1 is one `PresbCycle` of H = M + c K.
+    """The phase block's PRESB data; H^-1 is one `VCycle` of H = M + c K.
 
     H is Neumann P1, so its levels keep every vertex. The block goes
     straight to PRESB-GMRES when it is stiffness-dominated (median of
@@ -252,7 +252,7 @@ def _ch_solver(ops: Operators) -> Presb:
     """
     k, m, c = ops.forms.k_p1, ops.forms.m_p1, ops.ch_c
     prolongations = _grid_prolongations(ops.mesh.grid, k, m, c)
-    h = PresbCycle((m + c * k).tocsr(), prolongations)
+    h = VCycle((m + c * k).tocsr(), prolongations)
     return Presb(ops.a_ch, m, ops.tau, ops.ch_s, h,
                  direct=_stiffness_dominates(c, k.diagonal(), m.diagonal()))
 
@@ -408,16 +408,21 @@ def velocity_split_solve(ops: Operators, params: Params, u_n: np.ndarray,
 def solve_quadratic(a2: float, a1: float, a0: float) -> tuple[float, ...]:
     """Roots of a2 x^2 + a1 x + a0 = 0, organized to avoid cancellation.
 
-    A discriminant within -1e-12 * scale of zero is clamped to zero; more
-    negative raises ReductionError. Near-vanishing a2 degrades to the
-    linear equation, but only where the quadratic term is negligible at
-    the linear root (|a2 a0| <= 1e-14 a1^2); elsewhere a small a2 keeps
-    both roots, or none.
+    The coefficients are first divided by a power of two near max(|a1|,
+    2 sqrt|a2 a0|), exactly, so that a1^2 and 4 a2 a0 keep their digits. A
+    discriminant within -1e-12 * scale of zero is clamped to zero; more
+    negative raises ReductionError. Near-vanishing a2 degrades to the linear equation, but
+    only where the quadratic term is negligible at the linear root
+    (|a2 a0| <= 1e-14 a1^2); elsewhere a small a2 keeps both roots, or none.
     """
+    coeffs = (a2, a1, a0)
+    size = max(abs(a1), 2.0 * np.sqrt(abs(a2)) * np.sqrt(abs(a0)))
+    e = max(np.frexp(size)[1], np.frexp(max(map(abs, coeffs)))[1] - 1000)
+    a2, a1, a0 = np.ldexp(np.array(coeffs, dtype=float), -e)
     scale = max(a1 * a1, abs(4.0 * a2 * a0))
     if abs(a2) < 1e-14 * max(abs(a1), abs(a0)) and abs(a2 * a0) <= 1e-14 * a1 * a1:
         if a1 == 0.0:
-            raise ReductionError(f"degenerate quadratic: a2={a2}, a1={a1}, a0={a0}")
+            raise ReductionError("degenerate quadratic: a2={}, a1={}, a0={}".format(*coeffs))
         return (-a0 / a1,)
     disc = a1 * a1 - 4.0 * a2 * a0
     if disc < 0.0:

@@ -494,3 +494,31 @@ def projected_cg_loop(k_mat, b, precondition, tol, max_it):
         raise SolverError("projected conjugate gradients did not converge",
                           np.linalg.norm(b - k_mat @ x) / bnorm)
     return x, k
+
+
+# ---------------------------------------------------------------------------
+# the multigrid V-cycle by scipy's `@`, one vector at a time
+
+
+def matmul_vcycle(cycle, b):
+    """One V-cycle on `cycle`'s levels as it ran with `@` products: one damped
+    Jacobi sweep before and one after each coarse correction, restriction by
+    the CSC view P^T, the coarsest level smoothed or solved by its dense
+    pseudo-inverse. `b` is one vector."""
+    def down(level, b):
+        if level == len(cycle.ops):
+            return cycle.coarse_inverse @ b
+        a, w = cycle.ops[level], cycle.smoothers[level]
+        x = w * b
+        if level < len(cycle.prolong):
+            r = a @ x
+            np.subtract(b, r, out=r)
+            p = cycle.prolong[level]
+            x += p @ down(level + 1, p.T @ r)
+        r = a @ x
+        np.subtract(b, r, out=r)
+        r *= w
+        x += r
+        return x
+
+    return down(0, b)

@@ -491,6 +491,51 @@ def test_velocity_precondition_is_the_scalar_cycle_per_component(tau):
     assert z[n:].tobytes() == per_component(r[n:]).tobytes()
 
 
+def test_kernel_cycles_match_the_matmul_cycle_byte_for_byte():
+    # PRESB's H cycle (smoothed coarsest level), the pressure cycle (dense
+    # pseudo-inverse there) and the velocity cycle on both components at once
+    ops = _coarsening_ops(32, tau=0.1)
+    rng = np.random.default_rng(13)
+    h, pressure = ops.ch_solver.h_inverse, ops.pressure_precondition
+    assert len(h.prolong) >= 1 and h.coarse_inverse is None
+    assert len(pressure.prolong) >= 1 and pressure.coarse_inverse is not None
+    for cycle in (h, pressure):
+        b = rng.standard_normal(cycle.ops[0].shape[0])
+        assert cycle(b).tobytes() == oracles.matmul_vcycle(cycle, b).tobytes()
+    velocity = ops.velocity_precondition
+    cycle = velocity.block
+    assert len(cycle.prolong) >= 2
+    b = rng.standard_normal((2, cycle.ops[0].shape[0]))
+    expected = np.stack([oracles.matmul_vcycle(cycle, row) for row in b])
+    assert cycle(b).tobytes() == expected.tobytes()
+    assert velocity(b.ravel()).tobytes() == expected.tobytes()
+
+
+def test_solves_make_no_scipy_sparse_product(monkeypatch):
+    # every product of a velocity, a pressure and a PRESB-GMRES solve runs the
+    # compressed-sparse kernel directly, not through scipy's `@` or `dot`
+    mesh = build_uniform_mesh(8, 8)
+    params = replace(relaxation_params(), tau=0.1)
+    ops = build_operators(build_space(mesh, "p1"), build_space(mesh, "p2vec"), params)
+    rng = np.random.default_rng(8)
+    b_vel = ops.velocity.prepare_rhs(rng.standard_normal(ops.p2v.ndofs))
+    b_p, b_ch = rng.standard_normal(ops.p1.ndofs), rng.standard_normal(2 * ops.p1.ndofs)
+    presb = ops.ch_solver  # the solver data are made before counting
+    assert presb.direct and isinstance(ops.velocity_precondition.block, VCycle)
+    assert isinstance(ops.pressure_precondition, VCycle)
+    calls = []
+    for name in ("__matmul__", "dot"):
+        fn = getattr(sp._base._spbase, name)
+        monkeypatch.setattr(sp._base._spbase, name,
+                            lambda *args, _fn=fn, _name=name: calls.append(_name) or _fn(*args))
+    _, k_vel = _velocity_solve(ops, b_vel)
+    _, k_p = _pressure_solve(ops, b_p)
+    _, k_ch = solve_general(ops.a_ch, b_ch, params.solver_tol, presb)
+    assert min(k_vel, k_p, k_ch) >= 1 and calls == []
+    ops.a_ch @ b_ch  # the counting itself works
+    assert calls == ["__matmul__"]
+
+
 @pytest.mark.parametrize("nx", [1, 2, 3])
 def test_vcycles_on_the_smallest_grids(nx):
     # tau = 1 makes the velocity stiffness-dominated down to the coarsest grid

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -137,15 +139,16 @@ def test_cached_fields_match_uncached(case):
 def test_new_coordinate_arrays_get_their_own_factors(case):
     rng = np.random.default_rng(41)
     values = rng.uniform(0.0, 1.0, (20, 2, 64))
-    seen, reused = set(), 0
-    for xs, ys in values:
-        # freeing the previous pair lets the allocator hand its ids to this one
-        x, y = _frozen(xs), _frozen(ys)
-        reused += (id(x), id(y)) in seen
-        seen.add((id(x), id(y)))
-        np.testing.assert_array_equal(case.p(0.2, x, y), case.p(0.2, xs, ys))
-        del x, y
-    assert reused > 0
+    for i, (xs, ys) in enumerate(values):
+        pair = [_frozen(xs), _frozen(ys)]
+        key = (id(pair[0]), id(pair[1]))
+        np.testing.assert_array_equal(case.p(0.2, *pair), case.p(0.2, xs, ys))
+        assert key in mms._TRIG_CACHE
+        # freeing either array drops the entry, so arrays that later get these
+        # ids cannot meet stale factors
+        pair.pop(i % 2)
+        gc.collect()
+        assert key not in mms._TRIG_CACHE
     # arrays that can change are evaluated afresh on every call
     xs, ys = rng.uniform(0.0, 1.0, (2, 64))
     before = case.phi(0.2, xs, ys)

@@ -2,6 +2,7 @@
 identity of a step, the linearity of the split solves and the root choice."""
 
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -36,6 +37,9 @@ def test_presb_inverts_its_preconditioner(exact_presb, seed, scale):
     assert np.linalg.norm(p @ presb(f) - f) <= 1e-12 * np.linalg.norm(f)
 
 
+TOL = Fraction(1, 10 ** 9)
+
+
 def _residual(a2, a1, a0, x):
     """|a2 x^2 + a1 x + a0| against the size of its terms."""
     terms = (a2 * x * x, a1 * x, a0)
@@ -43,27 +47,32 @@ def _residual(a2, a1, a0, x):
 
 
 def _check_roots(a2, a1, a0):
+    # checked in exact rational arithmetic, which neither underflows nor overflows
     try:
-        roots = solve_quadratic(a2, a1, a0)
+        roots = [Fraction(x) for x in solve_quadratic(a2, a1, a0)]
     except ReductionError:
+        roots = None
+    a2, a1, a0 = Fraction(a2), Fraction(a1), Fraction(a0)
+    if roots is None:
         # only a negative discriminant, or no equation at all, has no root
-        assert a1 * a1 - 4.0 * a2 * a0 < 0.0 or a2 == a1 == 0.0
+        assert a1 * a1 - 4 * a2 * a0 < 0 or a2 == a1 == 0
         return
     for x in roots:
         res, size = _residual(a2, a1, a0, x)
-        assert res <= 1e-9 * size
-    if len(roots) == 2 and a2 != 0.0:  # Vieta; a2 = a1 = a0 = 0 gives (0, 0)
+        assert res <= TOL * size
+    if len(roots) == 2 and a2 != 0:  # Vieta; a2 = a1 = a0 = 0 gives (0, 0)
         x1, x2 = roots
-        assert abs((x1 + x2) + a1 / a2) <= 1e-9 * (abs(x1) + abs(x2))
-        assert abs(x1 * x2 - a0 / a2) <= 1e-9 * abs(a0 / a2)
+        assert abs((x1 + x2) + a1 / a2) <= TOL * (abs(x1) + abs(x2))
+        assert abs(x1 * x2 - a0 / a2) <= TOL * abs(a0 / a2)
     elif len(roots) == 1:  # the linear branch keeps the small root; Vieta puts
         (x,) = roots     # the other at -a1/a2 - x
-        assert a2 == 0.0 or abs(x) <= abs(a1 / a2 + x)
+        assert a2 == 0 or abs(x) <= abs(a1 / a2 + x)
 
 
-# solve_quadratic does not rescale, so a coefficient's square must neither
-# underflow nor overflow: zero, or a magnitude in [1e-100, 1e100]
-magnitude = st.floats(1e-100, 1e100)
+# solve_quadratic scales its coefficients by a power of two first: zero, or a
+# magnitude in [1e-300, 1]; a wider ratio of two coefficients puts a root
+# outside the floating-point range
+magnitude = st.floats(1e-300, 1.0)
 coefficient = st.one_of(st.just(0.0), magnitude, magnitude.map(lambda v: -v))
 
 
@@ -71,13 +80,13 @@ coefficient = st.one_of(st.just(0.0), magnitude, magnitude.map(lambda v: -v))
 @given(a2=coefficient, a1=coefficient, a0=coefficient)
 @example(a2=1e-15, a1=1e-10, a0=1.0)   # no real root, though a2 is below 1e-14 a0
 @example(a2=1e-20, a1=0.0, a0=-1.0)    # the roots +-1e10, though a2 is below 1e-14 a0
+@example(a2=1.0, a1=1.74e-301, a0=0.0)  # a1^2 underflows unless scaled: -a1 is a root
 def test_quadratic_roots_solve_it_and_obey_vieta(a2, a1, a0):
     _check_roots(a2, a1, a0)
 
 
-# a2 / max(|a1|, |a0|): zero, or a magnitude in [1e-20, 1e-13]; a smaller
-# nonzero one lets a2 reach subnormal values, and a0 / a2 in the Vieta check
-# then overflows
+# a2 / max(|a1|, |a0|): zero, or a magnitude in [1e-20, 1e-13], around the
+# threshold of the linear branch
 small_ratio = st.floats(1e-20, 1e-13)
 
 
