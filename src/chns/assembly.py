@@ -10,12 +10,13 @@ machine and BLAS thread count.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
 from .fem import ASSEMBLY_DEGREE, NORM_DEGREE, FeSpace, p1_tables, p2_tables, triangle_quadrature
-from .linsolve import Planar
+from .linsolve import Planar, _kernel
 from .mesh import Mesh
 
 
@@ -186,18 +187,6 @@ def assemble_stiffness(space: FeSpace) -> sp.csr_matrix:
     return _stiffness(space, _basis_gradients(_tables(space, ASSEMBLY_DEGREE)))
 
 
-def _pressure_gradient(p2v: FeSpace, p1: FeSpace, grads1: np.ndarray) -> sp.csr_matrix:
-    """G[i, k] = (grad q_k, v_i) for pressure basis q_k, velocity basis v_i."""
-    tab2 = _tables(p2v, ASSEMBLY_DEGREE)
-    # P1 gradients are constant per triangle
-    gradp1 = grads1[:, 0]  # (nt, 3, 2)
-    intn2 = np.einsum("tq,qm->tm", tab2["wdet"], tab2["vals"])
-    elem = np.einsum("tm,tkc->tcmk", intn2, gradp1)  # (nt, 2, 6, 3), rows as in cell_dofs
-    rows = np.repeat(p2v.cell_dofs, 3, axis=1).ravel()
-    cols = np.tile(p1.scalar_cell_dofs, (1, 12)).ravel()
-    return sp.coo_matrix((elem.ravel(), (rows, cols)), shape=(p2v.ndofs, p1.ndofs)).tocsr()
-
-
 def _divergence(p1: FeSpace, p2v: FeSpace, grads2: np.ndarray) -> sp.csr_matrix:
     """D[k, i] = (div v_i, q_k); div_load(u) is then D @ u."""
     tab2 = _tables(p2v, ASSEMBLY_DEGREE)
@@ -210,23 +199,28 @@ def _divergence(p1: FeSpace, p2v: FeSpace, grads2: np.ndarray) -> sp.csr_matrix:
 
 @dataclass
 class AssembledForms:
-    """Time-independent operators shared by every step of a run."""
+    """Time-independent operators shared by every step of a run.
+
+    The pressure gradient is -D^T (`grad_p_load`): its boundary rows hold
+    -(q_k, div v_i), not (grad q_k, v_i), and every consumer overwrites them.
+    """
 
     m_p1: sp.csr_matrix
     k_p1: sp.csr_matrix
     m_p2: sp.csr_matrix           # scalar P2 mass, each velocity component's block
     k_p2: sp.csr_matrix           # scalar P2 stiffness, likewise
-    grad_coupling: sp.csr_matrix  # (grad q_k, v_i)
-    div_coupling: sp.csr_matrix   # (div v_i, q_k)
+    div_coupling: sp.csr_matrix   # D[k, i] = (div v_i, q_k)
     lumped_p1: np.ndarray         # row sums of m_p1, i.e. (1, q_k)
+
+    @cached_property
+    def _div_transpose(self):
+        """p -> D^T p: the CSC kernel on D's transpose view, which copies no data."""
+        return _kernel(self.div_coupling.T)
 
 
 def assemble_forms(p1: FeSpace, p2v: FeSpace) -> AssembledForms:
-    # each space's basis gradients serve its two matrices, then are dropped
-    grads1 = _basis_gradients(_tables(p1, ASSEMBLY_DEGREE))
-    k_p1 = _stiffness(p1, grads1)
-    grad_coupling = _pressure_gradient(p2v, p1, grads1)
-    del grads1
+    k_p1 = assemble_stiffness(p1)
+    # the P2 basis gradients serve two matrices, then are dropped
     grads2 = _basis_gradients(_tables(p2v, ASSEMBLY_DEGREE))
     k_p2 = _stiffness(p2v, grads2)
     div_coupling = _divergence(p1, p2v, grads2)
@@ -237,7 +231,6 @@ def assemble_forms(p1: FeSpace, p2v: FeSpace) -> AssembledForms:
         k_p1=k_p1,
         m_p2=assemble_mass(p2v),
         k_p2=k_p2,
-        grad_coupling=grad_coupling,
         div_coupling=div_coupling,
         lumped_p1=np.asarray(m_p1.sum(axis=1)).ravel(),
     )
@@ -294,8 +287,12 @@ def fprime_load(p1: FeSpace, phi, eps: float, gamma: float) -> np.ndarray:
 
 
 def grad_p_load(forms: AssembledForms, p: np.ndarray) -> np.ndarray:
-    """Entries (grad p_h, v_i)."""
-    return forms.grad_coupling @ p
+    """Entries (grad p_h, v_i) as -D^T p = -(p_h, div v_i), the same for every v_i
+    that vanishes on the boundary. A boundary row holds -(p_h, div v_i): every
+    consumer overwrites it (the Dirichlet elimination) or skips it (the residuals).
+    """
+    out = forms._div_transpose(np.ascontiguousarray(p, dtype=float))
+    return np.negative(out, out=out)
 
 
 def div_load(forms: AssembledForms, u: np.ndarray) -> np.ndarray:

@@ -4,20 +4,20 @@ Matrices are scipy CSR (row_offsets = indptr, column_indices = indices,
 values = data). Every solve has one call shape: the matrix, the
 right-hand side, a relative tolerance and the matrix's solver data, and it
 returns (x, iterations) with ||b - Ax|| <= tol ||b||, re-verified by one
-explicit matrix-vector product. The iteration limit is 10 n (BiCGStab's
-first attempt gets fewer).
+explicit matrix-vector product. Each first scales b exactly by a power
+of two (`_unit_scaled`), so a tiny b neither underflows nor passes for
+zero. The iteration limit is 10 n (BiCGStab's first attempt gets fewer).
 
 The symmetric solves, SPD (`solve_spd`) and singular Neumann
 (`solve_neumann_zero_mean`), run one preconditioned conjugate gradient
 loop, the latter projected off the constants. The caller passes the
 preconditioner, made once per matrix: a symmetric multigrid V-cycle
 (`VCycle`) or the Jacobi diagonal (`jacobi`), which is also the default.
-A nonsymmetric solve (`solve_general`) runs restarted GMRES, written
-here, or Jacobi BiCGStab first. A Cahn-Hilliard block passes its
-`Presb`: a stiffness-dominated block goes straight to GMRES preconditioned
-by PRESB, whose two inner solves are V-cycles; any other block tries
-BiCGStab first, and GMRES with the same PRESB finishes a solve BiCGStab
-gives up on. Any other matrix falls back to Jacobi GMRES.
+The nonsymmetric solve (`solve_general`) is of a Cahn-Hilliard block and
+takes the block's `Presb`: a stiffness-dominated block goes straight to
+restarted GMRES, written here, preconditioned by PRESB, whose two inner
+solves are V-cycles; any other block tries Jacobi BiCGStab first, and
+GMRES with the same PRESB finishes a solve BiCGStab gives up on.
 
 Each sparse product of a solve calls scipy's compressed-sparse kernel
 directly (`_kernel`): bit for bit `a @ x`, without the checks `@` makes.
@@ -461,22 +461,19 @@ def _presb_gmres(a, b, tol, max_it, presb: Presb):
         scaled_tol *= 0.5 * tol / res
 
 
-def _gmres_fallback(a, b, tol, max_it, presb: Presb | None):
-    """GMRES for a system BiCGStab gave up on: PRESB-preconditioned for a
-    Cahn-Hilliard block, Jacobi-preconditioned for any other matrix."""
-    if presb is not None:
-        return _presb_gmres(a, b, tol, max_it, presb)
-    return _gmres(_product(a), b, jacobi(a), tol, max_it, np.zeros_like(b))
+def _gmres_fallback(a, b, tol, max_it, presb: Presb):
+    """PRESB-preconditioned GMRES for a Cahn-Hilliard block BiCGStab gave up on."""
+    return _presb_gmres(a, b, tol, max_it, presb)
 
 
-def solve_general(a: sp.csr_matrix, b: np.ndarray, tol: float = 1e-10,
-                  presb: Presb | None = None) -> tuple[np.ndarray, int]:
-    """Solve a square nonsymmetric system; returns (x, iterations).
+def solve_general(a: sp.csr_matrix, b: np.ndarray, tol: float,
+                  presb: Presb) -> tuple[np.ndarray, int]:
+    """Solve a Cahn-Hilliard block a x = b; returns (x, iterations).
 
-    Pass a Cahn-Hilliard block's `Presb` to every solve with it. A block it
-    marks `direct` goes straight to PRESB-preconditioned GMRES. Any other
-    system tries Jacobi BiCGStab first; if that breaks down or stagnates,
-    GMRES preconditioned by the `Presb` (else by the Jacobi diagonal) finishes.
+    Pass the block's `Presb` to every solve with it. A block it marks
+    `direct` goes straight to PRESB-preconditioned GMRES. Any other tries
+    Jacobi BiCGStab first; if that breaks down or stagnates, GMRES
+    preconditioned by the `Presb` finishes.
     """
     b, e = _unit_scaled(b)
     bnorm = np.linalg.norm(b)
@@ -485,13 +482,12 @@ def solve_general(a: sp.csr_matrix, b: np.ndarray, tol: float = 1e-10,
 
     tol = tol * bnorm
     max_it = 10 * b.shape[0]
-    if presb is not None and presb.direct:
+    if presb.direct:
         x, k = _presb_gmres(a, b, tol, max_it, presb)
     else:
-        dinv = presb.dinv if presb is not None else _inv_diagonal(a)
         try:
             # give the cheap method a bounded attempt before the robust one
-            x, k = _bicgstab(a, b, dinv, tol, min(max_it, max(300, b.shape[0] // 4)))
+            x, k = _bicgstab(a, b, presb.dinv, tol, min(max_it, max(300, b.shape[0] // 4)))
         except SolverError:
             x, k = _gmres_fallback(a, b, tol, max_it, presb)
     return np.ldexp(x, e), k
@@ -507,7 +503,7 @@ def solve_neumann_zero_mean(k_mat: sp.csr_matrix, b: np.ndarray, mass_row_sums: 
     sum_i psi_i (1, q_i) vanishes, i.e. the field integrates to zero.
     `precondition` is as for `solve_spd`.
     """
-    b = np.asarray(b, dtype=float)
+    b, e = _unit_scaled(b)
     n = b.shape[0]
     raw_norm = np.linalg.norm(b)
 
@@ -516,10 +512,10 @@ def solve_neumann_zero_mean(k_mat: sp.csr_matrix, b: np.ndarray, mass_row_sums: 
 
     b = project(b)
     bnorm = np.linalg.norm(b)
-    # data living entirely in the kernel projects to roundoff noise
-    if bnorm <= 1e-14 * max(raw_norm, 1.0):
+    # data living entirely in the kernel projects to roundoff noise (and zero data to 0)
+    if bnorm <= 1e-14 * raw_norm:
         return np.zeros_like(b), 0
     x, k = _pcg(k_mat, b, precondition or jacobi(k_mat), tol * bnorm, project)
     # fix the kernel component: mass-weighted mean zero
     x -= (mass_row_sums @ x) / mass_row_sums.sum()
-    return x, k
+    return np.ldexp(x, e), k

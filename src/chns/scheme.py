@@ -160,9 +160,8 @@ class Operators:
         return _ch_solver(self)
 
 
-def build_operators(p1: FeSpace, p2v: FeSpace, params: Params,
-                    forms: AssembledForms | None = None) -> Operators:
-    forms = forms if forms is not None else asm.assemble_forms(p1, p2v)
+def build_operators(p1: FeSpace, p2v: FeSpace, params: Params) -> Operators:
+    forms = asm.assemble_forms(p1, p2v)
     tau, lam, gamma = params.tau, params.lam, params.gamma
     a_ch = sp.bmat([
         [forms.m_p1 / tau, params.mobility * forms.k_p1],
@@ -519,7 +518,7 @@ def pressure_correction(ops: Operators, params: Params, u_tilde: np.ndarray,
     psi, k_p = solve_neumann_zero_mean(ops.forms.k_p1, rhs, ops.forms.lumped_p1, tol,
                                        ops.pressure_precondition)
     p_new = zero_mean(ops.forms, p_n + psi)
-    rhs_u = Planar(ops.forms.m_p2) @ u_tilde - tau * (ops.forms.grad_coupling @ psi)
+    rhs_u = Planar(ops.forms.m_p2) @ u_tilde - tau * asm.grad_p_load(ops.forms, psi)
     bvals = u_tilde[ops.p2v.boundary_dofs]
     u_new, k_m = solve_spd(ops.projection.matrix, ops.projection.prepare_rhs(rhs_u, bvals),
                            tol, ops.projection_precondition)

@@ -36,7 +36,7 @@ def picard_step(state, params, ops, forcing=None, tol=1e-12, max_iter=400):
             f.m_p1 @ state.phi / tau + g_phi_load - (r / se1) * conv_scalar,
             (lam * r / se1) * fp,
         ])
-        x, _ = solve_general(ops.a_ch, rhs, 1e-13)
+        x, _ = solve_general(ops.a_ch, rhs, 1e-13, ops.ch_solver)
         phi, mu = x[:n], x[n:]
 
         rhs_v = m_v @ state.u / tau - terms.grad_p + g_u_load \
@@ -311,8 +311,8 @@ def broadcast_basis_gradients(tab):
 
 
 def assemble_forms_by_hand(p1, p2v):
-    """assemble_forms with basis gradients made per matrix, and the coupling
-    blocks' planar velocity dofs numbered from the scalar ones by hand."""
+    """assemble_forms with basis gradients made per matrix, and the divergence
+    block's planar velocity dofs numbered from the scalar ones by hand."""
     tab1, tab2 = asm._tables(p1, 5), asm._tables(p2v, 5)
 
     def mass(space, tab):
@@ -326,11 +326,6 @@ def assemble_forms_by_hand(p1, p2v):
     # component-major within a cell, as assemble_forms lists the entries: COO sums
     # repeated entries in an order that depends on it, and that order sets the last bits
     vdofs = _planar_dofs(p2v).transpose(0, 2, 1)
-    intn2 = np.einsum("tq,qm->tm", tab2["wdet"], tab2["vals"])
-    elem = np.einsum("tm,tkc->tcmk", intn2, broadcast_basis_gradients(tab1)[:, 0])
-    rows = np.repeat(vdofs.reshape(-1, 12), 3, axis=1).ravel()
-    cols = np.tile(p1.scalar_cell_dofs, (1, 12)).ravel()
-    grad = sp.coo_matrix((elem.ravel(), (rows, cols)), shape=(p2v.ndofs, p1.ndofs)).tocsr()
     elem = np.einsum("tq,qk,tqmc->tkcm", tab2["wdet"], tab1["vals"],
                      broadcast_basis_gradients(tab2))
     rows = np.repeat(p1.scalar_cell_dofs, 12, axis=1).ravel()
@@ -338,8 +333,20 @@ def assemble_forms_by_hand(p1, p2v):
     div = sp.coo_matrix((elem.ravel(), (rows, cols)), shape=(p1.ndofs, p2v.ndofs)).tocsr()
     m_p1 = mass(p1, tab1)
     return asm.AssembledForms(m_p1=m_p1, k_p1=stiffness(p1, tab1), m_p2=mass(p2v, tab2),
-                              k_p2=stiffness(p2v, tab2), grad_coupling=grad, div_coupling=div,
+                              k_p2=stiffness(p2v, tab2), div_coupling=div,
                               lumped_p1=np.asarray(m_p1.sum(axis=1)).ravel())
+
+
+def pressure_gradient_by_hand(p1, p2v):
+    """G[i, k] = (grad q_k, v_i) assembled as its own form: P1 gradients are
+    constant per triangle, so each entry is grad q_k times the integral of v_i."""
+    tab1, tab2 = asm._tables(p1, 5), asm._tables(p2v, 5)
+    vdofs = _planar_dofs(p2v).transpose(0, 2, 1)
+    intn2 = np.einsum("tq,qm->tm", tab2["wdet"], tab2["vals"])
+    elem = np.einsum("tm,tkc->tcmk", intn2, broadcast_basis_gradients(tab1)[:, 0])
+    rows = np.repeat(vdofs.reshape(-1, 12), 3, axis=1).ravel()
+    cols = np.tile(p1.scalar_cell_dofs, (1, 12)).ravel()
+    return sp.coo_matrix((elem.ravel(), (rows, cols)), shape=(p2v.ndofs, p1.ndofs)).tocsr()
 
 
 def coo_eliminated_matrix(a, dofs):

@@ -198,12 +198,14 @@ def test_fprime_load_examples(spaces4_module):
 
 
 def test_grad_p_examples(forms4, spaces4_module):
+    # (grad p_h, v_i) on the rows of interior v_i; boundary rows hold -(p_h, div v_i)
     p1, _, p2v = spaces4_module
+    interior = np.setdiff1d(np.arange(p2v.ndofs), p2v.boundary_dofs)
     assert np.abs(asm.grad_p_load(forms4, np.zeros(p1.ndofs))).max() == 0.0
-    assert np.abs(asm.grad_p_load(forms4, np.full(p1.ndofs, 4.0))).max() <= 1e-13
+    assert np.abs(asm.grad_p_load(forms4, np.full(p1.ndofs, 4.0))[interior]).max() <= 1e-13
     got = asm.grad_p_load(forms4, interpolate(p1, lambda x, y: x))
     expect = asm.assemble_load(p2v, lambda x, y: (np.ones_like(x), np.zeros_like(x)))
-    assert np.allclose(got, expect, atol=1e-13)
+    assert np.allclose(got[interior], expect[interior], atol=1e-13)
 
 
 def test_div_load_examples(forms4, spaces4_module):
@@ -216,11 +218,18 @@ def test_div_load_examples(forms4, spaces4_module):
     assert np.allclose(got, expect, atol=1e-13)
 
 
-def test_grad_div_duality(forms4, spaces4_module):
-    p1, _, p2v = spaces4_module
+@pytest.mark.parametrize("nx,ny,rect", oracles.SETUP_SHAPES)
+def test_grad_p_load_matches_the_hand_built_gradient_on_interior_rows(nx, ny, rect):
+    # -D^T p against G p, G = (grad q_k, v_i) assembled as its own form
+    mesh = build_uniform_mesh(nx, ny, rect)
+    p1, p2v = build_space(mesh, "p1"), build_space(mesh, "p2vec")
+    forms = asm.assemble_forms(p1, p2v)
+    grad = oracles.pressure_gradient_by_hand(p1, p2v)
     interior = np.setdiff1d(np.arange(p2v.ndofs), p2v.boundary_dofs)
-    mismatch = (forms4.div_coupling.T + forms4.grad_coupling).tocsr()[interior, :]
-    assert (np.abs(mismatch.data).max() if mismatch.nnz else 0.0) <= 1e-12
+    rng = np.random.default_rng(nx + ny)
+    for p in (rng.standard_normal(p1.ndofs), interpolate(p1, lambda x, y: x * y - y)):
+        got, expect = asm.grad_p_load(forms, p)[interior], (grad @ p)[interior]
+        assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
 
 
 def test_apply_dirichlet_examples():
@@ -255,7 +264,7 @@ def test_forms_and_elimination_match_kron_and_coo_oracles(nx, ny, rect):
     ref_mesh = oracles.loop_uniform_mesh(nx, ny, rect)
     ref = oracles.assemble_forms_by_hand(oracles.dict_space(ref_mesh, "p1"),
                                          oracles.dict_space(ref_mesh, "p2vec"))
-    for name in ("m_p1", "k_p1", "m_p2", "k_p2", "grad_coupling", "div_coupling", "lumped_p1"):
+    for name in ("m_p1", "k_p1", "m_p2", "k_p2", "div_coupling", "lumped_p1"):
         assert oracles.identical(getattr(forms, name), getattr(ref, name)), name
     # a planar velocity product is the block-diagonal kron(I_2, block) one, bit for bit
     x = np.random.default_rng(nx).standard_normal(p2v.ndofs)
@@ -268,7 +277,7 @@ def test_forms_and_elimination_match_kron_and_coo_oracles(nx, ny, rect):
                                      oracles.broadcast_basis_gradients(tab))
 
     params = Params()
-    ops = build_operators(p1, p2v, params, forms)
+    ops = build_operators(p1, p2v, params)
     a_v = (ref.m_p2 / params.tau + params.nu * ref.k_p2).tocsr()
     dofs = p2v.boundary_dofs
     for op, a in ((ops.velocity, a_v), (ops.projection, ref.m_p2)):
