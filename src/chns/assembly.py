@@ -213,6 +213,14 @@ class AssembledForms:
     lumped_p1: np.ndarray         # row sums of m_p1, i.e. (1, q_k)
 
     @cached_property
+    def m_v(self) -> Planar:  # m_p2 on both components of a planar velocity
+        return Planar(self.m_p2)
+
+    @cached_property
+    def k_v(self) -> Planar:  # k_p2 likewise
+        return Planar(self.k_p2)
+
+    @cached_property
     def _div_transpose(self):
         """p -> D^T p: the CSC kernel on D's transpose view, which copies no data."""
         return _kernel(self.div_coupling.T)

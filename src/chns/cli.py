@@ -7,12 +7,10 @@ import os
 import sys
 
 from . import experiments as ex
-from .assembly import NonpositiveEnergyError
 from .config import ConfigError, parse_config
 from .io import ensure_dir, write_energy_csv, write_error_table_csv, \
     write_h1_error_table_csv, write_vtk_snapshot
-from .linsolve import SolverError
-from .scheme import ReductionError
+from .scheme import RUN_FAILURES
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -130,7 +128,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SolverError, ReductionError, NonpositiveEnergyError) as exc:
+    except RUN_FAILURES as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

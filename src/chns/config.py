@@ -127,6 +127,9 @@ def parse_config(path: str | None = None, kind: str | None = None,
     taus = cfg.tau_list if cfg.kind == "stability" else [cfg.tau]
     if any(t > cfg.t_end for t in taus):
         raise ConfigError(f"time step exceeds the final time {cfg.t_end}")
+    runs = {"converge": "levels", "stability": "tau_list"}.get(cfg.kind)  # one run per value
+    if runs is not None and not getattr(cfg, runs):
+        raise ConfigError(f"{runs} must hold at least one value")
     if cfg.nx < 1 or any(n < 1 for n in cfg.levels):
         raise ConfigError("mesh subdivisions (nx, levels) must be at least 1")
     if cfg.kind == "converge" and list(cfg.levels) != sorted(cfg.levels):

@@ -14,7 +14,8 @@ from .fem import NORM_DEGREE, build_space
 from .linsolve import solve_neumann_zero_mean
 from .mesh import build_uniform_mesh
 from .mms import MmsCase, trig_case
-from .scheme import Forcing, Operators, Params, State, StepReport, build_operators, init_state, step
+from .scheme import Forcing, Operators, Params, State, StepReport, build_operators, init_state, \
+    naming_failures, step
 
 
 @dataclass
@@ -48,10 +49,9 @@ def rates_between(records: list[ErrorRecord], attr: str) -> list[float]:
 class ErrorAccumulator:
     """Online accumulation of trajectory error norms (no state storage)."""
 
-    def __init__(self, ops: Operators, case: MmsCase, params: Params):
+    def __init__(self, ops: Operators, case: MmsCase):
         self.ops = ops
         self.case = case
-        self.params = params
         self.phi_linf = 0.0
         self.u_linf = 0.0
         self.mu_sq_sum = 0.0
@@ -69,7 +69,7 @@ class ErrorAccumulator:
         self.p_sq_sum += e_p ** 2
 
     def finalize(self, state: State, t_final: float, h: float) -> ErrorRecord:
-        c, ops, prm = self.case, self.ops, self.params
+        c, ops, prm = self.case, self.ops, self.ops.params
         tau = prm.tau
         tab = asm._tables(ops.p1, NORM_DEGREE)
         phi = c.phi(t_final, tab["x"], tab["y"])
@@ -127,12 +127,11 @@ def run_convergence_level(nx: int, params: Params, t_end: float = 0.1,
                        lambda x, y: case.phi(0.0, x, y),
                        lambda x, y: case.u(0.0, x, y),
                        lambda x, y: case.p(0.0, x, y),
-                       prm,
                        mu0=lambda x, y: case.mu(0.0, x, y))
-    acc = ErrorAccumulator(ops, case, prm)
+    acc = ErrorAccumulator(ops, case)
     acc.update(state, 0.0)
     for n in range(nsteps):
-        state, report = step(state, prm, ops, forcing=forcing)
+        state, report = step(state, ops, forcing=forcing)
         acc.update(state, (n + 1) * tau)
         if on_step is not None:
             on_step(state, report)
@@ -145,10 +144,8 @@ def run_convergence(levels, params: Params, t_end: float = 0.1,
         raise ValueError("levels must be sorted coarse to fine")
     records = []
     for nx in levels:
-        try:
+        with naming_failures(f"level nx={nx}"):
             records.append(run_convergence_level(nx, params, t_end, tau_rule, on_step))
-        except Exception as exc:
-            raise RuntimeError(f"convergence level nx={nx} failed") from exc
     return records
 
 
@@ -216,22 +213,24 @@ class RunArtifacts:
     initial_energy: float
 
 
-def _march(ops: Operators, params: Params, state: State, nsteps: int,
-           snapshot_times=(), bc=None, on_step=None) -> RunArtifacts:
+def _march(ops: Operators, state: State, snapshot_times=(), bc=None,
+           on_step=None) -> RunArtifacts:
+    """Step from state to the final time of `ops.params`, tracing the energy."""
     from .scheme import modified_energy
 
+    tau = ops.params.tau
     trace = EnergyTrace()
-    initial_energy = modified_energy(ops, params, state)
+    initial_energy = modified_energy(ops, state)
     remaining = sorted(snapshot_times)
     snaps = []
     if remaining and remaining[0] <= 0.0:
         snaps.append((0.0, state))
         remaining = [t for t in remaining if t > 0.0]
-    for n in range(nsteps):
-        state, report = step(state, params, ops, bc=bc)
-        t = (n + 1) * params.tau
+    for n in range(round(ops.params.t_end / tau)):
+        state, report = step(state, ops, bc=bc)
+        t = (n + 1) * tau
         trace.append(report, n + 1, t)
-        while remaining and t >= remaining[0] - 0.5 * params.tau:
+        while remaining and t >= remaining[0] - 0.5 * tau:
             snaps.append((remaining.pop(0), state))
         if on_step is not None:
             on_step(state, report)
@@ -252,10 +251,9 @@ def run_coarsening(seed: int, nx: int, tau: float, t_end: float,
     ops = _unit_square_operators(nx, prm)
 
     phi0 = random_phase_field(seed, ops.p1.ndofs)
-    state = init_state(ops, phi0, np.zeros(ops.p2v.ndofs), np.zeros(ops.p1.ndofs), prm,
+    state = init_state(ops, phi0, np.zeros(ops.p2v.ndofs), np.zeros(ops.p1.ndofs),
                        mu0=phi0.copy())
-    nsteps = round(t_end / tau)
-    return _march(ops, prm, state, nsteps, snapshot_times, on_step=on_step)
+    return _march(ops, state, snapshot_times, on_step=on_step)
 
 
 def run_stability_sweep(tau_list, seed: int, nx: int, t_end: float,
@@ -335,9 +333,8 @@ def run_relaxation(polygon, nx: int, tau: float, t_end: float,
 
     inside = points_in_polygon(poly, ops.p1.dof_coords[:, 0], ops.p1.dof_coords[:, 1])
     phi0 = np.where(inside, 1.0, -1.0)
-    state = init_state(ops, phi0, rotation, np.zeros(ops.p1.ndofs), prm)
-    nsteps = round(t_end / tau)
-    return _march(ops, prm, state, nsteps, snapshot_times, bc=rotation, on_step=on_step)
+    state = init_state(ops, phi0, rotation, np.zeros(ops.p1.ndofs))
+    return _march(ops, state, snapshot_times, bc=rotation, on_step=on_step)
 
 
 # ---------------------------------------------------------------------------

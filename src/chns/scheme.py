@@ -46,7 +46,10 @@ class ReductionError(RuntimeError):
     """The scalar reduction became ill-posed; diagnostics in the message."""
 
 
-@dataclass
+RUN_FAILURES = (SolverError, ReductionError, NonpositiveEnergyError)  # each ends a run
+
+
+@dataclass(frozen=True)
 class Params:
     """Physical constants and numerical controls.
 
@@ -124,24 +127,21 @@ class StepReport:
 
 @dataclass
 class Operators:
-    """Matrices and eliminated systems reused across steps for a fixed tau.
+    """The matrices of one run, built from `params`, the one source of the
+    run's constants: every function of a step reads them from here.
 
-    Each matrix's solver data (a symmetric matrix's preconditioner, the
-    phase block's `Presb`) is made by the first solve that reads it, and
-    kept.
+    Each matrix's solver data (a symmetric matrix's preconditioner, the phase
+    block's `Presb`) is made by the first solve that reads it, and kept.
     """
 
     mesh: Mesh
     p1: FeSpace
     p2v: FeSpace
     forms: AssembledForms
+    params: Params
     a_ch: sp.csr_matrix
     velocity: DirichletOperator     # m_p2 / tau + nu k_p2 per component, boundary rows eliminated
     projection: DirichletOperator   # m_p2 per component, boundary rows eliminated
-    nu_tau: float                   # nu * tau, which sets the velocity's coarse levels
-    tau: float
-    ch_c: float                     # sqrt(tau m lam), the coupling of the scaled phase block
-    ch_s: float                     # c / (tau m), the scaling mu = -s y
 
     @cached_property
     def velocity_precondition(self):
@@ -169,12 +169,10 @@ def build_operators(p1: FeSpace, p2v: FeSpace, params: Params) -> Operators:
     ], format="csr")
     a_v = (forms.m_p2 / tau + params.nu * forms.k_p2).tocsr()
     bdofs = p2v.boundary_dofs
-    ch_c = np.sqrt(tau * params.mobility * lam)
     return Operators(
-        mesh=p1.mesh, p1=p1, p2v=p2v, forms=forms, a_ch=a_ch,
+        mesh=p1.mesh, p1=p1, p2v=p2v, forms=forms, params=params, a_ch=a_ch,
         velocity=DirichletOperator(Planar(a_v), bdofs),
-        projection=DirichletOperator(Planar(forms.m_p2), bdofs),
-        nu_tau=params.nu * tau, tau=tau, ch_c=ch_c, ch_s=ch_c / (tau * params.mobility),
+        projection=DirichletOperator(forms.m_v, bdofs),
     )
 
 
@@ -230,29 +228,31 @@ def _velocity_precondition(ops: Operators):
     """
     a, forms, p1, p2v = ops.velocity.matrix, ops.forms, ops.p1, ops.p2v
     free = np.setdiff1d(np.arange(a.block.shape[0]), p2v.boundary_dofs)  # nodes off the boundary
+    nu_tau = ops.params.nu * ops.params.tau
     k_diag, m_diag = forms.k_p2.diagonal(), forms.m_p2.diagonal()
-    if not _stiffness_dominates(ops.nu_tau, k_diag[free], m_diag[free]):
+    if not _stiffness_dominates(nu_tau, k_diag[free], m_diag[free]):
         return jacobi(a)
     free = np.setdiff1d(np.arange(p1.ndofs), p1.boundary_dofs)
     if free.size == 0:  # no interior vertex, no coarse level
         return jacobi(a)
     prolongations = [p1_to_p2(ops.mesh)[:, free]]
     prolongations += _grid_prolongations(ops.mesh.grid, forms.k_p1[free][:, free],
-                                         forms.m_p1[free][:, free], ops.nu_tau, _grid_interior)
+                                         forms.m_p1[free][:, free], nu_tau, _grid_interior)
     return Planar(VCycle(a.block, prolongations))
 
 
 def _ch_solver(ops: Operators) -> Presb:
-    """The phase block's PRESB data; H^-1 is one `VCycle` of H = M + c K.
+    """The phase block's PRESB data (c and s as in `Presb`); H^-1 is one `VCycle` of H = M + c K.
 
     H is Neumann P1, so its levels keep every vertex. The block goes
     straight to PRESB-GMRES when it is stiffness-dominated (median of
     c K_ii / M_ii above 1), the rule that also gives H its coarse levels.
     """
-    k, m, c = ops.forms.k_p1, ops.forms.m_p1, ops.ch_c
+    tau, mobility = ops.params.tau, ops.params.mobility
+    k, m, c = ops.forms.k_p1, ops.forms.m_p1, np.sqrt(tau * mobility * ops.params.lam)
     prolongations = _grid_prolongations(ops.mesh.grid, k, m, c)
     h = VCycle((m + c * k).tocsr(), prolongations)
-    return Presb(ops.a_ch, m, ops.tau, ops.ch_s, h,
+    return Presb(ops.a_ch, m, tau, c / (tau * mobility), h,
                  direct=_stiffness_dominates(c, k.diagonal(), m.diagonal()))
 
 
@@ -288,17 +288,16 @@ def _as_coeffs(space: FeSpace, data) -> np.ndarray:
 
 
 @contextmanager
-def _naming_step(n: int):
-    """Prefix "step n: " to the message of a SolverError, ReductionError or
-    NonpositiveEnergyError raised inside; step 0 is the initial state."""
+def naming_failures(where: str):
+    """Prefix "where: " to the message of a run failure (`RUN_FAILURES`) raised inside."""
     try:
         yield
-    except (SolverError, ReductionError, NonpositiveEnergyError) as exc:
-        exc.args = (f"step {n}: {exc}",)
+    except RUN_FAILURES as exc:
+        exc.args = (f"{where}: {exc}",)
         raise
 
 
-def init_state(ops: Operators, phi0, u0, p0, params: Params, mu0=None) -> State:
+def init_state(ops: Operators, phi0, u0, p0, mu0=None) -> State:
     """Interpolate the initial data and seed the auxiliary scalars.
 
     mu0 may be a callable/coefficient vector; by default the initial
@@ -307,8 +306,9 @@ def init_state(ops: Operators, phi0, u0, p0, params: Params, mu0=None) -> State:
     phi = _as_coeffs(ops.p1, phi0)
     u = _as_coeffs(ops.p2v, u0)
     p = zero_mean(ops.forms, _as_coeffs(ops.p1, p0))
-    with _naming_step(0):
-        e1h, e2h = asm.compute_discrete_energies(ops.p1, Planar(ops.forms.m_p2), phi, u, params)
+    params = ops.params
+    with naming_failures("step 0"):  # the initial state
+        e1h, e2h = asm.compute_discrete_energies(ops.p1, ops.forms.m_v, phi, u, params)
         if mu0 is not None:
             mu = _as_coeffs(ops.p1, mu0)
         else:
@@ -337,13 +337,12 @@ class ExplicitTerms:
     g_u_load: np.ndarray | None     # (g_u(t^{n+1}), v)
 
 
-def explicit_terms(ops: Operators, params: Params, state: State,
-                   forcing: Forcing | None = None) -> ExplicitTerms:
+def explicit_terms(ops: Operators, state: State, forcing: Forcing | None = None) -> ExplicitTerms:
     """Assemble the explicit data of the step that starts from state."""
     # each load is looked up on the assembly module at call time, so a
     # wrapper installed there sees every call
-    e1h, e2h = asm.compute_discrete_energies(ops.p1, Planar(ops.forms.m_p2),
-                                             state.phi, state.u, params)
+    params = ops.params
+    e1h, e2h = asm.compute_discrete_energies(ops.p1, ops.forms.m_v, state.phi, state.u, params)
     terms = ExplicitTerms(
         e1h=e1h, e2h=e2h, sqrt_e1=np.sqrt(e1h), sqrt_e2=np.sqrt(e2h),
         conv_scalar=asm.convective_load_scalar(ops.p2v, ops.p1, state.u, state.phi),
@@ -359,15 +358,15 @@ def explicit_terms(ops: Operators, params: Params, state: State,
     return terms
 
 
-def ch_split_solve(ops: Operators, params: Params, phi_n: np.ndarray,
-                   terms: ExplicitTerms, iterations: dict | None = None):
+def ch_split_solve(ops: Operators, phi_n: np.ndarray, terms: ExplicitTerms,
+                   iterations: dict | None = None):
     """Solve the phase/potential block for the two superposition states.
 
     X0 carries the explicit data (and forcing); X1 carries everything the
     new auxiliary scalar multiplies. (phi, mu) = X0 + r X1 then satisfies
     both discrete equations for any r.
     """
-    n = ops.p1.ndofs
+    n, params = ops.p1.ndofs, ops.params
     rhs0 = np.concatenate([ops.forms.m_p1 @ phi_n / params.tau, np.zeros(n)])
     if terms.g_phi_load is not None:
         rhs0[:n] += terms.g_phi_load
@@ -381,23 +380,22 @@ def ch_split_solve(ops: Operators, params: Params, phi_n: np.ndarray,
     return (x0[:n], x0[n:]), (x1[:n], x1[n:])
 
 
-def velocity_split_solve(ops: Operators, params: Params, u_n: np.ndarray,
-                         terms: ExplicitTerms, bc_values: np.ndarray | None = None,
-                         iterations: dict | None = None):
+def velocity_split_solve(ops: Operators, u_n: np.ndarray, terms: ExplicitTerms,
+                         bc_values: np.ndarray | None = None, iterations: dict | None = None):
     """Solve the tentative-velocity system for the three superposition states.
 
     Y0 carries the explicit data with the step's boundary values; Y1 and
     Y2 (the r- and rho-scaled parts) use homogeneous conditions so the
     combination Y0 + r Y1 + rho Y2 keeps the prescribed trace.
     """
-    rhs0 = Planar(ops.forms.m_p2) @ u_n / params.tau - terms.grad_p
+    rhs0 = ops.forms.m_v @ u_n / ops.params.tau - terms.grad_p
     if terms.g_u_load is not None:
         rhs0 += terms.g_u_load
     rhs = (ops.velocity.prepare_rhs(rhs0, bc_values),
            ops.velocity.prepare_rhs(terms.capillary / terms.sqrt_e1),
            ops.velocity.prepare_rhs(-terms.convection / terms.sqrt_e2))
     (y0, k0), (y1, k1), (y2, k2) = (
-        solve_spd(ops.velocity.matrix, b, params.solver_tol, ops.velocity_precondition)
+        solve_spd(ops.velocity.matrix, b, ops.params.solver_tol, ops.velocity_precondition)
         for b in rhs)
     if iterations is not None:
         iterations.update(vel_y0=k0, vel_y1=k1, vel_y2=k2)
@@ -463,8 +461,7 @@ def closest_ratio_root(roots, velocity_of, m_v: Planar, c2: float):
     return best
 
 
-def scalar_reduction(ops: Operators, params: Params, state: State,
-                     terms: ExplicitTerms, ch, vel):
+def scalar_reduction(ops: Operators, state: State, terms: ExplicitTerms, ch, vel):
     """Collapse the discrete auxiliary-variable equations to two scalars.
 
     ch and vel are the split solutions. The r update is affine in rho
@@ -474,8 +471,8 @@ def scalar_reduction(ops: Operators, params: Params, state: State,
     """
     (phi0, mu0), (phi1, mu1) = ch
     y0, y1, y2 = vel
-    tau, lam = params.tau, params.lam
-    m_v = Planar(ops.forms.m_p2)
+    tau, lam = ops.params.tau, ops.params.lam
+    m_v = ops.forms.m_v
 
     kappa1 = ((terms.fp @ phi1) / tau + (terms.conv_scalar @ mu1) / lam
               - (terms.capillary @ y1) / lam) / (2.0 * terms.sqrt_e1)
@@ -497,7 +494,7 @@ def scalar_reduction(ops: Operators, params: Params, state: State,
     disc = a1 * a1 - 4.0 * a2 * a0
     roots = solve_quadratic(a2, a1, a0)
     rho, u_tilde, ratio = closest_ratio_root(roots, lambda root: z0 + root * z1,
-                                             m_v, params.c2)
+                                             m_v, ops.params.c2)
     r = alpha + beta * rho
 
     diag = {"alpha": alpha, "beta": beta, "a2": a2, "a1": a1, "a0": a0,
@@ -505,20 +502,20 @@ def scalar_reduction(ops: Operators, params: Params, state: State,
     return r, rho, u_tilde, diag
 
 
-def pressure_correction(ops: Operators, params: Params, u_tilde: np.ndarray,
-                        p_n: np.ndarray, iterations: dict | None = None):
+def pressure_correction(ops: Operators, u_tilde: np.ndarray, p_n: np.ndarray,
+                        iterations: dict | None = None):
     """Project the tentative velocity and update the zero-mean pressure.
 
     psi solves (grad psi, grad q) = -(div u_tilde, q)/tau; the end-of-step
     velocity is the constrained L2 projection of u_tilde - tau grad psi,
     keeping the tentative trace on the boundary.
     """
-    tau, tol = params.tau, params.solver_tol
+    tau, tol = ops.params.tau, ops.params.solver_tol
     rhs = -asm.div_load(ops.forms, u_tilde) / tau
     psi, k_p = solve_neumann_zero_mean(ops.forms.k_p1, rhs, ops.forms.lumped_p1, tol,
                                        ops.pressure_precondition)
     p_new = zero_mean(ops.forms, p_n + psi)
-    rhs_u = Planar(ops.forms.m_p2) @ u_tilde - tau * asm.grad_p_load(ops.forms, psi)
+    rhs_u = ops.forms.m_v @ u_tilde - tau * asm.grad_p_load(ops.forms, psi)
     bvals = u_tilde[ops.p2v.boundary_dofs]
     u_new, k_m = solve_spd(ops.projection.matrix, ops.projection.prepare_rhs(rhs_u, bvals),
                            tol, ops.projection_precondition)
@@ -527,26 +524,25 @@ def pressure_correction(ops: Operators, params: Params, u_tilde: np.ndarray,
     return u_new, p_new, psi
 
 
-def modified_energy(ops: Operators, params: Params, state: State) -> float:
+def modified_energy(ops: Operators, state: State) -> float:
     """Discrete Lyapunov functional that the scheme dissipates."""
-    f, lam, gamma, tau = ops.forms, params.lam, params.gamma, params.tau
+    f, lam, gamma, tau = ops.forms, ops.params.lam, ops.params.gamma, ops.params.tau
     return (lam * float(state.phi @ (f.k_p1 @ state.phi))
             + lam * gamma * float(state.phi @ (f.m_p1 @ state.phi))
             + 2.0 * lam * state.r ** 2
-            + 0.5 * quad(Planar(f.m_p2), state.u)
+            + 0.5 * quad(f.m_v, state.u)
             + tau ** 2 * float(state.p @ (f.k_p1 @ state.p))
             + state.rho ** 2)
 
 
-def dissipation(ops: Operators, params: Params, new: State) -> float:
+def dissipation(ops: Operators, new: State) -> float:
     """Energy the step into `new` dissipates: 2 tau (M ||grad mu||^2 + nu ||grad u_tilde||^2)."""
-    f, tau = ops.forms, params.tau
-    return (2.0 * params.mobility * tau * quad(f.k_p1, new.mu)
-            + 2.0 * params.nu * tau * quad(Planar(f.k_p2), new.u_tilde))
+    f, params = ops.forms, ops.params
+    return (2.0 * params.mobility * params.tau * quad(f.k_p1, new.mu)
+            + 2.0 * params.nu * params.tau * quad(f.k_v, new.u_tilde))
 
 
-def energy_identity_residual(ops: Operators, params: Params,
-                             old: State, new: State) -> float:
+def energy_identity_residual(ops: Operators, old: State, new: State) -> float:
     """Signed defect of the exact per-step energy balance (zero in exact arithmetic).
 
     The balance is the change of `modified_energy`, plus the numerical
@@ -556,15 +552,15 @@ def energy_identity_residual(ops: Operators, params: Params,
     semi-discrete argument; both forms agree up to O(tau^2) but only this
     one closes identically.
     """
-    f, lam = ops.forms, params.lam
+    f, lam = ops.forms, ops.params.lam
     dphi = new.phi - old.phi
-    increments = (lam * (quad(f.k_p1, dphi) + params.gamma * quad(f.m_p1, dphi))
+    increments = (lam * (quad(f.k_p1, dphi) + ops.params.gamma * quad(f.m_p1, dphi))
                   + 2.0 * lam * (new.r - old.r) ** 2
-                  + 0.5 * quad(Planar(f.m_p2), new.u_tilde - old.u)
-                  - 0.5 * quad(Planar(f.m_p2), new.u_tilde - new.u)
+                  + 0.5 * quad(f.m_v, new.u_tilde - old.u)
+                  - 0.5 * quad(f.m_v, new.u_tilde - new.u)
                   + (new.rho - old.rho) ** 2)
-    return (modified_energy(ops, params, new) - modified_energy(ops, params, old)
-            + increments + dissipation(ops, params, new))
+    return (modified_energy(ops, new) - modified_energy(ops, old)
+            + increments + dissipation(ops, new))
 
 
 def quad(a, x: np.ndarray) -> float:
@@ -575,28 +571,28 @@ def _boundary_values(space: FeSpace, bc) -> np.ndarray:
     return interpolate(space, bc)[space.boundary_dofs]
 
 
-def step(state: State, params: Params, ops: Operators,
-         forcing: Forcing | None = None, bc=None,
+def step(state: State, ops: Operators, forcing: Forcing | None = None, bc=None,
          velocity_frozen: bool = False) -> tuple[State, StepReport]:
-    """Advance one time level and report the step diagnostics.
+    """Advance one time level with the constants `ops` was built from, and
+    report the step diagnostics.
 
     velocity_frozen runs the pure phase-field subsystem: the flow stays at
     rest and the pressure untouched, which is the mode the conservation
     checks use. A SolverError, ReductionError or NonpositiveEnergyError
-    raised on the way names the step it stopped (`_naming_step`).
+    raised on the way names the step it stopped (`naming_failures`).
     """
     iterations: dict = {}
 
-    with _naming_step(state.step + 1):
-        terms = explicit_terms(ops, params, state, forcing)
-        ch = ch_split_solve(ops, params, state.phi, terms, iterations)
+    with naming_failures(f"step {state.step + 1}"):
+        terms = explicit_terms(ops, state, forcing)
+        ch = ch_split_solve(ops, state.phi, terms, iterations)
         bc_values = _boundary_values(ops.p2v, bc) if bc is not None else None
         if velocity_frozen:
             zero = np.zeros(ops.p2v.ndofs)
             vel = (zero, zero.copy(), zero.copy())
         else:
-            vel = velocity_split_solve(ops, params, state.u, terms, bc_values, iterations)
-        r, rho, u_tilde, diag = scalar_reduction(ops, params, state, terms, ch, vel)
+            vel = velocity_split_solve(ops, state.u, terms, bc_values, iterations)
+        r, rho, u_tilde, diag = scalar_reduction(ops, state, terms, ch, vel)
 
         (phi0, mu0), (phi1, mu1) = ch
         phi_new = phi0 + r * phi1
@@ -605,19 +601,19 @@ def step(state: State, params: Params, ops: Operators,
         if velocity_frozen:
             u_new, p_new = state.u.copy(), state.p.copy()
         else:
-            u_new, p_new, _psi = pressure_correction(ops, params, u_tilde, state.p, iterations)
+            u_new, p_new, _psi = pressure_correction(ops, u_tilde, state.p, iterations)
     new = State(step=state.step + 1, phi=phi_new, mu=mu_new, u_tilde=u_tilde,
                 u=u_new, p=p_new, r=r, rho=rho)
-    res_r, res_rho = scalar_equation_residuals(ops, params, state, new, terms)
+    res_r, res_rho = scalar_equation_residuals(ops, state, new, terms)
 
-    energy_before = modified_energy(ops, params, state)
-    energy_after = modified_energy(ops, params, new)
-    residual = energy_identity_residual(ops, params, state, new) \
+    energy_before = modified_energy(ops, state)
+    energy_after = modified_energy(ops, new)
+    residual = energy_identity_residual(ops, state, new) \
         if forcing is None and bc is None else float("nan")
 
     report = StepReport(
         energy_before=energy_before, energy_after=energy_after,
-        dissipation=dissipation(ops, params, new), identity_residual=residual,
+        dissipation=dissipation(ops, new), identity_residual=residual,
         chosen_root=rho, r_eq_residual=res_r, rho_eq_residual=res_rho,
         div_norm=float(np.linalg.norm(asm.div_load(ops.forms, u_new))),
         e1h=terms.e1h, e2h=terms.e2h, iterations=iterations, **diag,
@@ -625,25 +621,25 @@ def step(state: State, params: Params, ops: Operators,
     return new, report
 
 
-def scalar_equation_residuals(ops: Operators, params: Params, old: State, new: State,
+def scalar_equation_residuals(ops: Operators, old: State, new: State,
                               terms: ExplicitTerms) -> tuple[float, float]:
     """Residuals of the r and rho equations that the scalar reduction eliminated.
 
     Each is |lhs - rhs| / max(1, |lhs|, |rhs|) for the step old -> new.
     """
-    tau, lam = params.tau, params.lam
+    tau, lam = ops.params.tau, ops.params.lam
     lhs_r = (new.r - old.r) / tau
     rhs_r = ((terms.fp @ (new.phi - old.phi)) / tau + (terms.conv_scalar @ new.mu) / lam
              - (terms.capillary @ new.u_tilde) / lam) / (2.0 * terms.sqrt_e1)
     res_r = abs(lhs_r - rhs_r) / max(1.0, abs(lhs_r), abs(rhs_r))
     lhs_rho = 2.0 * new.rho * (new.rho - old.rho) / tau
-    rhs_rho = ((new.u_tilde - old.u) @ (Planar(ops.forms.m_p2) @ new.u_tilde)) / tau \
+    rhs_rho = ((new.u_tilde - old.u) @ (ops.forms.m_v @ new.u_tilde)) / tau \
         + 2.0 * new.rho * (terms.convection @ new.u_tilde) / terms.sqrt_e2
     res_rho = abs(lhs_rho - rhs_rho) / max(1.0, abs(lhs_rho), abs(rhs_rho))
     return res_r, res_rho
 
 
-def scheme_residuals(ops: Operators, params: Params, old: State, new: State,
+def scheme_residuals(ops: Operators, old: State, new: State,
                      forcing: Forcing | None = None) -> dict:
     """Relative residuals of the five coupled discrete equations.
 
@@ -651,9 +647,9 @@ def scheme_residuals(ops: Operators, params: Params, old: State, new: State,
     values should sit at the linear-solver tolerance. The r and rho entries
     are those `step` reports.
     """
+    params, f = ops.params, ops.forms
     tau, lam = params.tau, params.lam
-    terms = explicit_terms(ops, params, old, forcing)
-    f = ops.forms
+    terms = explicit_terms(ops, old, forcing)
 
     def rel(res, *scales):
         return float(np.linalg.norm(res) / max(1.0, *(np.linalg.norm(s) for s in scales)))
@@ -668,14 +664,13 @@ def scheme_residuals(ops: Operators, params: Params, old: State, new: State,
         - (lam * new.r / terms.sqrt_e1) * terms.fp
     res_mu = rel(r2, f.m_p1 @ new.mu, lam * (f.k_p1 @ new.phi))
 
-    m_v = Planar(f.m_p2)
-    r4 = m_v @ (new.u_tilde - old.u) / tau + (new.rho / terms.sqrt_e2) * terms.convection \
-        + params.nu * (Planar(f.k_p2) @ new.u_tilde) + terms.grad_p \
+    r4 = f.m_v @ (new.u_tilde - old.u) / tau + (new.rho / terms.sqrt_e2) * terms.convection \
+        + params.nu * (f.k_v @ new.u_tilde) + terms.grad_p \
         - (new.r / terms.sqrt_e1) * terms.capillary
     if forcing is not None:
         r4 -= terms.g_u_load
     interior = np.setdiff1d(np.arange(ops.p2v.ndofs), ops.p2v.boundary_dofs)
-    res_u = rel(r4[interior], m_v @ old.u / tau)
+    res_u = rel(r4[interior], f.m_v @ old.u / tau)
 
-    res_r, res_rho = scalar_equation_residuals(ops, params, old, new, terms)
+    res_r, res_rho = scalar_equation_residuals(ops, old, new, terms)
     return {"phi": res_phi, "mu": res_mu, "r": res_r, "u": res_u, "rho": res_rho}

@@ -49,17 +49,15 @@ def _checks():
 
     params = replace(coarsening_params(), tau=0.01, t_end=1.0)
     ops = build_operators(p1, p2v, params)
-    state = init_state(ops, np.zeros(p1.ndofs), np.zeros(p2v.ndofs),
-                       np.zeros(p1.ndofs), params)
-    new, report = step(state, params, ops)
+    state = init_state(ops, np.zeros(p1.ndofs), np.zeros(p2v.ndofs), np.zeros(p1.ndofs))
+    new, report = step(state, ops)
     yield "zero state is stationary", (
         np.allclose(new.phi, 0) and np.allclose(new.u, 0)
         and abs(new.r - state.r) < 1e-12 and abs(new.rho - state.rho) < 1e-12)
 
     phi0 = 0.1 * np.cos(np.pi * p1.dof_coords[:, 0])
-    state = init_state(ops, phi0, np.zeros(p2v.ndofs), np.zeros(p1.ndofs), params,
-                       mu0=phi0.copy())
-    new, report = step(state, params, ops)
+    state = init_state(ops, phi0, np.zeros(p2v.ndofs), np.zeros(p1.ndofs), mu0=phi0.copy())
+    new, report = step(state, ops)
     scale = max(1.0, report.energy_before)
     yield "energy identity", abs(report.identity_residual) < 1e-8 * scale
     yield "energy nonincreasing", report.energy_after <= report.energy_before + 1e-8 * scale

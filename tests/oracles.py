@@ -10,7 +10,7 @@ from chns.mesh import Mesh, mesh_size
 from chns.scheme import closest_ratio_root, explicit_terms
 
 
-def picard_step(state, params, ops, forcing=None, tol=1e-12, max_iter=400):
+def picard_step(state, ops, forcing=None, tol=1e-12, max_iter=400):
     """Fixed-point solve of the coupled step with frozen auxiliary scalars.
 
     Iterates: solve the phase/potential block and the tentative velocity
@@ -18,9 +18,9 @@ def picard_step(state, params, ops, forcing=None, tol=1e-12, max_iter=400):
     quadratic, until both scalars settle. This is the monolithic statement
     of the step, solved without the superposition splitting.
     """
+    params, f = ops.params, ops.forms
     tau, lam = params.tau, params.lam
-    f = ops.forms
-    terms = explicit_terms(ops, params, state, forcing)
+    terms = explicit_terms(ops, state, forcing)
     se1, se2 = terms.sqrt_e1, terms.sqrt_e2
     conv_scalar, fp, capillary, convection = \
         terms.conv_scalar, terms.fp, terms.capillary, terms.convection

@@ -100,8 +100,7 @@ def test_criterion_4_energy_identity(stability_runs):
             {"50 steps <= 1e-8": worst <= 1e-8})
 
 
-def test_criterion_5_quadratic_root_machinery(convergence_results, stability_runs,
-                                              small_ops, coarsen_params):
+def test_criterion_5_quadratic_root_machinery(convergence_results, stability_runs, small_ops):
     _, diag = convergence_results
     gates = {"discriminant (mms runs)": diag["min_disc_scaled"] >= -1e-12}
     for tau, run in stability_runs.items():
@@ -109,9 +108,8 @@ def test_criterion_5_quadratic_root_machinery(convergence_results, stability_run
 
     # stationary state returns the previous scalar exactly
     s0 = init_state(small_ops, np.zeros(small_ops.p1.ndofs),
-                    np.zeros(small_ops.p2v.ndofs), np.zeros(small_ops.p1.ndofs),
-                    coarsen_params)
-    _, report = step(s0, coarsen_params, small_ops)
+                    np.zeros(small_ops.p2v.ndofs), np.zeros(small_ops.p1.ndofs))
+    _, report = step(s0, small_ops)
     gates["stationary rho"] = abs(report.chosen_root - s0.rho) <= 1e-12
 
     # a zero constant coefficient factors an exact zero root, which the
@@ -134,15 +132,15 @@ def test_criterion_6_picard_oracle_equivalence():
     case = trig_case(prm)
     forcing = Forcing(g_phi=case.g_phi, g_u=case.g_u)
     s = init_state(ops, lambda x, y: case.phi(0, x, y), lambda x, y: case.u(0, x, y),
-                   lambda x, y: case.p(0, x, y), prm, mu0=lambda x, y: case.mu(0, x, y))
+                   lambda x, y: case.p(0, x, y), mu0=lambda x, y: case.mu(0, x, y))
 
     def rel(a, b):
         return np.linalg.norm(np.atleast_1d(a - b)) / max(np.linalg.norm(np.atleast_1d(b)), 1e-30)
 
     worst = 0.0
     for _ in range(5):
-        oracle = picard_step(s, prm, ops, forcing)
-        s, _ = step(s, prm, ops, forcing=forcing)
+        oracle = picard_step(s, ops, forcing)
+        s, _ = step(s, ops, forcing=forcing)
         worst = max(worst, rel(oracle["phi"], s.phi), rel(oracle["mu"], s.mu),
                     rel(oracle["u_tilde"], s.u_tilde),
                     abs(oracle["r"] - s.r) / max(1.0, abs(s.r)),
@@ -159,11 +157,10 @@ def test_criterion_7_conservation_and_structure(small_ops):
                  c1=1.0, c2=0.1, tau=1e-3, t_end=1.0, solver_tol=1e-12)
     ops = build_operators(small_ops.p1, small_ops.p2v, prm)
     phi0 = random_phase_field(23, ops.p1.ndofs)
-    s = init_state(ops, phi0, np.zeros(ops.p2v.ndofs), np.zeros(ops.p1.ndofs),
-                   prm, mu0=phi0.copy())
+    s = init_state(ops, phi0, np.zeros(ops.p2v.ndofs), np.zeros(ops.p1.ndofs), mu0=phi0.copy())
     mass0 = ops.forms.lumped_p1 @ s.phi
     for _ in range(20):
-        s, _ = step(s, prm, ops, velocity_frozen=True)
+        s, _ = step(s, ops, velocity_frozen=True)
     gates["mass conservation <=1e-10"] = abs(ops.forms.lumped_p1 @ s.phi - mass0) <= 1e-10
 
     # pressure mean-free at every step of a flowing run

@@ -313,6 +313,8 @@ def test_cli_relax_not_monotone_exits_1(tmp_path, monkeypatch):
     ["coarsen", "--seed", "-1"],
     ["coarsen", "--seed", "18446744073709551616"],
     ["stability", {"seed": -1}],
+    ["converge", {"levels": []}],
+    ["stability", {"tau_list": []}],
 ])
 def test_cli_bad_numbers_exit_2_with_one_line(argv, tmp_path, capsys):
     if isinstance(argv[-1], dict):
@@ -326,17 +328,27 @@ def test_cli_bad_numbers_exit_2_with_one_line(argv, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("exc", [SolverError("bicgstab stagnated", 0.5),
-                                 ReductionError("no real root"),
-                                 NonpositiveEnergyError("shifted energies must be positive")],
-                         ids=lambda e: type(e).__name__)
+@pytest.mark.parametrize("exc", [
+    pytest.param(exc, id=type(exc).__name__) for exc in (
+        SolverError("bicgstab stagnated", 0.5), ReductionError("no real root"),
+        NonpositiveEnergyError("shifted energies must be positive"))
+] + [pytest.param(None, id="converge")])
 def test_cli_run_failures_exit_3_with_one_line(exc, tmp_path, capsys, monkeypatch):
-    def fail(*args, **kwargs):
-        raise exc
-    monkeypatch.setattr(cli.ex, "run_coarsening", fail)
-    assert main(["coarsen", "--out", str(tmp_path / "o")]) == 3
+    if exc is None:
+        # a real failure: no solve reaches this tolerance, and the level is named
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"solver_tol": 1e-300}))
+        argv = ["converge", "--nx", "4", "--config", str(cfg)]
+        expected = "error: SolverError: level nx=4: step 1: "
+    else:
+        def fail(*args, **kwargs):
+            raise exc
+        monkeypatch.setattr(cli.ex, "run_coarsening", fail)
+        argv = ["coarsen"]
+        expected = f"error: {type(exc).__name__}: {exc}\n"
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
-    assert err == f"error: {type(exc).__name__}: {exc}\n"
+    assert err.startswith(expected) and err.count("\n") == 1
 
 
 def test_a_failure_inside_a_step_names_the_step(tmp_path, capsys, monkeypatch):

@@ -56,9 +56,9 @@ def test_error_accumulator_matches_interpolation_error():
     t = 0.04
     state = init_state(ops, lambda x, y: case.phi(t, x, y),
                        lambda x, y: case.u(t, x, y),
-                       lambda x, y: case.p(t, x, y), prm,
+                       lambda x, y: case.p(t, x, y),
                        mu0=lambda x, y: case.mu(t, x, y))
-    acc = ErrorAccumulator(ops, case, prm)
+    acc = ErrorAccumulator(ops, case)
     acc.update(state, t)
     # errors equal interpolation errors, cross-checked against the norm helper
     assert acc.phi_linf == pytest.approx(
@@ -86,11 +86,12 @@ def test_coarsening_initial_data_contract():
     expected_phi0 = random_phase_field(5, ops.p1.ndofs)
     prm = Params(mobility=0.0001, lam=0.02, nu=1.0, eps=0.01, gamma=1.0,
                  c1=1.0, c2=0.1, tau=1e-1, t_end=0.1)
+    assert ops.params == prm
     s = init_state(ops, expected_phi0, np.zeros(ops.p2v.ndofs),
-                   np.zeros(ops.p1.ndofs), prm, mu0=expected_phi0.copy())
+                   np.zeros(ops.p1.ndofs), mu0=expected_phi0.copy())
     from chns.scheme import modified_energy, step
-    assert modified_energy(ops, prm, s) == pytest.approx(run.initial_energy, rel=1e-12)
-    s1, _ = step(s, prm, ops)
+    assert modified_energy(ops, s) == pytest.approx(run.initial_energy, rel=1e-12)
+    s1, _ = step(s, ops)
     assert np.array_equal(s1.phi, run.final_state.phi)
     assert np.array_equal(s1.u, run.final_state.u)
     # large tau still dissipates (unconditional stability at desk scale)

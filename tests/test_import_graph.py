@@ -40,9 +40,9 @@ p1, p2v = build_space(mesh, "p1"), build_space(mesh, "p2vec")
 def one_step(params):
     ops = build_operators(p1, p2v, params)
     phi = random_phase_field(1, p1.ndofs)
-    state = init_state(ops, phi, np.zeros(p2v.ndofs), np.zeros(p1.ndofs), params,
+    state = init_state(ops, phi, np.zeros(p2v.ndofs), np.zeros(p1.ndofs),
                        mu0=phi.copy())
-    new, report = step(state, params, ops)
+    new, report = step(state, ops)
     assert new.step == 1 and report.iterations["ch_x0"] >= 1
     return ops
 

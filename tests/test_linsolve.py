@@ -227,7 +227,7 @@ def test_stiff_ch_block_skips_bicgstab_and_builds_presb_once(monkeypatch):
                           conv_scalar=rng.standard_normal(n), fp=rng.standard_normal(n),
                           capillary=None, convection=None, grad_p=None,
                           g_phi_load=None, g_u_load=None)
-    ch_split_solve(ops2, params2, phi_n, terms, iterations)
+    ch_split_solve(ops2, phi_n, terms, iterations)
     assert calls == {"_bicgstab": 0, "_gmres_fallback": 0, "_presb_gmres": 4}
     assert 1 <= iterations["ch_x0"] <= 30 and 1 <= iterations["ch_x1"] <= 30
     assert ops2.ch_solver is not presb and ops2.ch_solver.h_inverse is not presb.h_inverse
@@ -241,7 +241,7 @@ def test_a_very_stiff_ch_block_ends_its_hierarchy_at_the_one_cell_grid(nx):
     params = replace(relaxation_params(), tau=200.0, t_end=200.0)
     mesh = build_uniform_mesh(nx, nx)
     ops = build_operators(build_space(mesh, "p1"), build_space(mesh, "p2vec"), params)
-    assert ops.ch_c > 1.0 / 9.0
+    assert np.sqrt(params.tau * params.mobility * params.lam) > 1.0 / 9.0
     presb = ops.ch_solver
     assert presb.direct and len(presb.h_inverse.ops) == nx.bit_length()
     b = np.random.default_rng(nx).standard_normal(ops.a_ch.shape[0])
