@@ -127,9 +127,10 @@ def parse_config(path: str | None = None, kind: str | None = None,
     taus = cfg.tau_list if cfg.kind == "stability" else [cfg.tau]
     if any(t > cfg.t_end for t in taus):
         raise ConfigError(f"time step exceeds the final time {cfg.t_end}")
-    runs = {"converge": "levels", "stability": "tau_list"}.get(cfg.kind)  # one run per value
-    if runs is not None and not getattr(cfg, runs):
-        raise ConfigError(f"{runs} must hold at least one value")
+    if cfg.kind == "stability" and not cfg.tau_list:  # one run per value
+        raise ConfigError("tau_list must hold at least one value")
+    if cfg.kind == "converge" and not cfg.levels:
+        raise ConfigError("levels must hold at least one value")
     if cfg.nx < 1 or any(n < 1 for n in cfg.levels):
         raise ConfigError("mesh subdivisions (nx, levels) must be at least 1")
     if cfg.kind == "converge" and list(cfg.levels) != sorted(cfg.levels):

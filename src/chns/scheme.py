@@ -125,14 +125,13 @@ class StepReport:
     iterations: dict = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Operators:
     """The matrices of one run, built from `params`, the one source of the
-    run's constants: every function of a step reads them from here.
-
+    run's constants: every function of a step reads them from here. Frozen,
+    like `Params`, so the matrices and their constants cannot drift apart.
     Each matrix's solver data (a symmetric matrix's preconditioner, the phase
-    block's `Presb`) is made by the first solve that reads it, and kept.
-    """
+    block's `Presb`) is made by the first solve that reads it, and kept."""
 
     mesh: Mesh
     p1: FeSpace

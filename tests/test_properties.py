@@ -157,8 +157,12 @@ def test_one_unforced_step_closes_the_energy_identity(seed, phi_scale, u_scale, 
     try:
         _, report = step(state, ops)
     except ReductionError:
-        # the rho quadratic has no real root, so there is no step to check; met
-        # only at tau >= 0.1 with nu <= 0.1 and a velocity amplitude near 1
+        # the rho quadratic has no real root, so there is no step to check. That
+        # is met at tau >= 0.1 with nu <= 0.16 and a velocity amplitude near 1;
+        # the box skipped here holds it with a margin, and a failure outside it,
+        # the examples above included, fails the test.
+        if tau < -1.3 or nu > -0.5:
+            raise
         reject()
     assert abs(report.identity_residual) <= 1e-8 * max(1.0, report.energy_after)
 
