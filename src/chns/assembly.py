@@ -1,16 +1,20 @@
 """Galerkin matrices, load vectors, boundary conditions, norms, and energies.
 
-All assembly is vectorized over triangles. The per-step field evaluations
-and load vectors are BLAS matrix products on reference tables computed once
-per space and quadrature rule. Their rounding depends on the BLAS kernel, so
-assembled objects are bit-reproducible for a given mesh, numpy/BLAS build,
-machine and BLAS thread count.
+All assembly is vectorized over triangles. On an affine triangle T every
+constant matrix is a geometric factor times an integral over the reference
+triangle, taken once per basis by the degree-5 rule: the mass det_T M_ref,
+the stiffness sum_ab C_T[a, b] S_ab with C_T = det_T inv_T inv_T^T, and the
+divergence det_T inv_T^T R. The per-step field evaluations and load vectors
+are BLAS matrix products on reference tables computed once per space and
+quadrature rule. Their rounding depends on the BLAS kernel, so assembled
+objects are bit-reproducible for a given mesh, numpy/BLAS build, machine and
+BLAS thread count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -55,8 +59,10 @@ def _points(mesh: Mesh, rule) -> tuple[np.ndarray, np.ndarray]:
     xy = mesh._cache.get(key)
     if xy is None:
         geom = _geometry(mesh)
-        pts = geom["origin"][:, None, :] + np.einsum("tcd,qd->tqc", geom["jac"], rule.points[:, 1:])
-        xy = tuple(np.ascontiguousarray(pts[..., c]) for c in range(2))
+        jac, ref = geom["jac"], rule.points[:, 1:]
+        xy = tuple(geom["origin"][:, c, None] + (jac[:, c, 0, None] * ref[:, 0]
+                                                 + jac[:, c, 1, None] * ref[:, 1])
+                   for c in range(2))
         for a in xy:
             a.setflags(write=False)
         mesh._cache[key] = xy
@@ -88,26 +94,6 @@ def _tables(space: FeSpace, degree: int) -> dict:
         }
         space._cache[key] = tab
     return tab
-
-
-def _basis_gradients(tab: dict) -> np.ndarray:
-    """Physical basis gradients grad_i = J^{-T} gref_i at every point: (nt, nq, nloc, 2).
-
-    Made on demand for the set-up matrices and not kept: the time loop never
-    reads them, and at nx=64 the P2 array alone holds 5.5 MB.
-    """
-    nloc, nq = tab["gref"].shape[0], tab["vals"].shape[0]
-    gref = tab["gref"].reshape(nloc, 2, nq).transpose(1, 2, 0).reshape(2, nq * nloc)  # [d, (q, i)]
-    inv = tab["inv"]  # (nt, 2, 2)
-    nt = inv.shape[0]
-    # C order: the set-up einsums follow their inputs' layout, and the matrices' last bits with it
-    out = np.empty((nt, nq, nloc, 2))
-    for e in range(2):
-        # one outer product per term keeps the inner loops long
-        comp = np.multiply.outer(inv[:, 0, e], gref[0])
-        comp += np.multiply.outer(inv[:, 1, e], gref[1])
-        out[..., e] = comp.reshape(nt, nq, nloc)
-    return out
 
 
 def _gather(space: FeSpace, coeffs: np.ndarray) -> np.ndarray:
@@ -156,50 +142,117 @@ def _load(space: FeSpace, tab: dict, integrand: np.ndarray) -> np.ndarray:
                        minlength=space.ndofs)
 
 
+def _coo_index(dofs: np.ndarray) -> np.ndarray:
+    """`dofs` as scipy indexes the matrices here; int64 would cost a checked downcast."""
+    return dofs.astype(np.int32)
+
+
+def _summed(data: np.ndarray, rows: np.ndarray, cols: np.ndarray, shape) -> sp.csr_matrix:
+    """CSR sum of COO entries, listed in the order that sets the sums' last bits.
+
+    Sums that come out exactly 0.0 are dropped: they add nothing to a product.
+    """
+    out = sp.coo_matrix((data, (rows, cols)), shape=shape).tocsr()
+    out.eliminate_zeros()
+    return out
+
+
 def _matrix_from_cells(space: FeSpace, elem: np.ndarray) -> sp.csr_matrix:
-    dofs = space.scalar_cell_dofs
+    dofs = _coo_index(space.scalar_cell_dofs)
     nloc = dofs.shape[1]
     rows = np.repeat(dofs, nloc, axis=1).ravel()
     cols = np.tile(dofs, (1, nloc)).ravel()
     n = space.dof_coords.shape[0]  # scalar nodes
-    return sp.coo_matrix((elem.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    return _summed(elem.ravel(), rows, cols, (n, n))
 
 
 # ---------------------------------------------------------------------------
 # matrices
 
 
+@cache
+def _reference_integrals(kind: str) -> dict:
+    """Integrals over the reference triangle of basis products, by the degree-5 rule.
+
+    For the scalar basis phi of a space of `kind`, with nloc functions:
+    - mass[i, j] = sum_q w_q phi_i phi_j;
+    - stiffness[2 a + b, i * nloc + j] = sum_q w_q d_a phi_i d_b phi_j;
+    - for P2, divergence[d, k * 6 + m] = sum_q w_q psi_k d_d phi_m, psi the P1 basis.
+    The arrays are read-only: every mesh shares them.
+    """
+    rule = triangle_quadrature(ASSEMBLY_DEGREE)
+    w = rule.weights
+
+    def integral(a, b):  # sum_q w_q a[q, i] b[q, j], point by point in the rule's order
+        return ((w[:, None] * a)[:, :, None] * b[:, None, :]).sum(axis=0)
+
+    vals, gref = (p1_tables if kind == "p1" else p2_tables)(rule.points)
+    nq, nloc = vals.shape
+    g = gref.transpose(0, 2, 1).reshape(nq, 2 * nloc)  # [q, (a, i)]
+    ints = {
+        "mass": integral(vals, vals),
+        "stiffness": integral(g, g).reshape(2, nloc, 2, nloc).transpose(0, 2, 1, 3)
+                                   .reshape(4, nloc * nloc),
+    }
+    if kind != "p1":
+        psi = p1_tables(rule.points)[0]
+        ints["divergence"] = integral(psi, g).reshape(3, 2, nloc).transpose(1, 0, 2) \
+                                             .reshape(2, 3 * nloc)
+    for a in ints.values():
+        a.setflags(write=False)
+    return ints
+
+
 def assemble_mass(space: FeSpace) -> sp.csr_matrix:
-    """The mass matrix of the space's scalar basis; a vector space's components share it."""
-    tab = _tables(space, ASSEMBLY_DEGREE)
-    elem = np.einsum("tq,qi,qj->tij", tab["wdet"], tab["vals"], tab["vals"])
-    return _matrix_from_cells(space, elem)
+    """The mass matrix of the space's scalar basis; a vector space's components share it.
 
-
-def _stiffness(space: FeSpace, grads: np.ndarray) -> sp.csr_matrix:
-    tab = _tables(space, ASSEMBLY_DEGREE)
-    elem = np.einsum("tq,tqid,tqjd->tij", tab["wdet"], grads, grads)
+    On an affine triangle T it is det_T times the reference mass matrix.
+    """
+    ref = _reference_integrals(space.kind)["mass"]
+    elem = _geometry(space.mesh)["det"][:, None] * ref.ravel()
     return _matrix_from_cells(space, elem)
 
 
 def assemble_stiffness(space: FeSpace) -> sp.csr_matrix:
-    """The stiffness matrix of the space's scalar basis, as `assemble_mass`."""
-    return _stiffness(space, _basis_gradients(_tables(space, ASSEMBLY_DEGREE)))
+    """The stiffness matrix of the space's scalar basis, as `assemble_mass`.
+
+    A physical gradient is inv_T^T times the reference one, so the element
+    matrix is sum_ab C_T[a, b] stiffness_ab with C_T = det_T inv_T inv_T^T:
+    one (nt, 4) @ (4, nloc^2) product.
+    """
+    geom = _geometry(space.mesh)
+    inv = geom["inv"]
+    c = (inv @ inv.transpose(0, 2, 1)).reshape(-1, 4) * geom["det"][:, None]
+    elem = c @ _reference_integrals(space.kind)["stiffness"]
+    return _matrix_from_cells(space, elem)
 
 
-def _divergence(p1: FeSpace, p2v: FeSpace, grads2: np.ndarray) -> sp.csr_matrix:
-    """D[k, i] = (div v_i, q_k); div_load(u) is then D @ u."""
-    tab2 = _tables(p2v, ASSEMBLY_DEGREE)
-    tab1 = _tables(p1, ASSEMBLY_DEGREE)
-    elem = np.einsum("tq,qk,tqmc->tkcm", tab2["wdet"], tab1["vals"], grads2)  # (nt, 3, 2, 6)
-    rows = np.repeat(p1.scalar_cell_dofs, 12, axis=1).ravel()
-    cols = np.tile(p2v.cell_dofs, (1, 3)).ravel()
-    return sp.coo_matrix((elem.ravel(), (rows, cols)), shape=(p1.ndofs, p2v.ndofs)).tocsr()
+def _divergence(p1: FeSpace, p2v: FeSpace) -> sp.csr_matrix:
+    """D[k, i] = (div v_i, q_k); div_load(u) is then D @ u.
+
+    d_c v_m is sum_a inv_T[a, c] d_a phi_m, so the element block [c, k, m] is
+    det_T inv_T^T @ divergence: one (2 nt, 2) @ (2, 18) product.
+    """
+    geom = _geometry(p1.mesh)
+    nt = geom["det"].shape[0]
+    b = (geom["det"][:, None, None] * geom["inv"]).transpose(0, 2, 1).reshape(2 * nt, 2)
+    elem = (b @ _reference_integrals(p2v.kind)["divergence"]).reshape(nt, 2, 3, 6)
+    # listed (t, k, c, m): component-major within a cell, as cell_dofs numbers them
+    rows = np.repeat(_coo_index(p1.scalar_cell_dofs), 12, axis=1).ravel()
+    cols = np.tile(_coo_index(p2v.cell_dofs), (1, 3)).ravel()
+    return _summed(elem.transpose(0, 2, 1, 3).ravel(), rows, cols, (p1.ndofs, p2v.ndofs))
 
 
 @dataclass
 class AssembledForms:
     """Time-independent operators shared by every step of a run.
+
+    Each matrix is the COO sum of its element matrices, made from the
+    reference integrals, without the sums that come out exactly 0.0. It
+    matches the point-by-point quadrature sum to within 1e-15 of its largest
+    entry. Where det_T is a power of two, as on the uniform grids of the unit
+    square with 2^k cells a side, m_p1, k_p1 and m_p2 equal that sum byte
+    for byte; k_p2 and D differ in their last bits.
 
     The pressure gradient is -D^T (`grad_p_load`): its boundary rows hold
     -(q_k, div v_i), not (grad q_k, v_i), and every consumer overwrites them.
@@ -227,19 +280,13 @@ class AssembledForms:
 
 
 def assemble_forms(p1: FeSpace, p2v: FeSpace) -> AssembledForms:
-    k_p1 = assemble_stiffness(p1)
-    # the P2 basis gradients serve two matrices, then are dropped
-    grads2 = _basis_gradients(_tables(p2v, ASSEMBLY_DEGREE))
-    k_p2 = _stiffness(p2v, grads2)
-    div_coupling = _divergence(p1, p2v, grads2)
-    del grads2
     m_p1 = assemble_mass(p1)
     return AssembledForms(
         m_p1=m_p1,
-        k_p1=k_p1,
+        k_p1=assemble_stiffness(p1),
         m_p2=assemble_mass(p2v),
-        k_p2=k_p2,
-        div_coupling=div_coupling,
+        k_p2=assemble_stiffness(p2v),
+        div_coupling=_divergence(p1, p2v),
         lumped_p1=np.asarray(m_p1.sum(axis=1)).ravel(),
     )
 

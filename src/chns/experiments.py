@@ -11,7 +11,6 @@ import numpy as np
 from . import assembly as asm
 from .assembly import l2_error, h1_error
 from .fem import NORM_DEGREE, build_space
-from .linsolve import solve_neumann_zero_mean
 from .mesh import build_uniform_mesh
 from .mms import MmsCase, trig_case
 from .scheme import Forcing, Operators, Params, State, StepReport, build_operators, init_state, \
@@ -335,54 +334,3 @@ def run_relaxation(polygon, nx: int, tau: float, t_end: float,
     phi0 = np.where(inside, 1.0, -1.0)
     state = init_state(ops, phi0, rotation, np.zeros(ops.p1.ndofs))
     return _march(ops, state, snapshot_times, bc=rotation, on_step=on_step)
-
-
-# ---------------------------------------------------------------------------
-# elliptic projection order check
-
-
-def ritz_projection(p1, grad, integral: float = 0.0) -> np.ndarray:
-    """Gradient-matching projection onto the linear space.
-
-    grad is the analytic gradient of the projected field; integral is the
-    field's integral over the domain, which pins the constant mode.
-    """
-    k = asm.assemble_stiffness(p1)
-    m = asm.assemble_mass(p1)
-    lumped = np.asarray(m.sum(axis=1)).ravel()
-    proj, _ = solve_neumann_zero_mean(k, _grad_load(p1, grad), lumped)
-    return proj + integral / lumped.sum()
-
-
-def _grad_load(p1, grad) -> np.ndarray:
-    """Entries (grad f, grad w_i) assembled from an analytic gradient."""
-    tab = asm._tables(p1, NORM_DEGREE)
-    g = asm._at_points(grad, tab, 2)
-    cellwise = np.einsum("tq,tdq,tqid->ti", tab["wdet"], g, asm._basis_gradients(tab))
-    return np.bincount(p1.scalar_cell_dofs.ravel(), weights=cellwise.ravel(),
-                       minlength=p1.ndofs)
-
-
-def projection_rate_check(levels=(4, 8, 16)):
-    """Observed L2/H1 orders of the gradient-matching projection of a smooth field."""
-    pi = np.pi
-
-    def field(x, y):
-        return np.sin(pi * x) * np.cos(pi * y)
-
-    def grad(x, y):
-        return (pi * np.cos(pi * x) * np.cos(pi * y),
-                -pi * np.sin(pi * x) * np.sin(pi * y))
-
-    errs_l2, errs_h1 = [], []
-    for nx in levels:
-        mesh = build_uniform_mesh(nx, nx)
-        p1 = build_space(mesh, "p1")
-        # the test field has zero mean, so no shift is needed
-        proj = ritz_projection(p1, grad)
-        errs_l2.append(l2_error(p1, proj, field))
-        errs_h1.append(asm.h1_seminorm_error(p1, proj, grad))
-    l2_rates = [rate(a, b) for a, b in zip(errs_l2, errs_l2[1:])]
-    h1_rates = [rate(a, b) for a, b in zip(errs_h1, errs_h1[1:])]
-    return {"l2_errors": errs_l2, "h1_errors": errs_h1,
-            "l2_rates": l2_rates, "h1_rates": h1_rates}

@@ -4,9 +4,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from chns import assembly as asm
-from chns.fem import FeSpace
-from chns.linsolve import SolverError, solve_general, solve_spd
-from chns.mesh import Mesh, mesh_size
+from chns.experiments import rate
+from chns.fem import NORM_DEGREE, FeSpace, build_space
+from chns.linsolve import SolverError, solve_general, solve_neumann_zero_mean, solve_spd
+from chns.mesh import Mesh, build_uniform_mesh, mesh_size
 from chns.scheme import closest_ratio_root, explicit_terms
 
 
@@ -76,6 +77,19 @@ def _planar_dofs(space):
     return np.stack([dofs, dofs + n], axis=-1)
 
 
+def basis_gradients(tab):
+    """Physical basis gradients grad_i = J^{-T} gref_i at every point of a table: (nt, nq, nloc, 2)."""
+    nloc, nq = tab["gref"].shape[0], tab["vals"].shape[0]
+    gref = tab["gref"].reshape(nloc, 2, nq).transpose(1, 2, 0).reshape(2, nq * nloc)  # [d, (q, i)]
+    inv = tab["inv"]  # (nt, 2, 2)
+    out = np.empty((inv.shape[0], nq, nloc, 2))
+    for e in range(2):
+        comp = np.multiply.outer(inv[:, 0, e], gref[0])
+        comp += np.multiply.outer(inv[:, 1, e], gref[1])
+        out[..., e] = comp.reshape(-1, nq, nloc)
+    return out
+
+
 def _einsum_gather(space, coeffs):
     """Per-cell coefficients: (nt, nloc) scalar or (nt, nloc, 2) vector."""
     coeffs = np.asarray(coeffs)
@@ -89,6 +103,12 @@ def _einsum_scatter(space, cellwise):
     return np.bincount(dofs.ravel(), weights=cellwise.ravel(), minlength=space.ndofs)
 
 
+def einsum_points(mesh, rule):
+    """Physical quadrature points origin_T + J_T ref_q as one einsum: (nt, nq, 2)."""
+    geom = asm._geometry(mesh)
+    return geom["origin"][:, None, :] + np.einsum("tcd,qd->tqc", geom["jac"], rule.points[:, 1:])
+
+
 def einsum_eval_scalar(space, coeffs, degree=5):
     tab = asm._tables(space, degree)
     return np.einsum("ti,qi->tq", _einsum_gather(space, coeffs), tab["vals"])
@@ -96,7 +116,7 @@ def einsum_eval_scalar(space, coeffs, degree=5):
 
 def einsum_eval_scalar_grad(space, coeffs, degree=5):
     tab = asm._tables(space, degree)
-    return np.einsum("ti,tqid->tqd", _einsum_gather(space, coeffs), asm._basis_gradients(tab))
+    return np.einsum("ti,tqid->tqd", _einsum_gather(space, coeffs), basis_gradients(tab))
 
 
 def einsum_eval_vector(space, coeffs, degree=5):
@@ -106,7 +126,7 @@ def einsum_eval_vector(space, coeffs, degree=5):
 
 def einsum_eval_vector_grad(space, coeffs, degree=5):
     tab = asm._tables(space, degree)
-    return np.einsum("tic,tqid->tqcd", _einsum_gather(space, coeffs), asm._basis_gradients(tab))
+    return np.einsum("tic,tqid->tqcd", _einsum_gather(space, coeffs), basis_gradients(tab))
 
 
 def einsum_load(space, integrand, degree=5):
@@ -300,19 +320,10 @@ def kron_planar(block):
     return sp.kron(sp.eye(2), block, format="csr")
 
 
-def broadcast_basis_gradients(tab):
-    """asm._basis_gradients as one broadcast multiply-add over (nt, nq, nloc, 2)."""
-    nloc, nq = tab["gref"].shape[0], tab["vals"].shape[0]
-    gref = tab["gref"].reshape(nloc, 2, 1, nq).transpose(3, 0, 2, 1)  # (nq, nloc, 1, 2)
-    inv = tab["inv"][:, None, None]  # (nt, 1, 1, 2, 2)
-    out = np.multiply(gref[..., 0], inv[..., 0, :], out=np.empty((inv.shape[0], nq, nloc, 2)))
-    out += gref[..., 1] * inv[..., 1, :]
-    return out
-
-
 def assemble_forms_by_hand(p1, p2v):
-    """assemble_forms with basis gradients made per matrix, and the divergence
-    block's planar velocity dofs numbered from the scalar ones by hand."""
+    """assemble_forms as quadrature sums over physical basis gradients at every
+    point, with the divergence block's planar velocity dofs numbered from the
+    scalar ones by hand."""
     tab1, tab2 = asm._tables(p1, 5), asm._tables(p2v, 5)
 
     def mass(space, tab):
@@ -320,14 +331,12 @@ def assemble_forms_by_hand(p1, p2v):
                                                        tab["vals"], tab["vals"]))
 
     def stiffness(space, tab):
-        g = broadcast_basis_gradients(tab)
+        g = basis_gradients(tab)
         return asm._matrix_from_cells(space, np.einsum("tq,tqid,tqjd->tij", tab["wdet"], g, g))
 
-    # component-major within a cell, as assemble_forms lists the entries: COO sums
-    # repeated entries in an order that depends on it, and that order sets the last bits
     vdofs = _planar_dofs(p2v).transpose(0, 2, 1)
     elem = np.einsum("tq,qk,tqmc->tkcm", tab2["wdet"], tab1["vals"],
-                     broadcast_basis_gradients(tab2))
+                     basis_gradients(tab2))
     rows = np.repeat(p1.scalar_cell_dofs, 12, axis=1).ravel()
     cols = np.tile(vdofs.reshape(-1, 12), (1, 3)).ravel()
     div = sp.coo_matrix((elem.ravel(), (rows, cols)), shape=(p1.ndofs, p2v.ndofs)).tocsr()
@@ -337,13 +346,24 @@ def assemble_forms_by_hand(p1, p2v):
                               lumped_p1=np.asarray(m_p1.sum(axis=1)).ravel())
 
 
+def with_cell_zeros(a, row_dofs, col_dofs):
+    """`a` with an explicit 0.0 at every (row, column) pair that some cell couples
+    and `a` does not store: the COO sum before its exact zeros are dropped."""
+    rows = np.repeat(row_dofs, col_dofs.shape[1], axis=1).ravel()
+    cols = np.tile(col_dofs, (1, row_dofs.shape[1])).ravel()
+    pattern = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=a.shape)
+    coo = pattern.tocoo()
+    data = np.asarray(a[coo.row, coo.col]).ravel()
+    return sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=a.shape)
+
+
 def pressure_gradient_by_hand(p1, p2v):
     """G[i, k] = (grad q_k, v_i) assembled as its own form: P1 gradients are
     constant per triangle, so each entry is grad q_k times the integral of v_i."""
     tab1, tab2 = asm._tables(p1, 5), asm._tables(p2v, 5)
     vdofs = _planar_dofs(p2v).transpose(0, 2, 1)
     intn2 = np.einsum("tq,qm->tm", tab2["wdet"], tab2["vals"])
-    elem = np.einsum("tm,tkc->tcmk", intn2, broadcast_basis_gradients(tab1)[:, 0])
+    elem = np.einsum("tm,tkc->tcmk", intn2, basis_gradients(tab1)[:, 0])
     rows = np.repeat(vdofs.reshape(-1, 12), 3, axis=1).ravel()
     cols = np.tile(p1.scalar_cell_dofs, (1, 12)).ravel()
     return sp.coo_matrix((elem.ravel(), (rows, cols)), shape=(p2v.ndofs, p1.ndofs)).tocsr()
@@ -359,6 +379,54 @@ def coo_eliminated_matrix(a, dofs):
     cols = np.concatenate([coo.col[m], dofs])
     vals = np.concatenate([coo.data[m], np.ones(len(dofs))])
     return sp.csr_matrix((vals, (rows, cols)), shape=a.shape)
+
+
+# ---------------------------------------------------------------------------
+# the gradient-matching (Ritz) projection onto P1
+
+
+def ritz_projection(p1, grad, integral: float = 0.0) -> np.ndarray:
+    """Gradient-matching projection onto the linear space.
+
+    grad is the analytic gradient of the projected field; integral is the
+    field's integral over the domain, which pins the constant mode.
+    """
+    k = asm.assemble_stiffness(p1)
+    lumped = np.asarray(asm.assemble_mass(p1).sum(axis=1)).ravel()
+    proj, _ = solve_neumann_zero_mean(k, grad_load(p1, grad), lumped)
+    return proj + integral / lumped.sum()
+
+
+def grad_load(p1, grad) -> np.ndarray:
+    """Entries (grad f, grad w_i) assembled from an analytic gradient."""
+    tab = asm._tables(p1, NORM_DEGREE)
+    g = asm._at_points(grad, tab, 2)
+    cellwise = np.einsum("tq,tdq,tqid->ti", tab["wdet"], g, basis_gradients(tab))
+    return np.bincount(p1.scalar_cell_dofs.ravel(), weights=cellwise.ravel(),
+                       minlength=p1.ndofs)
+
+
+def projection_rate_check(levels=(4, 8, 16)):
+    """Observed L2/H1 orders of the gradient-matching projection of a smooth field."""
+    pi = np.pi
+
+    def field(x, y):
+        return np.sin(pi * x) * np.cos(pi * y)
+
+    def grad(x, y):
+        return (pi * np.cos(pi * x) * np.cos(pi * y),
+                -pi * np.sin(pi * x) * np.sin(pi * y))
+
+    errs_l2, errs_h1 = [], []
+    for nx in levels:
+        p1 = build_space(build_uniform_mesh(nx, nx), "p1")
+        # the test field has zero mean, so no shift is needed
+        proj = ritz_projection(p1, grad)
+        errs_l2.append(asm.l2_error(p1, proj, field))
+        errs_h1.append(asm.h1_seminorm_error(p1, proj, grad))
+    return {"l2_errors": errs_l2, "h1_errors": errs_h1,
+            "l2_rates": [rate(a, b) for a, b in zip(errs_l2, errs_l2[1:])],
+            "h1_rates": [rate(a, b) for a, b in zip(errs_h1, errs_h1[1:])]}
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 
 import oracles
 from chns import assembly as asm
-from chns.fem import build_space, interpolate
+from chns.fem import build_space, interpolate, triangle_quadrature
 from chns.linsolve import Planar
 from chns.mesh import Mesh, build_uniform_mesh
 from chns.scheme import Params, build_operators
@@ -256,6 +256,26 @@ def test_apply_dirichlet_zero_values(spaces4_module):
         assert np.abs(x[dofs]).max() == 0.0
 
 
+def _assert_forms_match_quadrature_oracle(forms, ref, p1, p2v):
+    """The forms against the point-by-point quadrature oracle, to 1e-13 of each
+    form's largest entry: the reference integrals sum in another order. No form
+    stores a zero, and a product reads the same bits with the zeros stored."""
+    for name in ("m_p1", "k_p1", "m_p2", "k_p2", "div_coupling", "lumped_p1"):
+        got, want = getattr(forms, name), getattr(ref, name)
+        gap = abs(got - want).max() if sp.issparse(got) else np.abs(got - want).max()
+        assert gap <= 1e-13 * abs(want).max(), name
+    rng = np.random.default_rng(p1.ndofs)
+    for a, rows, cols in ((forms.m_p1, p1.scalar_cell_dofs, p1.scalar_cell_dofs),
+                          (forms.k_p1, p1.scalar_cell_dofs, p1.scalar_cell_dofs),
+                          (forms.m_p2, p2v.scalar_cell_dofs, p2v.scalar_cell_dofs),
+                          (forms.k_p2, p2v.scalar_cell_dofs, p2v.scalar_cell_dofs),
+                          (forms.div_coupling, p1.scalar_cell_dofs, p2v.cell_dofs)):
+        assert a.has_canonical_format and np.all(a.data != 0.0)
+        unpruned = oracles.with_cell_zeros(a, rows, cols)
+        for x in rng.standard_normal((2, a.shape[1])):
+            assert (a @ x).tobytes() == (unpruned @ x).tobytes()
+
+
 @pytest.mark.parametrize("nx,ny,rect", oracles.SETUP_SHAPES)
 def test_forms_and_elimination_match_kron_and_coo_oracles(nx, ny, rect):
     mesh = build_uniform_mesh(nx, ny, rect)
@@ -264,23 +284,17 @@ def test_forms_and_elimination_match_kron_and_coo_oracles(nx, ny, rect):
     ref_mesh = oracles.loop_uniform_mesh(nx, ny, rect)
     ref = oracles.assemble_forms_by_hand(oracles.dict_space(ref_mesh, "p1"),
                                          oracles.dict_space(ref_mesh, "p2vec"))
-    for name in ("m_p1", "k_p1", "m_p2", "k_p2", "div_coupling", "lumped_p1"):
-        assert oracles.identical(getattr(forms, name), getattr(ref, name)), name
+    _assert_forms_match_quadrature_oracle(forms, ref, p1, p2v)
     # a planar velocity product is the block-diagonal kron(I_2, block) one, bit for bit
     x = np.random.default_rng(nx).standard_normal(p2v.ndofs)
     for block in (forms.m_p2, forms.k_p2):
         assert (Planar(block) @ x).tobytes() == (oracles.kron_planar(block) @ x).tobytes()
-    for space in (p1, build_space(mesh, "p2"), p2v):
-        for degree in (5, 8):
-            tab = asm._tables(space, degree)
-            assert oracles.identical(asm._basis_gradients(tab),
-                                     oracles.broadcast_basis_gradients(tab))
 
     params = Params()
     ops = build_operators(p1, p2v, params)
-    a_v = (ref.m_p2 / params.tau + params.nu * ref.k_p2).tocsr()
+    a_v = (forms.m_p2 / params.tau + params.nu * forms.k_p2).tocsr()
     dofs = p2v.boundary_dofs
-    for op, a in ((ops.velocity, a_v), (ops.projection, ref.m_p2)):
+    for op, a in ((ops.velocity, a_v), (ops.projection, forms.m_p2)):
         # eliminating the vector operator's boundary rows leaves kron(I_2, eliminated block)
         vector = oracles.kron_planar(a)
         assert oracles.identical(oracles.kron_planar(op.matrix.block),
@@ -382,9 +396,26 @@ def jittered_spaces():
     return {kind: build_space(jittered, kind) for kind in ("p1", "p2", "p2vec")}
 
 
+def test_forms_match_quadrature_oracle_off_the_grid(jittered_spaces):
+    # det_T and J_T differ on every triangle
+    p1, p2v = jittered_spaces["p1"], jittered_spaces["p2vec"]
+    ref = oracles.assemble_forms_by_hand(oracles.dict_space(p1.mesh, "p1"),
+                                         oracles.dict_space(p1.mesh, "p2vec"))
+    _assert_forms_match_quadrature_oracle(asm.assemble_forms(p1, p2v), ref, p1, p2v)
+
+
 def _relative_gap(got, want):
     assert got.shape == want.shape
     return np.abs(got - want).max() / np.abs(want).max()
+
+
+@pytest.mark.parametrize("degree", [5, 8])
+def test_quadrature_points_match_einsum_oracle(jittered_spaces, degree):
+    mesh = jittered_spaces["p1"].mesh
+    rule = triangle_quadrature(degree)
+    want = oracles.einsum_points(mesh, rule)
+    for c, got in enumerate(asm._points(mesh, rule)):
+        assert oracles.identical(got, want[..., c])
 
 
 @pytest.mark.parametrize("degree", [5, 8])

