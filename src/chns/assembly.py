@@ -295,9 +295,9 @@ def assemble_forms(p1: FeSpace, p2v: FeSpace) -> AssembledForms:
 # load vectors
 
 
-def assemble_load(space: FeSpace, f, degree: int = ASSEMBLY_DEGREE) -> np.ndarray:
+def assemble_load(space: FeSpace, f) -> np.ndarray:
     """Entries (f, basis_i); f(x, y) vectorized, pair-valued for vector spaces."""
-    tab = _tables(space, degree)
+    tab = _tables(space, ASSEMBLY_DEGREE)
     return _load(space, tab, _at_points(f, tab, space.ncomp))
 
 
@@ -439,21 +439,21 @@ def _norm(tab: dict, q: np.ndarray) -> float:
     return float(np.sqrt(np.sum(tab["wdet"] * np.sum(q ** 2, axis=1))))
 
 
-def l2_error(space: FeSpace, coeffs, exact=None, degree: int = NORM_DEGREE) -> float:
+def l2_error(space: FeSpace, coeffs, exact=None) -> float:
     """L2 distance between a finite element field and an analytic reference.
 
     Without a reference it is the field's L2 norm.
     """
-    tab = _tables(space, degree)
+    tab = _tables(space, NORM_DEGREE)
     diff = _values(space, coeffs, tab)
     if exact is not None:
         diff = diff - _at_points(exact, tab, space.ncomp)
     return _norm(tab, diff)
 
 
-def h1_seminorm_error(space: FeSpace, coeffs, exact_grad=None, degree: int = NORM_DEGREE) -> float:
+def h1_seminorm_error(space: FeSpace, coeffs, exact_grad=None) -> float:
     """L2 distance between a field's gradient and an analytic one ([c][d] for vector fields)."""
-    tab = _tables(space, degree)
+    tab = _tables(space, NORM_DEGREE)
     ncomp = 2 * space.ncomp
     diff = _gradients(space, coeffs, tab).reshape(-1, ncomp, tab["vals"].shape[0])
     if exact_grad is not None:
@@ -461,8 +461,7 @@ def h1_seminorm_error(space: FeSpace, coeffs, exact_grad=None, degree: int = NOR
     return _norm(tab, diff)
 
 
-def h1_error(space: FeSpace, coeffs, exact=None, exact_grad=None,
-             degree: int = NORM_DEGREE) -> float:
-    a = l2_error(space, coeffs, exact, degree)
-    b = h1_seminorm_error(space, coeffs, exact_grad, degree)
+def h1_error(space: FeSpace, coeffs, exact=None, exact_grad=None) -> float:
+    a = l2_error(space, coeffs, exact)
+    b = h1_seminorm_error(space, coeffs, exact_grad)
     return float(np.sqrt(a * a + b * b))

@@ -25,17 +25,6 @@ class QuadratureRule:
     exactness_degree: int
 
 
-def _rule_degree_1() -> QuadratureRule:
-    pts = np.array([[1 / 3, 1 / 3, 1 / 3]])
-    return QuadratureRule(pts, np.array([0.5]), 1)
-
-
-def _rule_degree_2() -> QuadratureRule:
-    a, b = 2 / 3, 1 / 6
-    pts = np.array([[a, b, b], [b, a, b], [b, b, a]])
-    return QuadratureRule(pts, np.full(3, 1 / 6), 2)
-
-
 def _rule_degree_5() -> QuadratureRule:
     # 7-point symmetric rule; all coefficients in closed form, so the
     # monomial exactness holds to machine precision.
@@ -69,8 +58,6 @@ def _rule_degree_8() -> QuadratureRule:
     return QuadratureRule(pts, wts, 8)
 
 
-_RULES = {1: _rule_degree_1, 2: _rule_degree_2, 5: _rule_degree_5, 8: _rule_degree_8}
-
 #: exactness used for all operator/load assembly (covers quadratic products
 #: against quadratic gradients and the quartic free-energy density)
 ASSEMBLY_DEGREE = 5
@@ -80,13 +67,10 @@ NORM_DEGREE = 8
 
 
 def triangle_quadrature(min_degree: int) -> QuadratureRule:
-    """Smallest stocked rule whose exactness degree is at least min_degree."""
-    if not 1 <= min_degree <= 8:
+    """Smallest stocked rule (degree 5 or 8) whose exactness degree is at least min_degree."""
+    if not 1 <= min_degree <= NORM_DEGREE:
         raise ValueError(f"unsupported quadrature degree {min_degree}")
-    for deg in sorted(_RULES):
-        if deg >= min_degree:
-            return _RULES[deg]()
-    raise AssertionError("unreachable")
+    return _rule_degree_5() if min_degree <= ASSEMBLY_DEGREE else _rule_degree_8()
 
 
 def p1_basis(point) -> tuple[np.ndarray, np.ndarray]:

@@ -12,7 +12,7 @@ The symmetric solves, SPD (`solve_spd`) and singular Neumann
 (`solve_neumann_zero_mean`), run one preconditioned conjugate gradient
 loop, the latter projected off the constants. The caller passes the
 preconditioner, made once per matrix: a symmetric multigrid V-cycle
-(`VCycle`) or the Jacobi diagonal (`jacobi`), which is also the default.
+(`VCycle`) or the Jacobi diagonal (`jacobi`).
 The nonsymmetric solve (`solve_general`) is of a Cahn-Hilliard block and
 takes the block's `Presb`: a stiffness-dominated block goes straight to
 restarted GMRES, written here, preconditioned by PRESB, whose two inner
@@ -218,19 +218,17 @@ def _pcg(a, b, precondition, tol, project=None):
                       np.linalg.norm(b - times(x)) / np.linalg.norm(b))
 
 
-def solve_spd(a: sp.csr_matrix, b: np.ndarray, tol: float = 1e-10,
-              precondition=None) -> tuple[np.ndarray, int]:
+def solve_spd(a: sp.csr_matrix, b: np.ndarray, tol: float, precondition) -> tuple[np.ndarray, int]:
     """Preconditioned conjugate gradients for SPD systems; returns (x, iterations).
 
     `precondition` maps a residual to its preconditioned form: keep one per
-    matrix and pass it to every solve with that matrix. The default is
-    `jacobi(a)`, made for this solve.
+    matrix and pass it to every solve with that matrix.
     """
     b, e = _unit_scaled(b)
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return np.zeros_like(b), 0
-    x, k = _pcg(a, b, precondition or jacobi(a), tol * bnorm)
+    x, k = _pcg(a, b, precondition, tol * bnorm)
     return np.ldexp(x, e), k
 
 
@@ -494,7 +492,7 @@ def solve_general(a: sp.csr_matrix, b: np.ndarray, tol: float,
 
 
 def solve_neumann_zero_mean(k_mat: sp.csr_matrix, b: np.ndarray, mass_row_sums: np.ndarray,
-                            tol: float = 1e-10, precondition=None) -> tuple[np.ndarray, int]:
+                            tol: float, precondition) -> tuple[np.ndarray, int]:
     """Solve a singular Neumann system whose kernel is the constants; returns (x, iterations).
 
     The right-hand side is first projected orthogonal to the constant
@@ -515,7 +513,7 @@ def solve_neumann_zero_mean(k_mat: sp.csr_matrix, b: np.ndarray, mass_row_sums: 
     # data living entirely in the kernel projects to roundoff noise (and zero data to 0)
     if bnorm <= 1e-14 * raw_norm:
         return np.zeros_like(b), 0
-    x, k = _pcg(k_mat, b, precondition or jacobi(k_mat), tol * bnorm, project)
+    x, k = _pcg(k_mat, b, precondition, tol * bnorm, project)
     # fix the kernel component: mass-weighted mean zero
     x -= (mass_row_sums @ x) / mass_row_sums.sum()
     return np.ldexp(x, e), k

@@ -16,9 +16,7 @@ known, so a step splits each linear solve by superposition:
 The explicit data of a step (the shifted energies and the nonlinear,
 pressure and forcing loads at the old level) are assembled in one place,
 `explicit_terms`. `step` re-checks the two scalar equations the reduction
-eliminated (`scalar_equation_residuals`); `scheme_residuals` substitutes a
-completed step into all five coupled equations, which ties this decoupled
-realization to the monolithic statement.
+eliminated (`scalar_equation_residuals`).
 
 The discrete energy law has one source per term: `modified_energy` is the
 Lyapunov functional, `dissipation` what a step dissipates, and
@@ -160,6 +158,10 @@ class Operators:
 
 
 def build_operators(p1: FeSpace, p2v: FeSpace, params: Params) -> Operators:
+    """The matrices of a run on a uniform grid (`build_uniform_mesh`), whose
+    coarser grids are the multigrid levels of the preconditioners."""
+    if not p1.mesh.grid:  # None off a uniform grid
+        raise ValueError("build_operators needs a uniform grid: the mesh has grid=None")
     forms = asm.assemble_forms(p1, p2v)
     tau, lam, gamma = params.tau, params.lam, params.gamma
     a_ch = sp.bmat([
@@ -198,11 +200,10 @@ def _grid_prolongations(grid, k: sp.csr_matrix, m: sp.csr_matrix, weight: float,
     the subset `nodes(grid)` of them. A level gets a coarser one below it
     only while its stiffness outweighs its mass on the diagonal (median of
     weight K_ii / M_ii above 1): below that, Jacobi alone smooths it well.
-    A mesh that is not a uniform grid (grid None) gets no level, and the
-    1 x 1 grid, which has no coarser one, ends the hierarchy.
+    The 1 x 1 grid, which has no coarser one, ends the hierarchy.
     """
     prolongations = []
-    while grid is not None and _stiffness_dominates(weight, k.diagonal(), m.diagonal()):
+    while _stiffness_dominates(weight, k.diagonal(), m.diagonal()):
         coarse = coarser_grid(grid)
         if coarse == grid:
             break
@@ -255,16 +256,13 @@ def _ch_solver(ops: Operators) -> Presb:
                  direct=_stiffness_dominates(c, k.diagonal(), m.diagonal()))
 
 
-def _pressure_precondition(mesh: Mesh, k: sp.csr_matrix):
-    """V-cycle of the Neumann P1 stiffness matrix, or its Jacobi diagonal.
+def _pressure_precondition(mesh: Mesh, k: sp.csr_matrix) -> VCycle:
+    """V-cycle of the Neumann P1 stiffness matrix.
 
     Halves the grid until a level has at most COARSEST_PRESSURE_NODES nodes and
-    applies the dense pseudo-inverse there. A mesh that is not a uniform grid
-    has no coarse levels: small, it is solved directly, else it keeps Jacobi.
+    applies the dense pseudo-inverse there.
     """
     grid, nodes = mesh.grid, k.shape[0]
-    if grid is None and nodes > COARSEST_PRESSURE_NODES:
-        return jacobi(k)
     prolongations = []
     while nodes > COARSEST_PRESSURE_NODES:
         coarse = coarser_grid(grid)
@@ -314,7 +312,7 @@ def init_state(ops: Operators, phi0, u0, p0, mu0=None) -> State:
             rhs = params.lam * (ops.forms.k_p1 @ phi) \
                 + params.lam * params.gamma * (ops.forms.m_p1 @ phi) \
                 + params.lam * asm.fprime_load(ops.p1, phi, params.eps, params.gamma)
-            mu, _ = solve_spd(ops.forms.m_p1, rhs, params.solver_tol)
+            mu, _ = solve_spd(ops.forms.m_p1, rhs, params.solver_tol, jacobi(ops.forms.m_p1))
     return State(step=0, phi=phi, mu=mu, u_tilde=u.copy(), u=u,
                  p=p, r=float(np.sqrt(e1h)), rho=float(np.sqrt(e2h)))
 
@@ -636,40 +634,3 @@ def scalar_equation_residuals(ops: Operators, old: State, new: State,
         + 2.0 * new.rho * (terms.convection @ new.u_tilde) / terms.sqrt_e2
     res_rho = abs(lhs_rho - rhs_rho) / max(1.0, abs(lhs_rho), abs(rhs_rho))
     return res_r, res_rho
-
-
-def scheme_residuals(ops: Operators, old: State, new: State,
-                     forcing: Forcing | None = None) -> dict:
-    """Relative residuals of the five coupled discrete equations.
-
-    Substitutes a completed step back into the monolithic statement; all
-    values should sit at the linear-solver tolerance. The r and rho entries
-    are those `step` reports.
-    """
-    params, f = ops.params, ops.forms
-    tau, lam = params.tau, params.lam
-    terms = explicit_terms(ops, old, forcing)
-
-    def rel(res, *scales):
-        return float(np.linalg.norm(res) / max(1.0, *(np.linalg.norm(s) for s in scales)))
-
-    r1 = f.m_p1 @ (new.phi - old.phi) / tau + (new.r / terms.sqrt_e1) * terms.conv_scalar \
-        + params.mobility * (f.k_p1 @ new.mu)
-    if forcing is not None:
-        r1 -= terms.g_phi_load
-    res_phi = rel(r1, f.m_p1 @ old.phi / tau)
-
-    r2 = f.m_p1 @ new.mu - lam * (f.k_p1 @ new.phi) - lam * params.gamma * (f.m_p1 @ new.phi) \
-        - (lam * new.r / terms.sqrt_e1) * terms.fp
-    res_mu = rel(r2, f.m_p1 @ new.mu, lam * (f.k_p1 @ new.phi))
-
-    r4 = f.m_v @ (new.u_tilde - old.u) / tau + (new.rho / terms.sqrt_e2) * terms.convection \
-        + params.nu * (f.k_v @ new.u_tilde) + terms.grad_p \
-        - (new.r / terms.sqrt_e1) * terms.capillary
-    if forcing is not None:
-        r4 -= terms.g_u_load
-    interior = np.setdiff1d(np.arange(ops.p2v.ndofs), ops.p2v.boundary_dofs)
-    res_u = rel(r4[interior], f.m_v @ old.u / tau)
-
-    res_r, res_rho = scalar_equation_residuals(ops, old, new, terms)
-    return {"phi": res_phi, "mu": res_mu, "r": res_r, "u": res_u, "rho": res_rho}

@@ -6,9 +6,10 @@ import scipy.sparse as sp
 from chns import assembly as asm
 from chns.experiments import rate
 from chns.fem import NORM_DEGREE, FeSpace, build_space
-from chns.linsolve import SolverError, solve_general, solve_neumann_zero_mean, solve_spd
+from chns.linsolve import SolverError, jacobi, solve_general, solve_neumann_zero_mean, \
+    solve_spd
 from chns.mesh import Mesh, build_uniform_mesh, mesh_size
-from chns.scheme import closest_ratio_root, explicit_terms
+from chns.scheme import closest_ratio_root, explicit_terms, scalar_equation_residuals
 
 
 def picard_step(state, ops, forcing=None, tol=1e-12, max_iter=400):
@@ -42,7 +43,8 @@ def picard_step(state, ops, forcing=None, tol=1e-12, max_iter=400):
 
         rhs_v = m_v @ state.u / tau - terms.grad_p + g_u_load \
             + (r / se1) * capillary - (rho / se2) * convection
-        u_tilde, _ = solve_spd(ops.velocity.matrix, ops.velocity.prepare_rhs(rhs_v), 1e-13)
+        u_tilde, _ = solve_spd(ops.velocity.matrix, ops.velocity.prepare_rhs(rhs_v), 1e-13,
+                               jacobi(ops.velocity.matrix))
 
         r_new = state.r + tau / (2.0 * se1) * (
             (fp @ (phi - state.phi)) / tau
@@ -65,6 +67,42 @@ def picard_step(state, ops, forcing=None, tol=1e-12, max_iter=400):
         if done:
             break
     return {"phi": phi, "mu": mu, "u_tilde": u_tilde, "r": r, "rho": rho}
+
+
+def scheme_residuals(ops, old, new, forcing=None):
+    """Relative residuals of the five coupled discrete equations.
+
+    Substitutes a completed step back into the monolithic statement, which
+    ties the decoupled step to it; all values should sit at the
+    linear-solver tolerance. The r and rho entries are those `step` reports.
+    """
+    params, f = ops.params, ops.forms
+    tau, lam = params.tau, params.lam
+    terms = explicit_terms(ops, old, forcing)
+
+    def rel(res, *scales):
+        return float(np.linalg.norm(res) / max(1.0, *(np.linalg.norm(s) for s in scales)))
+
+    r1 = f.m_p1 @ (new.phi - old.phi) / tau + (new.r / terms.sqrt_e1) * terms.conv_scalar \
+        + params.mobility * (f.k_p1 @ new.mu)
+    if forcing is not None:
+        r1 -= terms.g_phi_load
+    res_phi = rel(r1, f.m_p1 @ old.phi / tau)
+
+    r2 = f.m_p1 @ new.mu - lam * (f.k_p1 @ new.phi) - lam * params.gamma * (f.m_p1 @ new.phi) \
+        - (lam * new.r / terms.sqrt_e1) * terms.fp
+    res_mu = rel(r2, f.m_p1 @ new.mu, lam * (f.k_p1 @ new.phi))
+
+    r4 = f.m_v @ (new.u_tilde - old.u) / tau + (new.rho / terms.sqrt_e2) * terms.convection \
+        + params.nu * (f.k_v @ new.u_tilde) + terms.grad_p \
+        - (new.r / terms.sqrt_e1) * terms.capillary
+    if forcing is not None:
+        r4 -= terms.g_u_load
+    interior = np.setdiff1d(np.arange(ops.p2v.ndofs), ops.p2v.boundary_dofs)
+    res_u = rel(r4[interior], f.m_v @ old.u / tau)
+
+    res_r, res_rho = scalar_equation_residuals(ops, old, new, terms)
+    return {"phi": res_phi, "mu": res_mu, "r": res_r, "u": res_u, "rho": res_rho}
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +431,7 @@ def ritz_projection(p1, grad, integral: float = 0.0) -> np.ndarray:
     """
     k = asm.assemble_stiffness(p1)
     lumped = np.asarray(asm.assemble_mass(p1).sum(axis=1)).ravel()
-    proj, _ = solve_neumann_zero_mean(k, grad_load(p1, grad), lumped)
+    proj, _ = solve_neumann_zero_mean(k, grad_load(p1, grad), lumped, 1e-10, jacobi(k))
     return proj + integral / lumped.sum()
 
 

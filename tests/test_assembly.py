@@ -4,7 +4,8 @@ import scipy.sparse as sp
 
 import oracles
 from chns import assembly as asm
-from chns.fem import build_space, interpolate, triangle_quadrature
+from chns.fem import ASSEMBLY_DEGREE, NORM_DEGREE, build_space, interpolate, \
+    triangle_quadrature
 from chns.linsolve import Planar
 from chns.mesh import Mesh, build_uniform_mesh
 from chns.scheme import Params, build_operators
@@ -112,7 +113,7 @@ def test_load_zero_and_constant(spaces4_module):
 def test_load_linear_against_high_degree_rule(spaces4_module):
     p1, _, _ = spaces4_module
     a = asm.assemble_load(p1, lambda x, y: x)
-    oracle = asm.assemble_load(p1, lambda x, y: x, degree=8)
+    oracle = oracles.einsum_assemble_load(p1, lambda x, y: x, NORM_DEGREE)
     assert np.abs(a - oracle).max() <= 1e-12
 
 
@@ -482,8 +483,12 @@ def test_assemble_load_matches_einsum_oracle(jittered_spaces, kind, degree):
     else:
         def f(x, y):
             return np.exp(x) * np.cos(3.0 * y), x * y - 0.3
-    assert _relative_gap(asm.assemble_load(space, f, degree),
-                         oracles.einsum_assemble_load(space, f, degree)) <= 1e-13
+    # the load of any stocked rule, and assemble_load is that of ASSEMBLY_DEGREE
+    tab = asm._tables(space, degree)
+    load = asm._load(space, tab, asm._at_points(f, tab, space.ncomp))
+    assert _relative_gap(load, oracles.einsum_assemble_load(space, f, degree)) <= 1e-13
+    if degree == ASSEMBLY_DEGREE:
+        assert asm.assemble_load(space, f).tobytes() == load.tobytes()
 
 
 def test_nonlinear_loads_match_einsum_oracle(jittered_spaces):

@@ -96,6 +96,21 @@ def test_coarsening_initial_data_contract():
     assert run.trace.monotone()
 
 
+@pytest.mark.parametrize("tau", [1.0, 0.1])
+@pytest.mark.parametrize("nx", [1, 2, 3])
+def test_coarsening_on_the_smallest_grids(nx, tau):
+    # nx = 1 has no interior vertex, so the velocity keeps Jacobi; at nx = 2
+    # and 3 the velocity hierarchy stops where the coarser grid has none
+    reports = []
+    run = run_coarsening(seed=0, nx=nx, tau=tau, t_end=3 * tau,
+                         on_step=lambda state, report: reports.append(report))
+    assert len(reports) == 3 and run.final_state.step == 3
+    for report in reports:
+        energy = report.energy_after
+        assert energy <= report.energy_before + 1e-8 * max(1.0, report.energy_before)
+        assert abs(report.identity_residual) <= 1e-8 * max(1.0, energy)
+
+
 def test_coarsening_snapshots_at_listed_times():
     run = run_coarsening(seed=3, nx=8, tau=1e-2, t_end=0.1,
                          snapshot_times=[0.02, 0.05, 1.0])

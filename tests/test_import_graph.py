@@ -1,11 +1,15 @@
-"""What a fresh interpreter imports, checked where it matters.
+"""What a fresh interpreter imports, and what the package refers to, checked
+where it matters.
 
 `scipy.sparse.linalg` alone adds about 9 MB to a process, and no solve
 needs it: a whole time step, with its phase block on either solver path
 or on the GMRES fallback, must leave it unimported. And `io` writes the
-experiments' records without depending on the experiments module.
+experiments' records without depending on the experiments module. Code
+that only the tests call belongs in `tests/oracles.py`, not in `src`.
 """
 
+import ast
+import glob
 import os
 import subprocess
 import sys
@@ -70,3 +74,30 @@ print("scipy.sparse.linalg" in sys.modules)
 def test_io_does_not_import_the_experiments():
     out = _run_fresh("import sys, chns.io; print('chns.experiments' in sys.modules)")
     assert out == "False"
+
+
+def _names_used(node) -> set:
+    """Every name a node reads, as a variable, an attribute or an import."""
+    names = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            names.add(n.attr)
+        elif isinstance(n, ast.alias):
+            names.add(n.name)
+    return names
+
+
+def test_every_top_level_function_and_class_is_used_in_src():
+    # a definition counts as used when any other top-level statement of
+    # src/chns reads its name (an import into __init__ included)
+    statements = []
+    for path in sorted(glob.glob(os.path.join(SRC, "chns", "*.py"))):
+        with open(path) as fh:
+            module = ast.parse(fh.read(), path)
+        statements += [(os.path.basename(path), node, _names_used(node)) for node in module.body]
+    unused = [f"{name}: {node.name}" for name, node, _ in statements
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not any(node.name in used for _, other, used in statements if other is not node)]
+    assert unused == []

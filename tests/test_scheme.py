@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import oracles
 from chns import assembly as asm
 from chns.experiments import default_cross_polygon, points_in_polygon, \
     random_phase_field, relaxation_params
@@ -11,7 +12,7 @@ from chns.mesh import build_uniform_mesh
 from chns.mms import trig_case
 from chns.scheme import Forcing, Params, ReductionError, build_operators, \
     energy_identity_residual, explicit_terms, init_state, modified_energy, \
-    pressure_correction, quad, scheme_residuals, solve_quadratic, step
+    pressure_correction, quad, solve_quadratic, step
 
 
 def _terms(ops, phi, u=None, mu=None):
@@ -72,6 +73,14 @@ def test_build_operators_block_action(small_ops, coarsen_params):
     row_sums = np.asarray(ops.forms.m_p1.sum(axis=1)).ravel()
     assert np.allclose(y[:n], c / prm.tau * row_sums, atol=1e-12)
     assert np.allclose(y[n:], -prm.lam * prm.gamma * c * row_sums, atol=1e-12)
+
+
+def test_build_operators_rejects_a_mesh_without_a_grid():
+    # the same triangulation as build_uniform_mesh(4, 4), built without its grid
+    mesh = oracles.loop_uniform_mesh(4, 4)
+    assert mesh.grid is None
+    with pytest.raises(ValueError, match="grid"):
+        build_operators(build_space(mesh, "p1"), build_space(mesh, "p2vec"), Params())
 
 
 def test_build_operators_velocity_spd_and_tau_scaling(small_ops, coarsen_params):
@@ -279,7 +288,7 @@ def test_step_energy_identity_and_residuals(small_ops):
         assert report.energy_after <= report.energy_before + 1e-8 * scale
         assert report.r_eq_residual <= 1e-9
         assert report.rho_eq_residual <= 1e-9
-        res = scheme_residuals(ops, prev, s)
+        res = oracles.scheme_residuals(ops, prev, s)
         assert max(res.values()) <= 1e-9
         # pressure stays mean-free
         assert abs(ops.forms.lumped_p1 @ s.p) <= 1e-12 * (1.0 + np.linalg.norm(s.p))
@@ -316,7 +325,7 @@ def test_step_reports_the_scheme_residuals_of_r_and_rho(start):
     for _ in range(3):
         prev = s
         s, report = step(s, ops, **kwargs)
-        res = scheme_residuals(ops, prev, s, kwargs.get("forcing"))
+        res = oracles.scheme_residuals(ops, prev, s, kwargs.get("forcing"))
         assert report.r_eq_residual == res["r"]
         assert report.rho_eq_residual == res["rho"]
         assert max(res.values()) <= 1e-8
