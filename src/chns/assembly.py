@@ -387,18 +387,14 @@ def _eliminated_matrix(a: sp.csr_matrix, dofs: np.ndarray) -> sp.csr_matrix:
 
 
 class DirichletOperator:
-    """Symmetric elimination of constrained dofs, reusable across right-hand sides; a
-    `Planar` operator, constrained alike in both components, is eliminated in its block."""
+    """Symmetric elimination of a `Planar` operator's constrained dofs, alike in both
+    components and so made in its block; reusable across right-hand sides."""
 
-    def __init__(self, a, dofs: np.ndarray):
+    def __init__(self, a: Planar, dofs: np.ndarray):
         self.dofs = np.asarray(dofs, dtype=np.int64)
-        if isinstance(a, Planar):
-            nodes = self.dofs[:self.dofs.size // 2]
-            self.matrix = Planar(_eliminated_matrix(a.block, nodes))
-            self._columns = Planar(a.block[:, nodes].tocsr())
-        else:
-            self.matrix = _eliminated_matrix(a, self.dofs)
-            self._columns = a[:, self.dofs].tocsr()
+        nodes = self.dofs[:self.dofs.size // 2]
+        self.matrix = Planar(_eliminated_matrix(a.block, nodes))
+        self._columns = Planar(a.block[:, nodes].tocsr())
 
     def prepare_rhs(self, b: np.ndarray, values: np.ndarray | None = None) -> np.ndarray:
         out = np.array(b, dtype=float, copy=True)

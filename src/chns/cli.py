@@ -33,9 +33,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _run_converge(cfg):
-    out = ensure_dir(cfg.out_dir)
-    records = ex.run_convergence(list(cfg.levels), cfg.params(), t_end=cfg.t_end,
-                                 tau_rule=lambda h: cfg.tau_factor * h ** 3)
+    s, prm = cfg.settings, cfg.params
+    out = ensure_dir(s["out_dir"])
+    records = ex.run_convergence(s["levels"], prm, t_end=prm.t_end,
+                                 tau_rule=ex.tau_rule(s["tau_factor"]))
     write_error_table_csv(records, os.path.join(out, "l2_errors.csv"))
     write_h1_error_table_csv(records, os.path.join(out, "h1_errors.csv"))
     for name in ("phi_linf_l2", "mu_l2_l2", "u_linf_l2", "p_l2_l2"):
@@ -55,16 +56,16 @@ def _write_snapshots(run, out):
 
 def _run_dissipative(cfg):
     """A coarsen or relax run: energy.csv and snapshots, exit 1 unless the energy decays."""
-    out = ensure_dir(cfg.out_dir)
+    s, prm = cfg.settings, cfg.params
+    out = ensure_dir(s["out_dir"])
     if cfg.kind == "coarsen":
         name = "coarsening"
-        run = ex.run_coarsening(cfg.seed, cfg.nx, cfg.tau, cfg.t_end,
-                                snapshot_times=cfg.snapshot_times, params=cfg.params())
+        run = ex.run_coarsening(s["seed"], s["nx"], prm.tau, prm.t_end,
+                                snapshot_times=s["snapshot_times"], params=prm)
     else:
         name = "relaxation"
-        polygon = cfg.polygon if cfg.polygon is not None else ex.default_cross_polygon()
-        run = ex.run_relaxation(polygon, cfg.nx, cfg.tau, cfg.t_end,
-                                snapshot_times=cfg.snapshot_times, params=cfg.params())
+        run = ex.run_relaxation(s["polygon"], s["nx"], prm.tau, prm.t_end,
+                                snapshot_times=s["snapshot_times"], params=prm)
     write_energy_csv(run.trace, os.path.join(out, "energy.csv"))
     _write_snapshots(run, out)
     verdict = "nonincreasing" if run.trace.monotone() else "NOT monotone"
@@ -73,9 +74,9 @@ def _run_dissipative(cfg):
 
 
 def _run_stability(cfg):
-    out = ensure_dir(cfg.out_dir)
-    runs = ex.run_stability_sweep(cfg.tau_list, cfg.seed, cfg.nx, cfg.t_end,
-                                  params=cfg.params())
+    s, prm = cfg.settings, cfg.params
+    out = ensure_dir(s["out_dir"])
+    runs = ex.run_stability_sweep(s["tau_list"], s["seed"], s["nx"], prm.t_end, params=prm)
     ok = True
     for tau, run in runs.items():
         write_energy_csv(run.trace, os.path.join(out, f"energy_tau{tau:g}.csv"))
@@ -119,7 +120,7 @@ def main(argv=None) -> int:
             else:
                 overrides["nx"] = nxs[0]
 
-        cfg = parse_config(args.config, kind=args.command, overrides=overrides)
+        cfg = parse_config(args.command, args.config, overrides)
         if args.command == "converge":
             return _run_converge(cfg)
         if args.command == "stability":

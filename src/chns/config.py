@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .experiments import coarsening_params, polygon_is_simple, relaxation_params
+from .experiments import coarsening_params, default_cross_polygon, polygon_is_simple, \
+    relaxation_params, tau_rule
 from .scheme import Params
 
 
@@ -16,47 +17,31 @@ class ConfigError(ValueError):
     pass
 
 
-# each kind starts from its driver's preset (constants, time step, final time)
-_DEFAULTS = {kind: {**asdict(preset()), **extra} for kind, preset, extra in [
+# each command's keys and defaults: its driver's preset (constants, time step,
+# final time) plus the settings the command reads
+_DEFAULTS = {kind: {**asdict(preset()), **extra, "out_dir": "out"} for kind, preset, extra in [
     ("converge", Params, dict(levels=[4, 8, 16], tau_factor=0.1)),
     ("coarsen", coarsening_params,
      dict(nx=64, seed=2024, snapshot_times=[0.001, 0.05, 0.1, 0.15, 0.3, 1.0, 3.0, 5.0])),
     # the prose and the figure caption disagree on the early snapshot
     # instants, so both sets are emitted
     ("relax", relaxation_params,
-     dict(nx=64, seed=2024, snapshot_times=[0.0, 0.01, 0.02, 0.05, 0.08, 0.1, 0.2, 0.3, 0.5])),
+     dict(nx=64, snapshot_times=[0.0, 0.01, 0.02, 0.05, 0.08, 0.1, 0.2, 0.3, 0.5],
+          polygon=default_cross_polygon().tolist())),
     ("stability", coarsening_params, dict(nx=64, seed=2024, tau_list=[1e-3, 1e-2, 1e-1])),
 ]}
+# these two take each run's time step from tau_factor and tau_list
+del _DEFAULTS["converge"]["tau"], _DEFAULTS["stability"]["tau"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    kind: str
-    mobility: float = 0.0
-    lam: float = 0.0
-    nu: float = 0.0
-    eps: float = 0.0
-    gamma: float = 1.0
-    c1: float = 0.0
-    c2: float = 0.0
-    t_end: float = 0.0
-    tau: float = 0.001
-    tau_factor: float = 0.1
-    tau_list: list = field(default_factory=list)
-    levels: list = field(default_factory=list)
-    nx: int = 64
-    seed: int = 2024
-    snapshot_times: list = field(default_factory=list)
-    out_dir: str = "out"
-    solver_tol: float = 1e-10
-    polygon: list | None = None
+    """A command's constants, with the time step of its first run, and its other
+    settings: the keys of `_DEFAULTS[kind]` that are not `Params` fields."""
 
-    def params(self) -> Params:
-        values = {f.name: getattr(self, f.name) for f in fields(Params)}
-        if self.kind == "stability" and self.tau_list:
-            # the sweep runs each tau of its list, never the preset's own
-            values["tau"] = min(self.tau_list)
-        return Params(**values)
+    kind: str
+    params: Params
+    settings: dict
 
 
 # element types of the list keys that hold numbers
@@ -70,14 +55,14 @@ def _is_a(value, kind: type) -> bool:
         and not (isinstance(value, float) and not math.isfinite(value))
 
 
-def parse_config(path: str | None = None, kind: str | None = None,
+def parse_config(kind: str, path: str | None = None,
                  overrides: dict | None = None) -> ExperimentConfig:
-    """Build a configuration from defaults, an optional JSON file, and overrides.
+    """Build a command's configuration from its defaults, an optional JSON file, and overrides.
 
-    Unknown keys and values of the wrong type are rejected. The built-in
-    defaults replicate the published experiment settings verbatim;
-    user-supplied stabilization shifts must additionally satisfy c1 > gamma,
-    which those presets are exempt from.
+    A key the kind does not read, a file whose "kind" names another command
+    and a value of the wrong type are rejected. The built-in defaults replicate the
+    published experiment settings verbatim; user-supplied stabilization shifts
+    must additionally satisfy c1 > gamma, which those presets are exempt from.
     """
     data: dict = {}
     if path is not None:
@@ -91,60 +76,56 @@ def parse_config(path: str | None = None, kind: str | None = None,
     if overrides:
         data = {**data, **{k: v for k, v in overrides.items() if v is not None}}
 
-    kind = data.pop("kind", kind)
+    named = data.pop("kind", kind)
+    if named != kind:
+        raise ConfigError(f"the config is for kind {named!r}, not {kind!r}")
     if kind not in _DEFAULTS:
         raise ConfigError(f"experiment kind must be one of {sorted(_DEFAULTS)}, got {kind!r}")
 
-    known = {f.name for f in fields(ExperimentConfig)}
-    unknown = set(data) - known
+    defaults = _DEFAULTS[kind]
+    unknown = set(data) - set(defaults)
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    template = ExperimentConfig(kind=kind)
+        raise ConfigError(f"unknown config keys for {kind}: {sorted(unknown)}")
     for key, value in data.items():
-        default = getattr(template, key)
-        want = list if default is None else type(default)  # polygon: None selects the cross
-        items = _ITEM_TYPES.get(key)
-        if not (_is_a(value, want) or default is value is None) \
-                or items and not all(_is_a(v, items) for v in value):
+        want, items = type(defaults[key]), _ITEM_TYPES.get(key)
+        if not _is_a(value, want) or items and not all(_is_a(v, items) for v in value):
             what = f"a list of {items.__name__}" if items else want.__name__
             raise ConfigError(f"{key} must be {what}, got {value!r}")
-
-    merged = {**_DEFAULTS[kind], **data}
-    cfg = ExperimentConfig(kind=kind, **merged)
-    try:
-        cfg.params()  # the physical constants, tau, t_end and solver_tol
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    settings = {**defaults, **data}
 
     explicit_shift = "c1" in data or "gamma" in data
-    if explicit_shift and cfg.c1 <= cfg.gamma:
-        raise ConfigError(f"c1 must exceed gamma, got c1={cfg.c1}, gamma={cfg.gamma}")
-    if cfg.tau_factor <= 0 or any(t <= 0 for t in cfg.tau_list):
-        raise ConfigError("tau_factor and every tau in tau_list must be positive")
+    if explicit_shift and settings["c1"] <= settings["gamma"]:
+        raise ConfigError(f"c1 must exceed gamma, got c1={settings['c1']}, "
+                          f"gamma={settings['gamma']}")
     # splitmix64 takes the seed as one unsigned 64-bit word
-    if not 0 <= cfg.seed < 2 ** 64:
-        raise ConfigError(f"seed must lie in [0, 2^64), got {cfg.seed!r}")
-    taus = cfg.tau_list if cfg.kind == "stability" else [cfg.tau]
-    if any(t > cfg.t_end for t in taus):
-        raise ConfigError(f"time step exceeds the final time {cfg.t_end}")
-    if cfg.kind == "stability" and not cfg.tau_list:  # one run per value
-        raise ConfigError("tau_list must hold at least one value")
-    if cfg.kind == "converge" and not cfg.levels:
-        raise ConfigError("levels must hold at least one value")
-    if cfg.nx < 1 or any(n < 1 for n in cfg.levels):
+    if not 0 <= settings.get("seed", 0) < 2 ** 64:
+        raise ConfigError(f"seed must lie in [0, 2^64), got {settings['seed']!r}")
+    for key in ("levels", "tau_list"):  # one run per value
+        if key in settings and not settings[key]:
+            raise ConfigError(f"{key} must hold at least one value")
+    if any(n < 1 for n in settings.get("levels", [settings.get("nx")])):
         raise ConfigError("mesh subdivisions (nx, levels) must be at least 1")
-    if cfg.kind == "converge" and list(cfg.levels) != sorted(cfg.levels):
+    if kind == "converge" and settings["levels"] != sorted(settings["levels"]):
         raise ConfigError("levels must be sorted coarse to fine")
-    if cfg.kind == "converge":
-        # the study's time step at each level, as `cli` hands it to the driver
-        taus = [cfg.tau_factor * (1.0 / n) ** 3 for n in cfg.levels]
-    for tau in taus:
+
+    if kind == "converge":
+        rule = tau_rule(settings["tau_factor"])
+        taus = [rule(1.0 / n) for n in settings["levels"]]
+    else:
+        taus = settings["tau_list"] if kind == "stability" else [settings["tau"]]
+    constants = {f.name: settings.pop(f.name) for f in fields(Params) if f.name in settings}
+    try:
+        runs = [Params(**{**constants, "tau": tau}) for tau in taus]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    for run in runs:
         # the drivers march round(t_end / tau) steps
-        if abs(round(cfg.t_end / tau) * tau - cfg.t_end) > 1e-9 * cfg.t_end:
-            raise ConfigError(f"t_end {cfg.t_end} is not a whole number of time steps {tau:g}")
-    if cfg.polygon is not None:
-        _check_polygon(cfg.polygon)
-    return cfg
+        if abs(round(run.t_end / run.tau) * run.tau - run.t_end) > 1e-9 * run.t_end:
+            raise ConfigError(f"t_end {run.t_end} is not a whole number of time steps "
+                              f"{run.tau:g}")
+    if kind == "relax":
+        _check_polygon(settings["polygon"])
+    return ExperimentConfig(kind=kind, params=runs[0], settings=settings)
 
 
 def _check_polygon(polygon: list) -> None:

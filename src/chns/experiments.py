@@ -106,8 +106,12 @@ def _unit_square_operators(nx: int, params: Params) -> Operators:
     return build_operators(build_space(mesh, "p1"), build_space(mesh, "p2vec"), params)
 
 
-def default_tau_rule(h: float) -> float:
-    return 0.1 * h ** 3
+def tau_rule(tau_factor: float):
+    """The convergence study's time step at mesh size h: tau_factor h^3."""
+    return lambda h: tau_factor * h ** 3
+
+
+default_tau_rule = tau_rule(0.1)
 
 
 def run_convergence_level(nx: int, params: Params, t_end: float = 0.1,
@@ -185,7 +189,6 @@ class EnergyTrace:
     identity_residual: list[float] = field(default_factory=list)
     discriminant: list[float] = field(default_factory=list)
     root_ratio: list[float] = field(default_factory=list)
-    min_disc_scaled: float = np.inf  # discriminant / max(a1^2, |4 a2 a0|) minimum
 
     def append(self, report: StepReport, n: int, t: float) -> None:
         self.steps.append(n)
@@ -195,8 +198,6 @@ class EnergyTrace:
         self.identity_residual.append(report.identity_residual)
         self.discriminant.append(report.discriminant)
         self.root_ratio.append(report.root_ratio)
-        scale = max(report.a1 ** 2, abs(4.0 * report.a2 * report.a0), 1e-300)
-        self.min_disc_scaled = min(self.min_disc_scaled, report.discriminant / scale)
 
     def monotone(self, slack: float = 1e-8) -> bool:
         e = self.energy

@@ -568,15 +568,13 @@ def _boundary_values(space: FeSpace, bc) -> np.ndarray:
     return interpolate(space, bc)[space.boundary_dofs]
 
 
-def step(state: State, ops: Operators, forcing: Forcing | None = None, bc=None,
-         velocity_frozen: bool = False) -> tuple[State, StepReport]:
+def step(state: State, ops: Operators, forcing: Forcing | None = None,
+         bc=None) -> tuple[State, StepReport]:
     """Advance one time level with the constants `ops` was built from, and
     report the step diagnostics.
 
-    velocity_frozen runs the pure phase-field subsystem: the flow stays at
-    rest and the pressure untouched, which is the mode the conservation
-    checks use. A SolverError, ReductionError or NonpositiveEnergyError
-    raised on the way names the step it stopped (`naming_failures`).
+    A SolverError, ReductionError or NonpositiveEnergyError raised on the
+    way names the step it stopped (`naming_failures`).
     """
     iterations: dict = {}
 
@@ -584,21 +582,13 @@ def step(state: State, ops: Operators, forcing: Forcing | None = None, bc=None,
         terms = explicit_terms(ops, state, forcing)
         ch = ch_split_solve(ops, state.phi, terms, iterations)
         bc_values = _boundary_values(ops.p2v, bc) if bc is not None else None
-        if velocity_frozen:
-            zero = np.zeros(ops.p2v.ndofs)
-            vel = (zero, zero.copy(), zero.copy())
-        else:
-            vel = velocity_split_solve(ops, state.u, terms, bc_values, iterations)
+        vel = velocity_split_solve(ops, state.u, terms, bc_values, iterations)
         r, rho, u_tilde, diag = scalar_reduction(ops, state, terms, ch, vel)
 
         (phi0, mu0), (phi1, mu1) = ch
         phi_new = phi0 + r * phi1
         mu_new = mu0 + r * mu1
-
-        if velocity_frozen:
-            u_new, p_new = state.u.copy(), state.p.copy()
-        else:
-            u_new, p_new, _psi = pressure_correction(ops, u_tilde, state.p, iterations)
+        u_new, p_new, _psi = pressure_correction(ops, u_tilde, state.p, iterations)
     new = State(step=state.step + 1, phi=phi_new, mu=mu_new, u_tilde=u_tilde,
                 u=u_new, p=p_new, r=r, rho=rho)
     res_r, res_rho = scalar_equation_residuals(ops, state, new, terms)

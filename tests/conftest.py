@@ -32,25 +32,34 @@ def small_ops(spaces4, coarsen_params):
 
 # -- shared expensive runs for the acceptance suite ------------------------
 
+def _least_scaled_discriminant(diag: dict, key):
+    """An on_step callback keeping in diag[key] the least discriminant / max(a1^2, |4 a2 a0|)."""
+    diag[key] = np.inf
+
+    def on_step(state, report):
+        scale = max(report.a1 ** 2, abs(4.0 * report.a2 * report.a0), 1e-300)
+        diag[key] = min(diag[key], report.discriminant / scale)
+    return on_step
+
+
 @pytest.fixture(scope="session")
 def convergence_results():
     """Levels 4/8/16 of the manufactured study plus per-step diagnostics."""
     from chns.experiments import run_convergence
 
-    diag = {"min_disc_scaled": np.inf}
-
-    def on_step(state, report):
-        scale = max(report.a1 ** 2, abs(4.0 * report.a2 * report.a0), 1e-300)
-        diag["min_disc_scaled"] = min(diag["min_disc_scaled"],
-                                      report.discriminant / scale)
-
-    records = run_convergence([4, 8, 16], Params(), on_step=on_step)
+    diag = {}
+    records = run_convergence([4, 8, 16], Params(),
+                              on_step=_least_scaled_discriminant(diag, "min_disc_scaled"))
     return records, diag
 
 
 @pytest.fixture(scope="session")
 def stability_runs():
-    """Coarsening setup at nx=32 for tau in {1e-3, 1e-2, 1e-1}, run to T=1."""
-    from chns.experiments import run_stability_sweep
+    """Coarsening setup at nx=32 for tau in {1e-3, 1e-2, 1e-1}, run to T=1, plus the
+    least scaled discriminant of each run."""
+    from chns.experiments import run_coarsening
 
-    return run_stability_sweep([1e-3, 1e-2, 1e-1], seed=2024, nx=32, t_end=1.0)
+    diag = {}
+    runs = {tau: run_coarsening(2024, 32, tau, 1.0, on_step=_least_scaled_discriminant(diag, tau))
+            for tau in (1e-3, 1e-2, 1e-1)}
+    return runs, diag

@@ -9,7 +9,8 @@ from chns.fem import NORM_DEGREE, FeSpace, build_space
 from chns.linsolve import SolverError, jacobi, solve_general, solve_neumann_zero_mean, \
     solve_spd
 from chns.mesh import Mesh, build_uniform_mesh, mesh_size
-from chns.scheme import closest_ratio_root, explicit_terms, scalar_equation_residuals
+from chns.scheme import State, ch_split_solve, closest_ratio_root, explicit_terms, \
+    scalar_equation_residuals, scalar_reduction
 
 
 def picard_step(state, ops, forcing=None, tol=1e-12, max_iter=400):
@@ -67,6 +68,19 @@ def picard_step(state, ops, forcing=None, tol=1e-12, max_iter=400):
         if done:
             break
     return {"phi": phi, "mu": mu, "u_tilde": u_tilde, "r": r, "rho": rho}
+
+
+def phase_only_step(state, ops):
+    """One step of the phase-field subsystem alone: the scheme's phase solves and
+    scalar reduction with zero velocity splits, the flow left at rest and the
+    pressure untouched."""
+    terms = explicit_terms(ops, state)
+    ch = ch_split_solve(ops, state.phi, terms)
+    zero = np.zeros(ops.p2v.ndofs)
+    r, rho, u_tilde, _ = scalar_reduction(ops, state, terms, ch, (zero, zero, zero))
+    (phi0, mu0), (phi1, mu1) = ch
+    return State(step=state.step + 1, phi=phi0 + r * phi1, mu=mu0 + r * mu1,
+                 u_tilde=u_tilde, u=state.u.copy(), p=state.p.copy(), r=r, rho=rho)
 
 
 def scheme_residuals(ops, old, new, forcing=None):

@@ -17,6 +17,7 @@ would need an error below the floor there.
 import numpy as np
 import pytest
 
+import oracles
 from chns import assembly as asm
 from chns.experiments import rate, random_phase_field, run_coarsening, run_convergence_level
 from chns.fem import build_space, p1_basis, p2_basis, triangle_quadrature
@@ -81,8 +82,9 @@ def test_criterion_2_h1_convergence_rates(convergence_results):
 
 
 def test_criterion_3_unconditional_stability(stability_runs):
+    runs, _ = stability_runs
     gates = {}
-    for tau, run in stability_runs.items():
+    for tau, run in runs.items():
         energies = [run.initial_energy] + run.trace.energy
         ok = all(b <= a + 1e-8 * max(1.0, a) for a, b in zip(energies, energies[1:]))
         gates[f"tau={tau:g} monotone"] = ok
@@ -90,7 +92,8 @@ def test_criterion_3_unconditional_stability(stability_runs):
 
 
 def test_criterion_4_energy_identity(stability_runs):
-    run = stability_runs[1e-3]
+    runs, _ = stability_runs
+    run = runs[1e-3]
     energies = [run.initial_energy] + run.trace.energy
     residuals = run.trace.identity_residual[:50]
     worst = max(abs(res) / max(1.0, energies[i])
@@ -102,9 +105,10 @@ def test_criterion_4_energy_identity(stability_runs):
 
 def test_criterion_5_quadratic_root_machinery(convergence_results, stability_runs, small_ops):
     _, diag = convergence_results
+    _, least_by_tau = stability_runs
     gates = {"discriminant (mms runs)": diag["min_disc_scaled"] >= -1e-12}
-    for tau, run in stability_runs.items():
-        gates[f"discriminant tau={tau:g}"] = run.trace.min_disc_scaled >= -1e-12
+    for tau, least in least_by_tau.items():
+        gates[f"discriminant tau={tau:g}"] = least >= -1e-12
 
     # stationary state returns the previous scalar exactly
     s0 = init_state(small_ops, np.zeros(small_ops.p1.ndofs),
@@ -160,7 +164,7 @@ def test_criterion_7_conservation_and_structure(small_ops):
     s = init_state(ops, phi0, np.zeros(ops.p2v.ndofs), np.zeros(ops.p1.ndofs), mu0=phi0.copy())
     mass0 = ops.forms.lumped_p1 @ s.phi
     for _ in range(20):
-        s, _ = step(s, ops, velocity_frozen=True)
+        s = oracles.phase_only_step(s, ops)
     gates["mass conservation <=1e-10"] = abs(ops.forms.lumped_p1 @ s.phi - mass0) <= 1e-10
 
     # pressure mean-free at every step of a flowing run

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,9 +7,9 @@ import pytest
 from chns import cli, scheme
 from chns.assembly import NonpositiveEnergyError
 from chns.cli import main
-from chns.config import ConfigError, parse_config
-from chns.experiments import EnergyTrace, ErrorRecord, coarsening_params, random_phase_field, \
-    relaxation_params
+from chns.config import _DEFAULTS, ConfigError, parse_config
+from chns.experiments import EnergyTrace, ErrorRecord, coarsening_params, \
+    default_cross_polygon, default_tau_rule, random_phase_field, relaxation_params
 from chns.linsolve import SolverError
 from chns.scheme import Params, ReductionError
 from chns.io import ENERGY_HEADER, write_energy_csv, write_error_table_csv, \
@@ -29,41 +30,67 @@ def make_record(h, tau, scale):
 
 def test_converge_defaults_match_reference_setup():
     cfg = parse_config(kind="converge")
-    assert (cfg.mobility, cfg.lam, cfg.eps, cfg.nu) == (0.001, 0.001, 0.04, 0.1)
-    assert (cfg.c1, cfg.c2, cfg.gamma, cfg.t_end) == (0.1, 0.1, 1.0, 0.1)
-    assert cfg.levels == [4, 8, 16]
+    prm = cfg.params
+    assert (prm.mobility, prm.lam, prm.eps, prm.nu) == (0.001, 0.001, 0.04, 0.1)
+    assert (prm.c1, prm.c2, prm.gamma, prm.t_end) == (0.1, 0.1, 1.0, 0.1)
+    assert cfg.settings["levels"] == [4, 8, 16]
+    # the study's time step at the coarsest level
+    assert prm.tau == default_tau_rule(1.0 / 4)
 
 
 @pytest.mark.parametrize("kind, preset", [("converge", Params), ("coarsen", coarsening_params),
                                           ("relax", relaxation_params),
                                           ("stability", coarsening_params)])
 def test_defaults_are_the_driver_presets(kind, preset):
-    assert parse_config(kind=kind).params() == preset()
+    prm = parse_config(kind=kind).params
+    if kind in ("converge", "stability"):
+        # these take each run's time step from tau_factor or tau_list
+        prm = replace(prm, tau=preset().tau)
+    assert prm == preset()
+
+
+# the keys each command reads: its driver's constants and its own settings
+CONSTANTS = ["c1", "c2", "eps", "gamma", "lam", "mobility", "nu", "solver_tol", "t_end"]
+KEYS = {
+    "converge": CONSTANTS + ["levels", "out_dir", "tau_factor"],
+    "coarsen": CONSTANTS + ["nx", "out_dir", "seed", "snapshot_times", "tau"],
+    "relax": CONSTANTS + ["nx", "out_dir", "polygon", "snapshot_times", "tau"],
+    "stability": CONSTANTS + ["nx", "out_dir", "seed", "tau_list"],
+}
+
+
+def test_each_command_accepts_exactly_the_keys_it_reads():
+    assert {kind: sorted(keys) for kind, keys in _DEFAULTS.items()} \
+        == {kind: sorted(keys) for kind, keys in KEYS.items()}
+    assert sum(len(keys) for keys in KEYS.values()) == 53
+    for kind, keys in KEYS.items():
+        cfg = parse_config(kind=kind)
+        assert sorted(cfg.settings) == sorted(set(keys) - set(CONSTANTS) - {"tau"})
 
 
 def test_seeds_of_64_bits_accepted():
     for seed in (0, 2 ** 64 - 1):
         cfg = parse_config(kind="coarsen", overrides={"seed": seed})
-        assert random_phase_field(cfg.seed, 4).shape == (4,)
+        assert random_phase_field(cfg.settings["seed"], 4).shape == (4,)
 
 
 def test_explicit_shift_must_dominate_gamma(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"kind": "coarsen", "c1": 0.5}))
     with pytest.raises(ConfigError, match="c1 must exceed gamma"):
-        parse_config(str(path))
+        parse_config("coarsen", str(path))
 
 
 def test_override_wins():
     cfg = parse_config(kind="coarsen", overrides={"tau": 0.01})
-    assert cfg.tau == 0.01
+    assert cfg.params.tau == 0.01
 
 
 def test_unknown_key_rejected(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"kind": "coarsen", "weird_knob": 1}))
     with pytest.raises(ConfigError, match="unknown config keys"):
-        parse_config(str(path))
+        parse_config("coarsen", str(path))
 
 
 @pytest.mark.parametrize("overrides", [{"nx": "abc"}, {"tau": "0.1"}, {"t_end": True},
@@ -75,7 +102,7 @@ def test_wrong_type_rejected(overrides):
 
 def test_integers_accepted_for_numbers():
     cfg = parse_config(kind="coarsen", overrides={"t_end": 5, "snapshot_times": [1, 2.5]})
-    assert cfg.t_end == 5 and cfg.snapshot_times == [1, 2.5]
+    assert cfg.params.t_end == 5 and cfg.settings["snapshot_times"] == [1, 2.5]
 
 
 @pytest.mark.parametrize("kind, overrides", [
@@ -94,7 +121,8 @@ def test_whole_numbers_of_time_steps_accepted():
     for kind in ("converge", "coarsen", "relax", "stability"):
         parse_config(kind=kind)
     # 0.009 / 0.003 is 2.9999999999999996 in floating point
-    assert parse_config(kind="coarsen", overrides={"tau": 0.003, "t_end": 0.009}).t_end == 0.009
+    assert parse_config(kind="coarsen",
+                        overrides={"tau": 0.003, "t_end": 0.009}).params.t_end == 0.009
     parse_config(kind="converge", overrides={"t_end": 0.0125, "levels": [4, 6]})
 
 
@@ -113,7 +141,7 @@ def test_malformed_file_rejected(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text("{not json")
     with pytest.raises(ConfigError):
-        parse_config(str(path))
+        parse_config("coarsen", str(path))
 
 
 def test_bad_kind_rejected():
@@ -317,6 +345,12 @@ def test_cli_relax_not_monotone_exits_1(tmp_path, monkeypatch):
     ["stability", {"tau_list": []}],
 ])
 def test_cli_bad_numbers_exit_2_with_one_line(argv, tmp_path, capsys):
+    _exit_2_line(argv, tmp_path, capsys)
+
+
+def _exit_2_line(argv, tmp_path, capsys) -> str:
+    """Run the CLI, a trailing dict written to a JSON file passed with --config; it
+    must exit 2 with one error line and no output. Returns that line."""
     if isinstance(argv[-1], dict):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(argv[-1]))
@@ -326,6 +360,30 @@ def test_cli_bad_numbers_exit_2_with_one_line(argv, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert not (tmp_path / "o").exists()
+    return captured.err
+
+
+# a valid value of each key some command reads
+VALUES = {"tau": 1e-3, "tau_list": [1e-3], "nx": 8, "seed": 1, "snapshot_times": [0.1],
+          "polygon": default_cross_polygon().tolist(), "tau_factor": 0.1, "levels": [4]}
+UNREAD = {"converge": ("tau", "tau_list", "nx", "seed", "snapshot_times", "polygon"),
+          "coarsen": ("tau_factor", "tau_list", "levels", "polygon"),
+          "relax": ("seed", "tau_factor", "tau_list", "levels"),
+          "stability": ("tau", "tau_factor", "levels", "snapshot_times", "polygon")}
+
+
+@pytest.mark.parametrize("argv, named", [
+    ([command, {key: VALUES[key]}], f"'{key}'")
+    for command, keys in UNREAD.items() for key in keys
+] + [
+    (["converge", {"kind": "coarsen"}], "'coarsen'"),
+    (["coarsen", {"kind": "stability", "tau_list": [1e-2], "t_end": 0.1}], "'stability'"),
+    (["converge", "--tau", "0.001"], "'tau'"),
+    (["converge", "--tau", "0.5"], "'tau'"),
+    (["relax", "--seed", "99"], "'seed'"),
+])
+def test_cli_input_the_command_does_not_read_exits_2_naming_it(argv, named, tmp_path, capsys):
+    assert named in _exit_2_line(argv, tmp_path, capsys)
 
 
 @pytest.mark.parametrize("exc", [
