@@ -91,10 +91,13 @@ def _selftest() -> int:
     return selftest.run()
 
 
-def _numbers(text: str, kind, flag: str) -> list:
-    """Comma-separated numbers of one type; anything else is a ConfigError."""
+def _numbers(text: str, kind, flag: str, command: str, list_command: str) -> list:
+    """Comma-separated numbers of one type, more than one only for `list_command`;
+    anything else, an empty value too, is a ConfigError."""
+    if "," in text and command != list_command:
+        raise ConfigError(f"{flag} takes a comma list only for {list_command}, got {text!r}")
     try:
-        return [kind(v) for v in str(text).split(",")]
+        return [kind(v) for v in text.split(",")]
     except ValueError:
         raise ConfigError(f"{flag} expects comma-separated {kind.__name__} values, "
                           f"got {text!r}") from None
@@ -107,18 +110,18 @@ def main(argv=None) -> int:
 
     overrides = {"out_dir": args.out, "seed": args.seed, "t_end": args.t_end}
     try:
-        if args.tau:
-            taus = _numbers(args.tau, float, "--tau")
+        if args.tau is not None:
+            taus = _numbers(args.tau, float, "--tau", args.command, "stability")
             if args.command == "stability":
                 overrides["tau_list"] = taus
             else:
-                overrides["tau"] = taus[0]
-        if args.nx:
-            nxs = _numbers(args.nx, int, "--nx")
+                overrides["tau"], = taus
+        if args.nx is not None:
+            nxs = _numbers(args.nx, int, "--nx", args.command, "converge")
             if args.command == "converge":
                 overrides["levels"] = nxs
             else:
-                overrides["nx"] = nxs[0]
+                overrides["nx"], = nxs
 
         cfg = parse_config(args.command, args.config, overrides)
         if args.command == "converge":

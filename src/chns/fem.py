@@ -1,5 +1,5 @@
 """Reference bases, triangle quadrature, Lagrange degree-of-freedom maps, and
-the transfers between nested Lagrange spaces."""
+the transfers between uniform grids of a rectangle."""
 
 from __future__ import annotations
 
@@ -193,20 +193,7 @@ def interpolate(space: FeSpace, f) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# transfers between nested spaces
-
-
-def p1_to_p2(mesh: Mesh) -> sp.csr_matrix:
-    """Exact embedding of P1 into scalar P2 on the same mesh: (P2 nodes, vertices).
-
-    A vertex node takes 1 from its vertex, an edge node 1/2 from each end of
-    its edge, in the node numbering of `build_space`.
-    """
-    nv, ne = mesh.num_vertices, mesh.num_edges
-    rows = np.concatenate([np.arange(nv), nv + np.repeat(np.arange(ne), 2)])
-    cols = np.concatenate([np.arange(nv), mesh.edges.ravel()])
-    vals = np.concatenate([np.ones(nv), np.full(2 * ne, 0.5)])
-    return sp.csr_matrix((vals, (rows, cols)), shape=(nv + ne, nv))
+# transfers between uniform grids
 
 
 def coarser_grid(grid: tuple[int, int]) -> tuple[int, int]:

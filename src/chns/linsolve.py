@@ -11,8 +11,8 @@ zero. The iteration limit is 10 n (BiCGStab's first attempt gets fewer).
 The symmetric solves, SPD (`solve_spd`) and singular Neumann
 (`solve_neumann_zero_mean`), run one preconditioned conjugate gradient
 loop, the latter projected off the constants. The caller passes the
-preconditioner, made once per matrix: a symmetric multigrid V-cycle
-(`VCycle`) or the Jacobi diagonal (`jacobi`).
+preconditioner, made once per matrix: a fast diagonalization (`Separable`),
+a symmetric multigrid V-cycle (`VCycle`) or the Jacobi diagonal (`jacobi`).
 The nonsymmetric solve (`solve_general`) is of a Cahn-Hilliard block and
 takes the block's `Presb`: a stiffness-dominated block goes straight to
 restarted GMRES, written here, preconditioned by PRESB, whose two inner
@@ -21,8 +21,8 @@ GMRES with the same PRESB finishes a solve BiCGStab gives up on.
 
 Each sparse product of a solve calls scipy's compressed-sparse kernel
 directly (`_kernel`): bit for bit `a @ x`, without the checks `@` makes.
-Nothing here imports scipy's sparse linear-algebra package: it alone adds
-about 9 MB to a process (`tests/test_import_graph.py` checks a whole step).
+Nothing here imports scipy's sparse linear-algebra package or `scipy.fft`:
+they add about 9 MB and 5 MB to a process (`tests/test_import_graph.py`).
 """
 
 from __future__ import annotations
@@ -89,29 +89,20 @@ class VCycle:
 
     Level 0 is `a`; level l + 1 is the Galerkin product P^T A_l P of the
     l-th prolongation P. Each level smooths with one damped Jacobi sweep
-    before its coarse correction and one after, starting from zero. The
-    coarsest level is smoothed alike or, with `coarse_pinv`, solved by its
-    dense pseudo-inverse: for a Neumann problem, whose kernel is q = e / |e|,
-    inv(A + q q^T) - q q^T (an eigendecomposition would load about 2 MB
-    more of LAPACK). The cycle is symmetric. It takes a vector or a (k, n)
-    stack: one kernel call per row and product, elementwise work on the stack.
+    before its coarse correction and one after, starting from zero; the
+    coarsest level is smoothed alike. The cycle is symmetric. It takes a
+    vector or a (k, n) stack: one kernel call per row and product,
+    elementwise work on the stack.
     """
 
-    def __init__(self, a: sp.csr_matrix, prolongations=(), coarse_pinv: bool = False):
+    def __init__(self, a: sp.csr_matrix, prolongations=()):
         self.ops, self.smoothers, self.prolong = [], [], []
         for p in prolongations:
             self._add_level(a)
             p = sp.csr_matrix(p)
             a = (p.T @ (a @ p)).tocsr()
             self.prolong.append(p)
-        self.coarse_inverse = None
-        if coarse_pinv:
-            n = a.shape[0]
-            qqt = np.full((n, n), 1.0 / n)
-            inv = np.linalg.inv(a.toarray() + qqt) - qqt
-            self.coarse_inverse = 0.5 * (inv + inv.T)
-        else:
-            self._add_level(a)
+        self._add_level(a)
         self._ops = [_kernel(a) for a in self.ops]
         self._prolong = [_kernel(p) for p in self.prolong]
         self._restrict = [_kernel(p.T) for p in self.prolong]  # P^T: a CSC view of P
@@ -121,18 +112,13 @@ class VCycle:
         self.ops.append(a)
         self.smoothers.append(_jacobi_weight(a, dinv) * dinv)
 
-    def __call__(self, r: np.ndarray) -> np.ndarray:
-        return self._cycle(0, r)
-
-    def _cycle(self, level: int, b: np.ndarray) -> np.ndarray:
-        if level == len(self.ops):
-            return (self.coarse_inverse @ b.T).T  # of a vector or one row: the gemv C b
+    def __call__(self, b: np.ndarray, level: int = 0) -> np.ndarray:
         a, w = self._ops[level], self.smoothers[level]
         x = w * b
         if level < len(self.prolong):
             r = a(x)
             np.subtract(b, r, out=r)
-            x += self._prolong[level](self._cycle(level + 1, self._restrict[level](r)))
+            x += self._prolong[level](self(self._restrict[level](r), level + 1))
         r = a(x)  # the damped Jacobi sweep x += w (b - A x)
         np.subtract(b, r, out=r)
         r *= w
@@ -140,23 +126,54 @@ class VCycle:
         return x
 
 
+class Separable:
+    """Fast diagonalization (Lynch, Rice & Thomas, Numer. Math. 6, 1964): the inverse of
+    A = alpha Dy (x) Dx + Dy (x) Kx + Ky (x) Dx on a lattice, a preconditioner for CG.
+
+    An axis is (K, d): its 1D stiffness matrix, dense, and lumped mass D = diag(d).
+    With D^-1/2 K D^-1/2 = Q diag(lam) Q^T, V = D^-1/2 Q has V^T D V = I and
+    V^T K V = diag(lam), so A^-1 = (Vy (x) Vx) diag(1 / (alpha + lam_y + lam_x)) (Vy (x) Vx)^T:
+    four GEMMs, run in `dtype`. A zero eigenvalue sum (the constants of a Neumann
+    problem, alpha = 0) is dropped, which gives the pseudo-inverse. `order` puts a
+    float64 vector's lattice nodes first, row-major (x fastest), for one `np.take`
+    each way; its other entries pass through. A flattened stack goes through at once.
+    """
+
+    def __init__(self, x_axis, y_axis, alpha: float, order: np.ndarray, dtype=np.float64):
+        vectors, lam = [], []
+        for k, d in (x_axis, y_axis):
+            s = 1.0 / np.sqrt(d)
+            values, q = np.linalg.eigh(s[:, None] * k * s[None, :])
+            vectors.append((s[:, None] * q).astype(dtype))
+            lam.append(values)
+        total = alpha + lam[1][:, None] + lam[0][None, :]
+        inverse = np.divide(1.0, total, out=np.zeros_like(total), where=total > 1e-12 * total.max())
+        (self.vx, self.vy), self.inverse = vectors, inverse.astype(dtype)
+        self.order, self.unorder = order, np.argsort(order)
+
+    def __call__(self, r: np.ndarray) -> np.ndarray:
+        (ny, nx), n = self.inverse.shape, self.order.shape[0]
+        x = np.take(r.reshape(-1, n), self.order, axis=1)
+        lattice = x[:, :nx * ny].astype(self.inverse.dtype).reshape(-1, nx)
+        t = (self.vy.T @ (lattice @ self.vx).reshape(-1, ny, nx)) * self.inverse
+        x[:, :nx * ny] = ((self.vy @ t).reshape(-1, nx) @ self.vx.T).reshape(x.shape[0], -1)
+        return np.take(x, self.unorder, axis=1).reshape(r.shape)
+
+
 class Planar:
     """A velocity operator kron(I_2, block), stored once as the `block` of one component.
 
-    It applies `block` to a planar vector [x_1; x_2] (`fem.build_space`
-    numbers vector spaces so) as one (2, n) stack: a CSR block, which may
-    be rectangular, by `@`; a preconditioner such as a `VCycle` by calling.
+    It applies `block`, a CSR matrix that may be rectangular, to a planar
+    vector [x_1; x_2] (`fem.build_space` numbers vector spaces so) as one
+    (2, n) stack.
     """
 
-    def __init__(self, block):
+    def __init__(self, block: sp.csr_matrix):
         self.block = block
-        self._times = _kernel(block) if sp.issparse(block) else None
+        self._times = _kernel(block)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return self._times(np.ascontiguousarray(x, dtype=float).reshape(2, -1)).reshape(-1)
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.block(x.reshape(2, -1)).reshape(-1)
 
     def diagonal(self) -> np.ndarray:
         return np.tile(self.block.diagonal(), 2)

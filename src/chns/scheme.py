@@ -34,8 +34,8 @@ import scipy.sparse as sp
 
 from . import assembly as asm
 from .assembly import AssembledForms, DirichletOperator, NonpositiveEnergyError
-from .fem import FeSpace, coarser_grid, grid_interpolation, interpolate, p1_to_p2
-from .linsolve import Planar, Presb, SolverError, VCycle, jacobi, solve_general, \
+from .fem import FeSpace, coarser_grid, grid_interpolation, interpolate
+from .linsolve import Planar, Presb, Separable, SolverError, VCycle, jacobi, solve_general, \
     solve_neumann_zero_mean, solve_spd
 from .mesh import Mesh
 
@@ -146,7 +146,7 @@ class Operators:
 
     @cached_property
     def pressure_precondition(self):  # of k_p1
-        return _pressure_precondition(self.mesh, self.forms.k_p1)
+        return _pressure_precondition(self.mesh)
 
     @cached_property
     def projection_precondition(self):
@@ -158,8 +158,8 @@ class Operators:
 
 
 def build_operators(p1: FeSpace, p2v: FeSpace, params: Params) -> Operators:
-    """The matrices of a run on a uniform grid (`build_uniform_mesh`), whose
-    coarser grids are the multigrid levels of the preconditioners."""
+    """The matrices of a run on a uniform grid (`build_uniform_mesh`): the
+    preconditioners are made from its lattice and its coarser grids."""
     if not p1.mesh.grid:  # None off a uniform grid
         raise ValueError("build_operators needs a uniform grid: the mesh has grid=None")
     forms = asm.assemble_forms(p1, p2v)
@@ -177,30 +177,19 @@ def build_operators(p1: FeSpace, p2v: FeSpace, params: Params) -> Operators:
     )
 
 
-#: the pressure hierarchy coarsens until a level has at most this many nodes
-COARSEST_PRESSURE_NODES = 100
-
-
-def _grid_interior(grid: tuple[int, int]) -> np.ndarray:
-    """Vertices of a uniform grid off the rectangle's boundary, row-major."""
-    nx, ny = grid
-    return (np.arange(1, ny)[:, None] * (nx + 1) + np.arange(1, nx)).ravel()
-
-
 def _stiffness_dominates(weight: float, k_diag: np.ndarray, m_diag: np.ndarray) -> bool:
     """Whether the median of weight K_ii / M_ii exceeds 1."""
     return bool(np.median(weight * k_diag / m_diag) > 1.0)
 
 
-def _grid_prolongations(grid, k: sp.csr_matrix, m: sp.csr_matrix, weight: float,
-                        nodes=None) -> list:
+def _grid_prolongations(grid, k: sp.csr_matrix, m: sp.csr_matrix, weight: float) -> list:
     """P1 interpolations to ever coarser grids of the rectangle, finest first.
 
-    `k` and `m` are the P1 stiffness and mass on `grid`'s vertices, or on
-    the subset `nodes(grid)` of them. A level gets a coarser one below it
-    only while its stiffness outweighs its mass on the diagonal (median of
-    weight K_ii / M_ii above 1): below that, Jacobi alone smooths it well.
-    The 1 x 1 grid, which has no coarser one, ends the hierarchy.
+    `k` and `m` are the P1 stiffness and mass on `grid`'s vertices. A level
+    gets a coarser one below it only while its stiffness outweighs its mass
+    on the diagonal (median of weight K_ii / M_ii above 1): below that,
+    Jacobi alone smooths it well. The 1 x 1 grid, which has no coarser one,
+    ends the hierarchy.
     """
     prolongations = []
     while _stiffness_dominates(weight, k.diagonal(), m.diagonal()):
@@ -208,37 +197,47 @@ def _grid_prolongations(grid, k: sp.csr_matrix, m: sp.csr_matrix, weight: float,
         if coarse == grid:
             break
         p = grid_interpolation(grid, coarse)
-        if nodes is not None:
-            p = p[nodes(grid)][:, nodes(coarse)]
-        if p.shape[1] == 0:  # the coarser grid has no interior vertex
-            break
         k, m = (p.T @ k @ p).tocsr(), (p.T @ m @ p).tocsr()
         prolongations.append(p)
         grid = coarse
     return prolongations
 
 
-def _velocity_precondition(ops: Operators):
-    """V-cycle of the eliminated velocity block on each component, or the Jacobi diagonal.
+def _lattice_axes(mesh: Mesh, refine: int, neumann: bool) -> list:
+    """(K, d), x axis first, of the lattice splitting each grid cell refine x refine ways:
+    its 1D P1 stiffness matrix, dense, and lumped mass diagonal, on every node for a
+    Neumann problem and on the interior ones for a Dirichlet one."""
+    axes = []
+    for cells, width in zip(refine * np.array(mesh.grid), mesh.vertices[-1] - mesh.vertices[0]):
+        h, g = width / cells, np.diff(np.eye(cells + 1), axis=0)  # the nodes' differences
+        k, d = g.T @ g / h, np.full(cells + 1, h)
+        d[[0, -1]] = 0.5 * h
+        axes.append((k, d) if neumann else (k[1:-1, 1:-1], d[1:-1]))
+    return axes
 
-    The first coarse level is P1 on the same mesh, the next ones P1 on ever
-    coarser grids of the rectangle (`_grid_prolongations` with weight
-    nu tau), all without their boundary nodes. A matrix whose finest level
-    is mass-dominated keeps Jacobi.
+
+def _velocity_precondition(ops: Operators):
+    """A `Separable` of the eliminated velocity block, per component, or its Jacobi diagonal.
+
+    The P2 nodes of the grid are the lattice of half its cell widths: vertex (i, j) is
+    node (2i, 2j), an edge midpoint the sum of its ends'. The preconditioner inverts in
+    float32 that lattice's P1 lumped mass / tau + nu 5-point stiffness on the interior
+    nodes; boundary rows pass through. A block whose interior is mass-dominated
+    (median nu tau K_ii / M_ii at most 1) keeps Jacobi.
     """
-    a, forms, p1, p2v = ops.velocity.matrix, ops.forms, ops.p1, ops.p2v
-    free = np.setdiff1d(np.arange(a.block.shape[0]), p2v.boundary_dofs)  # nodes off the boundary
-    nu_tau = ops.params.nu * ops.params.tau
-    k_diag, m_diag = forms.k_p2.diagonal(), forms.m_p2.diagonal()
-    if not _stiffness_dominates(nu_tau, k_diag[free], m_diag[free]):
+    a, forms, mesh = ops.velocity.matrix, ops.forms, ops.mesh
+    free = np.setdiff1d(np.arange(a.block.shape[0]), ops.p2v.boundary_dofs)
+    nu, tau = ops.params.nu, ops.params.tau
+    if not _stiffness_dominates(nu * tau, forms.k_p2.diagonal()[free], forms.m_p2.diagonal()[free]):
         return jacobi(a)
-    free = np.setdiff1d(np.arange(p1.ndofs), p1.boundary_dofs)
-    if free.size == 0:  # no interior vertex, no coarse level
-        return jacobi(a)
-    prolongations = [p1_to_p2(ops.mesh)[:, free]]
-    prolongations += _grid_prolongations(ops.mesh.grid, forms.k_p1[free][:, free],
-                                         forms.m_p1[free][:, free], nu_tau, _grid_interior)
-    return Planar(VCycle(a.block, prolongations))
+    (nx, ny), nv = mesh.grid, mesh.num_vertices
+    vertex = np.stack([np.arange(nv) % (nx + 1), np.arange(nv) // (nx + 1)], axis=1)
+    i, j = np.concatenate([2 * vertex, vertex[mesh.edges].sum(axis=1)]).T
+    inside = (0 < i) & (i < 2 * nx) & (0 < j) & (j < 2 * ny)
+    # the interior lattice row-major, then the boundary nodes
+    order = np.argsort(np.where(inside, 0, (2 * nx + 1) * (2 * ny + 1)) + j * (2 * nx + 1) + i)
+    (kx, dx), (ky, dy) = _lattice_axes(mesh, 2, neumann=False)
+    return Separable((nu * kx, dx), (nu * ky, dy), 1.0 / tau, order, np.float32)
 
 
 def _ch_solver(ops: Operators) -> Presb:
@@ -256,19 +255,12 @@ def _ch_solver(ops: Operators) -> Presb:
                  direct=_stiffness_dominates(c, k.diagonal(), m.diagonal()))
 
 
-def _pressure_precondition(mesh: Mesh, k: sp.csr_matrix) -> VCycle:
-    """V-cycle of the Neumann P1 stiffness matrix.
-
-    Halves the grid until a level has at most COARSEST_PRESSURE_NODES nodes and
-    applies the dense pseudo-inverse there.
-    """
-    grid, nodes = mesh.grid, k.shape[0]
-    prolongations = []
-    while nodes > COARSEST_PRESSURE_NODES:
-        coarse = coarser_grid(grid)
-        prolongations.append(grid_interpolation(grid, coarse))
-        grid, nodes = coarse, (coarse[0] + 1) * (coarse[1] + 1)
-    return VCycle(k, prolongations, coarse_pinv=True)
+def _pressure_precondition(mesh: Mesh) -> Separable:
+    """The float64 pseudo-inverse of the Neumann P1 stiffness: on a uniform grid, whose
+    vertices `build_uniform_mesh` numbers as a row-major lattice, that matrix is exactly
+    (hy/hx) D (x) T + (hx/hy) T (x) D, T = [-1 2 -1] and D = diag(1/2, 1, ..., 1, 1/2)."""
+    x_axis, y_axis = _lattice_axes(mesh, 1, neumann=True)
+    return Separable(x_axis, y_axis, 0.0, np.arange(mesh.num_vertices))
 
 
 def zero_mean(forms: AssembledForms, p: np.ndarray) -> np.ndarray:

@@ -630,11 +630,8 @@ def projected_cg_loop(k_mat, b, precondition, tol, max_it):
 def matmul_vcycle(cycle, b):
     """One V-cycle on `cycle`'s levels as it ran with `@` products: one damped
     Jacobi sweep before and one after each coarse correction, restriction by
-    the CSC view P^T, the coarsest level smoothed or solved by its dense
-    pseudo-inverse. `b` is one vector."""
+    the CSC view P^T, the coarsest level smoothed alike. `b` is one vector."""
     def down(level, b):
-        if level == len(cycle.ops):
-            return cycle.coarse_inverse @ b
         a, w = cycle.ops[level], cycle.smoothers[level]
         x = w * b
         if level < len(cycle.prolong):
@@ -649,3 +646,20 @@ def matmul_vcycle(cycle, b):
         return x
 
     return down(0, b)
+
+
+# ---------------------------------------------------------------------------
+# the embedding of P1 in P2
+
+
+def p1_to_p2(mesh: Mesh) -> sp.csr_matrix:
+    """Exact embedding of P1 into scalar P2 on the same mesh: (P2 nodes, vertices).
+
+    A vertex node takes 1 from its vertex, an edge node 1/2 from each end of
+    its edge, in the node numbering of `build_space`.
+    """
+    nv, ne = mesh.num_vertices, mesh.num_edges
+    rows = np.concatenate([np.arange(nv), nv + np.repeat(np.arange(ne), 2)])
+    cols = np.concatenate([np.arange(nv), mesh.edges.ravel()])
+    vals = np.concatenate([np.ones(nv), np.full(2 * ne, 0.5)])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(nv + ne, nv))

@@ -343,9 +343,25 @@ def test_cli_relax_not_monotone_exits_1(tmp_path, monkeypatch):
     ["stability", {"seed": -1}],
     ["converge", {"levels": []}],
     ["stability", {"tau_list": []}],
+    # a flag read as one value takes no list, and no flag takes an empty value
+    ["coarsen", "--tau", "1e-3,1e-2", "--nx", "8"],
+    ["coarsen", "--nx", "8,16"],
+    ["relax", "--tau", "1e-3,1e-2"],
+    ["relax", "--nx", "8,16"],
+    ["stability", "--nx", "8,16"],
+    ["coarsen", "--tau", "1e-3,"],
+    ["coarsen", "--tau", ""],
+    ["relax", "--nx", ""],
+    ["stability", "--tau", ""],
+    ["converge", "--nx", ""],
 ])
 def test_cli_bad_numbers_exit_2_with_one_line(argv, tmp_path, capsys):
-    _exit_2_line(argv, tmp_path, capsys)
+    line = _exit_2_line(argv, tmp_path, capsys)
+    # an empty value, or a list where one value is read, is refused by the flag's name
+    for flag, list_command in (("--tau", "stability"), ("--nx", "converge")):
+        value = argv[argv.index(flag) + 1] if flag in argv else None
+        if value == "" or (value and "," in value and argv[0] != list_command):
+            assert flag in line
 
 
 def _exit_2_line(argv, tmp_path, capsys) -> str:

@@ -1,11 +1,13 @@
 """What a fresh interpreter imports, and what the package refers to, checked
 where it matters.
 
-`scipy.sparse.linalg` alone adds about 9 MB to a process, and no solve
-needs it: a whole time step, with its phase block on either solver path
-or on the GMRES fallback, must leave it unimported. And `io` writes the
-experiments' records without depending on the experiments module. Code
-that only the tests call belongs in `tests/oracles.py`, not in `src`.
+`scipy.sparse.linalg` alone adds about 9 MB to a process, and `scipy.fft`
+(its pocketfft module) about 5 MB, and no solve needs either: a whole time
+step, with its phase block on either solver path or on the GMRES fallback,
+and its velocity and pressure on their fast diagonalizations, must leave
+both unimported. And `io` writes the experiments' records without
+depending on the experiments module. Code that only the tests call
+belongs in `tests/oracles.py`, not in `src`.
 """
 
 import ast
@@ -33,7 +35,7 @@ import numpy as np
 from chns import linsolve
 from chns.experiments import coarsening_params, random_phase_field, relaxation_params
 from chns.fem import build_space
-from chns.linsolve import SolverError, VCycle
+from chns.linsolve import Separable, SolverError
 from chns.mesh import build_uniform_mesh
 from chns.scheme import build_operators, init_state, step
 
@@ -58,17 +60,17 @@ def gives_up(*args):
 stiff = one_step(replace(relaxation_params(), tau=4e-3))  # median c K_ii / M_ii 1.30
 mass = one_step(coarsening_params())                      # median 0.09
 assert stiff.ch_solver.direct and not mass.ch_solver.direct
-assert isinstance(stiff.velocity_precondition.block, VCycle)
-assert isinstance(mass.pressure_precondition, VCycle)
+assert isinstance(stiff.velocity_precondition, Separable)
+assert isinstance(mass.pressure_precondition, Separable)
 calls = []
 fallback = linsolve._gmres_fallback
 linsolve._bicgstab = gives_up
 linsolve._gmres_fallback = lambda *args: calls.append(1) or fallback(*args)
 one_step(coarsening_params())
 assert len(calls) == 2
-print("scipy.sparse.linalg" in sys.modules)
+print("scipy.sparse.linalg" in sys.modules, "scipy.fft" in sys.modules)
 """)
-    assert out == "False"
+    assert out == "False False"
 
 
 def test_io_does_not_import_the_experiments():

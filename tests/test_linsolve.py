@@ -12,10 +12,10 @@ from chns import fem
 from chns.experiments import coarsening_params, default_tau_rule, random_phase_field, \
     relaxation_params
 from chns.fem import build_space, interpolate
-from chns.linsolve import Planar, SolverError, VCycle, jacobi, solve_general, \
+from chns.linsolve import Planar, Separable, SolverError, VCycle, jacobi, solve_general, \
     solve_neumann_zero_mean, solve_spd
 from chns.mesh import build_uniform_mesh
-from chns.scheme import ExplicitTerms, Params, build_operators, ch_split_solve
+from chns.scheme import ExplicitTerms, Params, _lattice_axes, build_operators, ch_split_solve
 
 
 def test_config_validation():
@@ -364,15 +364,16 @@ def _oracle_outcome(loop, a, b, precondition, tol, shift=None):
 
 @pytest.mark.parametrize("preconditioner", ["jacobi", "vcycle"])
 def test_cg_iterates_match_loop_oracles(preconditioner):
-    # converged at nx=16; at nx=4 a tolerance below round-off runs into the
-    # 10 n iteration limit (tau = 1 keeps a velocity V-cycle that small)
+    # "vcycle" runs the operators' own preconditioners, fast diagonalizations now.
+    # Converged at nx=16; at nx=4 a tolerance below round-off runs into the
+    # 10 n iteration limit (tau = 1 keeps the velocity stiffness-dominated that small)
     for nx, tau, tol in ((16, 1e-3, 1e-10), (4, 1.0, 1e-20)):
         ops = _coarsening_ops(nx, tau)
         rng = np.random.default_rng(12)
         velocity, pressure = ops.velocity.matrix, ops.forms.k_p1
         if preconditioner == "vcycle":
             vel_pre, p_pre = ops.velocity_precondition, ops.pressure_precondition
-            assert isinstance(vel_pre.block, VCycle) and isinstance(p_pre, VCycle)
+            assert isinstance(vel_pre, Separable) and isinstance(p_pre, Separable)
         else:
             vel_pre, p_pre = jacobi(velocity), jacobi(pressure)
         b_vel = ops.velocity.prepare_rhs(rng.standard_normal(ops.p2v.ndofs))
@@ -404,9 +405,10 @@ def test_velocity_solves_reuse_the_diagonal_bit_for_bit(spaces16):
     assert not isinstance(kept[0], Planar) and kept[1] is kept[0]
 
 
-def _coarsening_ops(nx, tau=1e-3):
-    mesh = build_uniform_mesh(nx, nx)
-    params = replace(coarsening_params(), tau=tau)
+def _coarsening_ops(nx, tau=1e-3, ny=None, rect=(0.0, 0.0, 1.0, 1.0)):
+    mesh = build_uniform_mesh(nx, ny or nx, rect)
+    params = coarsening_params()
+    params = replace(params, tau=tau, t_end=max(params.t_end, tau))
     return build_operators(build_space(mesh, "p1"), build_space(mesh, "p2vec"), params)
 
 
@@ -419,9 +421,10 @@ def _pressure_solve(ops, b, tol=1e-10, precondition=None):
                                    precondition or ops.pressure_precondition)
 
 
-@pytest.mark.parametrize("tau", [1e-3, 1e-1])
+@pytest.mark.parametrize("tau", [1e-3, 1e-1, 1.0, 125.0])
 @pytest.mark.parametrize("nx", [16, 32, 64])
 def test_velocity_vcycle_iterations_do_not_grow_with_the_mesh(nx, tau):
+    # the fast diagonalization of the h/2 lattice's P1 operator; measured 12-14 iterations
     ops = _coarsening_ops(nx, tau)
     a = ops.velocity.matrix
     rng = np.random.default_rng(nx)
@@ -434,36 +437,90 @@ def test_velocity_vcycle_iterations_do_not_grow_with_the_mesh(nx, tau):
         assert np.linalg.norm(b - a @ x) <= 1e-10 * np.linalg.norm(b)
         built.append(ops.velocity_precondition)
     # built by the first solve, reused by the second
-    cycle = built[0].block
-    assert isinstance(cycle, VCycle) and built[1] is built[0] and len(cycle.prolong) >= 2
+    pre = built[0]
+    assert isinstance(pre, Separable) and built[1] is pre
+    assert pre.inverse.shape == (2 * nx - 1, 2 * nx - 1) and pre.inverse.dtype == np.float32
+
+
+def _pressure_agrees_with_jacobi(ops, seed):
+    b = np.random.default_rng(seed).standard_normal(ops.p1.ndofs)
+    psi, iterations = _pressure_solve(ops, b)
+    assert iterations == 1
+    assert isinstance(ops.pressure_precondition, Separable)
+    # the old Jacobi projected CG
+    psi_jacobi, jacobi_iterations = _pressure_solve(ops, b, precondition=jacobi(ops.forms.k_p1))
+    assert np.linalg.norm(psi - psi_jacobi) <= 1e-8 * np.linalg.norm(psi_jacobi)
+    assert abs(ops.forms.lumped_p1 @ psi) <= 1e-12 * np.linalg.norm(psi)
+    return jacobi_iterations
 
 
 @pytest.mark.parametrize("nx", [16, 32, 64])
 def test_pressure_vcycle_iterations_and_agreement_with_jacobi(nx):
-    ops = _coarsening_ops(nx)
-    rng = np.random.default_rng(nx + 1)
-    b = rng.standard_normal(ops.p1.ndofs)
-    psi, iterations = _pressure_solve(ops, b)
-    assert 1 <= iterations <= 15
-    assert ops.pressure_precondition.ops[-1].shape[0] > 0
-    # the old Jacobi projected CG
-    psi_jacobi, jacobi_iterations = _pressure_solve(ops, b, precondition=jacobi(ops.forms.k_p1))
-    assert jacobi_iterations > 5 * iterations
-    assert np.linalg.norm(psi - psi_jacobi) <= 1e-8 * np.linalg.norm(psi_jacobi)
-    assert abs(ops.forms.lumped_p1 @ psi) <= 1e-12 * np.linalg.norm(psi)
+    # the pseudo-inverse is exact, so projected CG verifies after one iteration
+    assert _pressure_agrees_with_jacobi(_coarsening_ops(nx), nx + 1) > 5
+
+
+@pytest.mark.parametrize("nx,ny,rect", [(64, 64, (0.0, 0.0, 1.0, 1.0)),
+                                        (8, 16, (0.0, 0.0, 1.0, 1.0)),
+                                        (16, 8, (0.0, 0.0, 2.0, 1.0))],
+                         ids=["square", "2:1 cells", "2:1 domain"])
+def test_p1_stiffness_is_the_kronecker_form_of_its_axes(nx, ny, rect):
+    # the premise of the pressure's fast diagonalization, exactly
+    mesh = build_uniform_mesh(nx, ny, rect)
+    (kx, dx), (ky, dy) = _lattice_axes(mesh, 1, neumann=True)
+    kron = np.kron(np.diag(dy), kx) + np.kron(ky, np.diag(dx))
+    k_p1 = asm.assemble_stiffness(build_space(mesh, "p1"))
+    assert np.abs(k_p1.toarray() - kron).max() == 0.0
+
+
+@pytest.mark.parametrize("dtype,alpha,neumann", [(np.float32, 7.0, False),
+                                                 (np.float64, 7.0, False),
+                                                 (np.float64, 0.0, True)],
+                         ids=["float32", "float64", "pseudo-inverse"])
+def test_separable_matches_a_dense_inverse_of_its_kronecker_operator(dtype, alpha, neumann):
+    # a 5 x 3 lattice with unequal widths, its nodes shuffled among 4 pass-through entries
+    rng = np.random.default_rng(20)
+    (kx, dx), (ky, dy) = _lattice_axes(build_uniform_mesh(5, 3, (0.0, 0.0, 2.0, 0.5)), 1, neumann)
+    kron = alpha * np.kron(np.diag(dy), np.diag(dx)) + np.kron(np.diag(dy), kx) \
+        + np.kron(ky, np.diag(dx))
+    m = kron.shape[0]
+    order = rng.permutation(m + 4)
+    pre = Separable((kx, dx), (ky, dy), alpha, order, dtype)
+    r = rng.standard_normal((2, m + 4))
+    if neumann:  # the range of the operator: off the constants
+        r[:, order[:m]] -= r[:, order[:m]].mean(axis=1, keepdims=True)
+    expected = r.copy()
+    expected[:, order[:m]] = np.linalg.lstsq(kron, r[:, order[:m]].T, rcond=None)[0].T
+    if neumann:  # the pseudo-inverse leaves the D-weighted mean zero
+        d = np.kron(dy, dx)
+        expected[:, order[:m]] -= (expected[:, order[:m]] @ d / d.sum())[:, None]
+    z = pre(r.ravel()).reshape(2, -1)
+    assert z.dtype == np.float64
+    assert np.array_equal(z[:, order[m:]], r[:, order[m:]])
+    tol = 1e-6 if dtype == np.float32 else 1e-13
+    assert np.linalg.norm(z - expected) <= tol * np.linalg.norm(expected)
 
 
 @pytest.mark.parametrize("tau", [1e-3, 1e-1])
 def test_vcycle_preconditioners_are_symmetric(tau):
+    # PRESB's H cycle and the float64 pressure pseudo-inverse to 1e-12 of
+    # x.Cy. The velocity's fast diagonalization runs in float32, so it is
+    # symmetric to float32 rounding of |x| |Cy| (measured 1e-10 to 1.1e-8 of
+    # it, but up to 1e-5 of x.Cy, which cancels for random x and y)
     ops = _coarsening_ops(32, tau)
     rng = np.random.default_rng(7)
-    for vcycle, n in ((ops.velocity_precondition, ops.p2v.ndofs),
-                      (ops.pressure_precondition, ops.p1.ndofs)):
+    for pre, n, float32 in ((ops.ch_solver.h_inverse, ops.p1.ndofs, False),
+                            (ops.velocity_precondition, ops.p2v.ndofs, True),
+                            (ops.pressure_precondition, ops.p1.ndofs, False)):
         for _ in range(3):
             x, y = rng.standard_normal(n), rng.standard_normal(n)
-            xcy, ycx = x @ vcycle(y), y @ vcycle(x)
-            assert abs(xcy - ycx) <= 1e-12 * abs(xcy)
-            assert x @ vcycle(x) > 0.0
+            xcy, ycx = x @ pre(y), y @ pre(x)
+            if float32:
+                eps = np.finfo(np.float32).eps
+                assert abs(xcy - ycx) <= eps * np.linalg.norm(x) * np.linalg.norm(pre(y))
+            else:
+                assert abs(xcy - ycx) <= 1e-12 * abs(xcy)
+            assert x @ pre(x) > 0.0
 
 
 def test_vcycle_solves_keep_the_failure_contract():
@@ -474,7 +531,7 @@ def test_vcycle_solves_keep_the_failure_contract():
     with pytest.raises(SolverError, match="conjugate gradients did not converge") as err:
         _velocity_solve(ops, b, 1e-20)
     assert 0.0 < err.value.residual < 1e-10
-    assert isinstance(ops.velocity_precondition.block, VCycle)
+    assert isinstance(ops.velocity_precondition, Separable)
     with pytest.raises(SolverError, match="projected conjugate gradients did not") as err:
         _pressure_solve(ops, rng.standard_normal(ops.p1.ndofs), 1e-20)
     assert 0.0 < err.value.residual < 1e-10
@@ -482,13 +539,13 @@ def test_vcycle_solves_keep_the_failure_contract():
 
 @pytest.mark.parametrize("tau", [1e-3, 1e-5])
 def test_velocity_precondition_is_the_scalar_cycle_per_component(tau):
-    # tau 1e-3 is stiffness-dominated (a V-cycle), 1e-5 mass-dominated (Jacobi)
+    # tau 1e-3 is stiffness-dominated (fast diagonalization), 1e-5 mass-dominated (Jacobi)
     ops = _coarsening_ops(16, tau)
     block, pre = ops.velocity.matrix.block, ops.velocity_precondition
     n = block.shape[0]
-    assert isinstance(pre, Planar) == (tau == 1e-3)
-    # a scalar cycle made afresh on the same levels, or the scalar Jacobi diagonal
-    per_component = linsolve.VCycle(block, pre.block.prolong) if tau == 1e-3 else jacobi(block)
+    assert isinstance(pre, Separable) == (tau == 1e-3)
+    # the same map on one component at a time, or the scalar Jacobi diagonal
+    per_component = pre if tau == 1e-3 else jacobi(block)
     r = np.random.default_rng(2).standard_normal(2 * n)
     z = pre(r)
     assert z[:n].tobytes() == per_component(r[:n]).tobytes()
@@ -496,23 +553,16 @@ def test_velocity_precondition_is_the_scalar_cycle_per_component(tau):
 
 
 def test_kernel_cycles_match_the_matmul_cycle_byte_for_byte():
-    # PRESB's H cycle (smoothed coarsest level), the pressure cycle (dense
-    # pseudo-inverse there) and the velocity cycle on both components at once
+    # PRESB's H cycle, the one V-cycle left, on a vector and on a (2, n) stack
     ops = _coarsening_ops(32, tau=0.1)
     rng = np.random.default_rng(13)
-    h, pressure = ops.ch_solver.h_inverse, ops.pressure_precondition
-    assert len(h.prolong) >= 1 and h.coarse_inverse is None
-    assert len(pressure.prolong) >= 1 and pressure.coarse_inverse is not None
-    for cycle in (h, pressure):
-        b = rng.standard_normal(cycle.ops[0].shape[0])
-        assert cycle(b).tobytes() == oracles.matmul_vcycle(cycle, b).tobytes()
-    velocity = ops.velocity_precondition
-    cycle = velocity.block
-    assert len(cycle.prolong) >= 2
-    b = rng.standard_normal((2, cycle.ops[0].shape[0]))
-    expected = np.stack([oracles.matmul_vcycle(cycle, row) for row in b])
-    assert cycle(b).tobytes() == expected.tobytes()
-    assert velocity(b.ravel()).tobytes() == expected.tobytes()
+    h = ops.ch_solver.h_inverse
+    assert len(h.prolong) >= 1
+    b = rng.standard_normal(h.ops[0].shape[0])
+    assert h(b).tobytes() == oracles.matmul_vcycle(h, b).tobytes()
+    b = rng.standard_normal((2, h.ops[0].shape[0]))
+    expected = np.stack([oracles.matmul_vcycle(h, row) for row in b])
+    assert h(b).tobytes() == expected.tobytes()
 
 
 def test_solves_make_no_scipy_sparse_product(monkeypatch):
@@ -525,8 +575,9 @@ def test_solves_make_no_scipy_sparse_product(monkeypatch):
     b_vel = ops.velocity.prepare_rhs(rng.standard_normal(ops.p2v.ndofs))
     b_p, b_ch = rng.standard_normal(ops.p1.ndofs), rng.standard_normal(2 * ops.p1.ndofs)
     presb = ops.ch_solver  # the solver data are made before counting
-    assert presb.direct and isinstance(ops.velocity_precondition.block, VCycle)
-    assert isinstance(ops.pressure_precondition, VCycle)
+    assert presb.direct and isinstance(presb.h_inverse, VCycle)
+    assert isinstance(ops.velocity_precondition, Separable)
+    assert isinstance(ops.pressure_precondition, Separable)
     calls = []
     for name in ("__matmul__", "dot"):
         fn = getattr(sp._base._spbase, name)
@@ -548,15 +599,14 @@ def test_vcycles_on_the_smallest_grids(nx):
     b = ops.velocity.prepare_rhs(rng.standard_normal(ops.p2v.ndofs))
     x, _ = _velocity_solve(ops, b)
     assert np.linalg.norm(b - ops.velocity.matrix @ x) <= 1e-10 * np.linalg.norm(b)
-    # a mesh without interior vertices has no coarse velocity level
-    assert isinstance(ops.velocity_precondition, Planar) == (nx != 1)
+    # even the 1 x 1 grid has an interior lattice node, its diagonal's midpoint
+    assert ops.velocity_precondition.inverse.shape == (2 * nx - 1, 2 * nx - 1)
     _, iterations = _pressure_solve(ops, rng.standard_normal(ops.p1.ndofs))
     assert iterations == 1
 
 
 def test_a_lone_small_pressure_level_is_solved_directly():
-    # at most COARSEST_PRESSURE_NODES nodes: the cycle is the pseudo-inverse
-    ops = _coarsening_ops(8)
-    b = np.random.default_rng(8).standard_normal(ops.p1.ndofs)
-    _, iterations = _pressure_solve(ops, b)
-    assert iterations == 1 and not ops.pressure_precondition.prolong
+    # the pseudo-inverse is the whole preconditioner: one iteration on any grid
+    # of a rectangle, square cells or not (hx = 1/6, hy = 1/5 on the second)
+    _pressure_agrees_with_jacobi(_coarsening_ops(8), 8)
+    _pressure_agrees_with_jacobi(_coarsening_ops(12, ny=5, rect=(0.0, 0.0, 2.0, 1.0)), 12)

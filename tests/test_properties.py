@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, reject, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chns.experiments import coarsening_params, relaxation_params
 from chns.fem import build_space
@@ -147,6 +147,10 @@ def test_the_drawn_constants_reach_both_phase_block_solvers():
          tau=-3.0, lam=np.log10(0.02), nu=0.0, mobility=-4.0)
 @example(seed=2, phi_scale=1.0, u_scale=1.0, p_scale=10.0,   # a stiff phase block
          tau=0.0, lam=-1.0, nu=0.0, mobility=-3.0)
+@example(seed=3, phi_scale=0.0, u_scale=1.0, p_scale=0.0,    # no real root in the box
+         tau=0.0, lam=-2.0, nu=-2.0, mobility=-3.0)
+@example(seed=4, phi_scale=1.0, u_scale=0.01, p_scale=1.0,   # a step in the box
+         tau=-1.0, lam=-2.0, nu=-1.0, mobility=-3.0)
 def test_one_unforced_step_closes_the_energy_identity(seed, phi_scale, u_scale, p_scale,
                                                       tau, lam, nu, mobility):
     ops = _ops(_constants(tau=tau, lam=lam, nu=nu, mobility=mobility))
@@ -158,12 +162,12 @@ def test_one_unforced_step_closes_the_energy_identity(seed, phi_scale, u_scale, 
         _, report = step(state, ops)
     except ReductionError:
         # the rho quadratic has no real root, so there is no step to check. That
-        # is met at tau >= 0.1 with nu <= 0.16 and a velocity amplitude near 1;
-        # the box skipped here holds it with a margin, and a failure outside it,
-        # the examples above included, fails the test.
+        # is met at tau >= 0.1 with nu <= 0.16 and a velocity amplitude near 1.
+        # In the box that holds it with a margin, a draw either takes a step that
+        # closes the identity or raises here; outside it, raising fails the test.
         if tau < -1.3 or nu > -0.5:
             raise
-        reject()
+        return
     assert abs(report.identity_residual) <= 1e-8 * max(1.0, report.energy_after)
 
 
