@@ -4,9 +4,11 @@ All assembly is vectorized over triangles. On an affine triangle T every
 constant matrix is a geometric factor times an integral over the reference
 triangle, taken once per basis by the degree-5 rule: the mass det_T M_ref,
 the stiffness sum_ab C_T[a, b] S_ab with C_T = det_T inv_T inv_T^T, and the
-divergence det_T inv_T^T R. The per-step field evaluations and load vectors
-are BLAS matrix products on reference tables computed once per space and
-quadrature rule. Their rounding depends on the BLAS kernel, so assembled
+divergence det_T inv_T^T R. The per-step field evaluations (`evaluate`) and
+load vectors are BLAS matrix products on reference tables computed once per
+space and quadrature rule. Quadrature arrays put the cell last: values
+(nq, ncomp, nt), gradients (ncomp, 2, nq, nt), so every elementwise step runs
+over the cells. Their rounding depends on the BLAS kernel, so assembled
 objects are bit-reproducible for a given mesh, numpy/BLAS build, machine and
 BLAS thread count.
 """
@@ -38,19 +40,15 @@ def _geometry(mesh: Mesh) -> dict:
         p = mesh.vertices[mesh.triangles]
         jac = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=-1)  # (nt, 2, 2)
         det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
-        inv = np.empty_like(jac)
-        inv[:, 0, 0] = jac[:, 1, 1]
-        inv[:, 0, 1] = -jac[:, 0, 1]
-        inv[:, 1, 0] = -jac[:, 1, 0]
-        inv[:, 1, 1] = jac[:, 0, 0]
-        inv /= det[:, None, None]
+        inv = np.stack([[jac[:, 1, 1], -jac[:, 0, 1]],
+                        [-jac[:, 1, 0], jac[:, 0, 0]]]) / det  # (2, 2, nt)
         geom = {"jac": jac, "inv": inv, "det": det, "origin": p[:, 0]}
         mesh._cache["geometry"] = geom
     return geom
 
 
 def _points(mesh: Mesh, rule) -> tuple[np.ndarray, np.ndarray]:
-    """Physical quadrature points (x, y), each (nt, nq), shared by every space on the mesh.
+    """Physical quadrature points (x, y), each (nq, nt), shared by every space on the mesh.
 
     The arrays are read-only, so `mms` may key its cached trigonometric
     factors on them.
@@ -59,9 +57,8 @@ def _points(mesh: Mesh, rule) -> tuple[np.ndarray, np.ndarray]:
     xy = mesh._cache.get(key)
     if xy is None:
         geom = _geometry(mesh)
-        jac, ref = geom["jac"], rule.points[:, 1:]
-        xy = tuple(geom["origin"][:, c, None] + (jac[:, c, 0, None] * ref[:, 0]
-                                                 + jac[:, c, 1, None] * ref[:, 1])
+        jac, ref = geom["jac"], rule.points[:, 1:, None]
+        xy = tuple(geom["origin"][:, c] + (jac[:, c, 0] * ref[:, 0] + jac[:, c, 1] * ref[:, 1])
                    for c in range(2))
         for a in xy:
             a.setflags(write=False)
@@ -84,42 +81,48 @@ def _tables(space: FeSpace, degree: int) -> dict:
         nq, nloc = vals.shape
         tab = {
             "rule": rule,
-            "wdet": rule.weights[None, :] * geom["det"][:, None],  # (nt, nq)
+            "wdet": rule.weights[:, None] * geom["det"],  # (nq, nt)
             "x": x,
             "y": y,
             "vals": vals,       # (nq, nloc)
-            # reference gradients as one GEMM operand: column d * nq + q
-            "gref": np.ascontiguousarray(gref.transpose(1, 2, 0).reshape(nloc, 2 * nq)),
-            "inv": geom["inv"],  # (nt, 2, 2) inverse Jacobians
+            # reference derivatives as one GEMM operand: row a * nq + q is d/dxi_a at point q
+            "gref": np.ascontiguousarray(gref.transpose(2, 0, 1).reshape(2 * nq, nloc)),
+            "inv": geom["inv"],  # inv[a, d, t], the inverse Jacobians
         }
         space._cache[key] = tab
     return tab
 
 
-def _gather(space: FeSpace, coeffs: np.ndarray) -> np.ndarray:
-    """Per-cell coefficient blocks as GEMM rows: (nt * ncomp, nloc)."""
+def evaluate(space: FeSpace, coeffs, gradient: bool = True,
+             degree: int = ASSEMBLY_DEGREE) -> tuple[np.ndarray, np.ndarray | None]:
+    """A field at the rule's quadrature points: its values (nq, ncomp, nt) and, if
+    `gradient`, its gradients g[c, d, q, t] = d u_c / d x_d (ncomp, 2, nq, nt), else None.
+
+    One gather, the per-cell coefficients as GEMM columns (nloc, ncomp * nt),
+    serves both GEMMs. The cell index runs last, so each elementwise step
+    runs its inner loop over the cells.
+    """
     coeffs = np.asarray(coeffs)
     if coeffs.shape[0] != space.ndofs:
         raise ValueError(f"coefficient length {coeffs.shape[0]} != ndofs {space.ndofs}")
-    return coeffs[space.cell_dofs].reshape(-1, space.scalar_cell_dofs.shape[1])
-
-
-def _values(space: FeSpace, coeffs, tab: dict) -> np.ndarray:
-    """Field values at the quadrature points, component-major: (nt, ncomp, nq)."""
-    nq = tab["vals"].shape[0]
-    return (_gather(space, coeffs) @ tab["vals"].T).reshape(-1, space.ncomp, nq)
-
-
-def _gradients(space: FeSpace, coeffs, tab: dict) -> np.ndarray:
-    """Field gradients at the quadrature points: g[t, c, d, q] = d u_c / d x_d."""
-    nq = tab["vals"].shape[0]
-    gref = (_gather(space, coeffs) @ tab["gref"]).reshape(-1, space.ncomp, 2, 1, nq)
-    inv = tab["inv"][:, None, :, :, None]  # (nt, 1, 2, 2, 1)
-    return gref[:, :, 0] * inv[:, :, 0] + gref[:, :, 1] * inv[:, :, 1]
+    tab = _tables(space, degree)
+    (nq, nloc), ncomp = tab["vals"].shape, space.ncomp
+    cells = coeffs[space.cell_dofs.reshape(-1, ncomp, nloc).transpose(2, 1, 0)].reshape(nloc, -1)
+    values = (tab["vals"] @ cells).reshape(nq, ncomp, -1)
+    if not gradient:
+        return values, None
+    ref = (tab["gref"] @ cells).reshape(2, nq, ncomp, -1)  # ref[a, q, c] = d u_c / d xi_a
+    del cells
+    grads = np.empty((ncomp, 2) + values.shape[::2])
+    for d, (inv0, inv1) in enumerate(zip(*tab["inv"])):
+        g = grads[:, d].swapaxes(0, 1)  # d u_c / d x_d as (nq, ncomp, nt)
+        np.multiply(ref[0], inv0, out=g)
+        g += ref[1] * inv1
+    return values, grads
 
 
 def _at_points(f, tab: dict, ncomp: int) -> np.ndarray:
-    """Analytic f(x, y) at the table's quadrature points, component-major: (nt, ncomp, nq).
+    """Analytic f(x, y) at the table's quadrature points, component-major: (nq, ncomp, nt).
 
     f is vectorized. For ncomp > 1 it returns its ncomp components in order,
     as one sequence or as the rows of a matrix (the gradient [c][d] of a
@@ -134,10 +137,12 @@ def _at_points(f, tab: dict, ncomp: int) -> np.ndarray:
 
 
 def _load(space: FeSpace, tab: dict, integrand: np.ndarray) -> np.ndarray:
-    """Entries (integrand, basis_i) from quadrature values (nt, nq) or (nt, ncomp, nq)."""
+    """Entries (integrand, basis_i) from quadrature values (nq, nt) or (nq, ncomp, nt),
+    summed in (cell, component, basis) order: the order that sets their last bits."""
     wdet = tab["wdet"] if integrand.ndim == 2 else tab["wdet"][:, None]
-    nq = tab["vals"].shape[0]
-    cellwise = (wdet * integrand).reshape(-1, nq) @ tab["vals"]
+    nq, nloc = tab["vals"].shape
+    weighted = np.multiply(wdet, integrand, order="C").reshape(nq, -1)
+    cellwise = (weighted.T @ tab["vals"]).reshape(space.ncomp, -1, nloc).transpose(1, 0, 2)
     return np.bincount(space.cell_dofs.ravel(), weights=cellwise.ravel(),
                        minlength=space.ndofs)
 
@@ -221,7 +226,7 @@ def assemble_stiffness(space: FeSpace) -> sp.csr_matrix:
     one (nt, 4) @ (4, nloc^2) product.
     """
     geom = _geometry(space.mesh)
-    inv = geom["inv"]
+    inv = np.ascontiguousarray(geom["inv"].transpose(2, 0, 1))  # (nt, 2, 2)
     c = (inv @ inv.transpose(0, 2, 1)).reshape(-1, 4) * geom["det"][:, None]
     elem = c @ _reference_integrals(space.kind)["stiffness"]
     return _matrix_from_cells(space, elem)
@@ -235,7 +240,7 @@ def _divergence(p1: FeSpace, p2v: FeSpace) -> sp.csr_matrix:
     """
     geom = _geometry(p1.mesh)
     nt = geom["det"].shape[0]
-    b = (geom["det"][:, None, None] * geom["inv"]).transpose(0, 2, 1).reshape(2 * nt, 2)
+    b = (geom["det"] * geom["inv"]).transpose(2, 1, 0).reshape(2 * nt, 2)
     elem = (b @ _reference_integrals(p2v.kind)["divergence"]).reshape(nt, 2, 3, 6)
     # listed (t, k, c, m): component-major within a cell, as cell_dofs numbers them
     rows = np.repeat(_coo_index(p1.scalar_cell_dofs), 12, axis=1).ravel()
@@ -301,32 +306,24 @@ def assemble_load(space: FeSpace, f) -> np.ndarray:
     return _load(space, tab, _at_points(f, tab, space.ncomp))
 
 
-def convective_load_scalar(p2v: FeSpace, p1: FeSpace, u, phi) -> np.ndarray:
-    """Entries (u_h . grad phi_h, w_i) against the scalar basis."""
-    if np.asarray(u).shape[0] != p2v.ndofs or np.asarray(phi).shape[0] != p1.ndofs:
-        raise ValueError("coefficient lengths do not match the spaces")
-    tab1 = _tables(p1, ASSEMBLY_DEGREE)
-    uq = _values(p2v, u, _tables(p2v, ASSEMBLY_DEGREE))
-    gphi = _gradients(p1, phi, tab1)[:, 0]
-    integrand = uq[:, 0] * gphi[:, 0] + uq[:, 1] * gphi[:, 1]
-    return _load(p1, tab1, integrand)
+def convective_load_scalar(p1: FeSpace, uq: np.ndarray, gphi: np.ndarray) -> np.ndarray:
+    """Entries (u_h . grad phi_h, w_i) against the scalar basis, from u_h's values and
+    phi_h's gradients at the quadrature points (`evaluate`)."""
+    return _load(p1, _tables(p1, ASSEMBLY_DEGREE), uq[:, 0] * gphi[0, 0] + uq[:, 1] * gphi[0, 1])
 
 
-def convective_load_vector(p2v: FeSpace, u) -> np.ndarray:
-    """Entries ((u_h . grad) u_h, v_i) against the vector basis."""
-    tab = _tables(p2v, ASSEMBLY_DEGREE)
-    uq = _values(p2v, u, tab)
-    gu = _gradients(p2v, u, tab)
-    integrand = uq[:, None, 0] * gu[:, :, 0] + uq[:, None, 1] * gu[:, :, 1]
-    return _load(p2v, tab, integrand)
+def convective_load_vector(p2v: FeSpace, uq: np.ndarray, gu: np.ndarray) -> np.ndarray:
+    """Entries ((u_h . grad) u_h, v_i) against the vector basis, from u_h's values and
+    gradients at the quadrature points."""
+    # integrand[q, c] = sum_d u_d d_d u_c
+    integrand = uq[:, None, 0] * gu[:, 0].swapaxes(0, 1) + uq[:, None, 1] * gu[:, 1].swapaxes(0, 1)
+    return _load(p2v, _tables(p2v, ASSEMBLY_DEGREE), integrand)
 
 
-def mu_grad_phi_load(p2v: FeSpace, p1: FeSpace, mu, phi) -> np.ndarray:
-    """Entries (mu_h grad phi_h, v_i), the capillary force against the vector basis."""
-    tab1 = _tables(p1, ASSEMBLY_DEGREE)
-    muq = _values(p1, mu, tab1)
-    gphi = _gradients(p1, phi, tab1)[:, 0]
-    return _load(p2v, _tables(p2v, ASSEMBLY_DEGREE), muq * gphi)
+def mu_grad_phi_load(p2v: FeSpace, muq: np.ndarray, gphi: np.ndarray) -> np.ndarray:
+    """Entries (mu_h grad phi_h, v_i), the capillary force against the vector basis,
+    from mu_h's values and phi_h's gradients at the quadrature points."""
+    return _load(p2v, _tables(p2v, ASSEMBLY_DEGREE), muq * gphi[0].swapaxes(0, 1))
 
 
 def fprime(v: np.ndarray, eps: float, gamma: float) -> np.ndarray:
@@ -335,10 +332,9 @@ def fprime(v: np.ndarray, eps: float, gamma: float) -> np.ndarray:
     return (v * v * v - v) / eps ** 2 - gamma * v
 
 
-def fprime_load(p1: FeSpace, phi, eps: float, gamma: float) -> np.ndarray:
-    """Entries (F'(phi_h), w_i), evaluating phi_h pointwise at quadrature nodes."""
-    tab = _tables(p1, ASSEMBLY_DEGREE)
-    return _load(p1, tab, fprime(_values(p1, phi, tab)[:, 0], eps, gamma))
+def fprime_load(p1: FeSpace, phiq: np.ndarray, eps: float, gamma: float) -> np.ndarray:
+    """Entries (F'(phi_h), w_i) from phi_h's values at the quadrature points."""
+    return _load(p1, _tables(p1, ASSEMBLY_DEGREE), fprime(phiq[:, 0], eps, gamma))
 
 
 def grad_p_load(forms: AssembledForms, p: np.ndarray) -> np.ndarray:
@@ -414,24 +410,20 @@ def free_energy_density(v: np.ndarray, eps: float, gamma: float) -> np.ndarray:
     return (v ** 2 - 1.0) ** 2 / (4.0 * eps ** 2) - 0.5 * gamma * v ** 2
 
 
-def mixing_energy(p1: FeSpace, phi, eps: float, gamma: float) -> float:
-    """Integral of the stabilized density F(phi_h); quartic, so exact at degree 5."""
-    tab = _tables(p1, ASSEMBLY_DEGREE)
-    phiq = _values(p1, phi, tab)[:, 0]
-    return float(np.sum(tab["wdet"] * free_energy_density(phiq, eps, gamma)))
-
-
-def compute_discrete_energies(p1: FeSpace, m_v: Planar, phi, u, params) -> tuple[float, float]:
-    """Shifted energies (E1 + C1, E2 + C2) whose square roots drive the scheme."""
-    e1 = mixing_energy(p1, phi, params.eps, params.gamma) + params.c1
-    e2 = 0.5 * float(u @ (m_v @ u)) + params.c2
+def compute_discrete_energies(p1: FeSpace, phiq: np.ndarray, u: np.ndarray, m_u: np.ndarray,
+                              params) -> tuple[float, float]:
+    """Shifted energies (E1 + C1, E2 + C2) whose square roots drive the scheme, from phi_h
+    at the quadrature points (E1 integrates the quartic F(phi_h) exactly) and m_u = M u."""
+    f = free_energy_density(phiq[:, 0], params.eps, params.gamma)
+    e1 = float(np.sum(_tables(p1, ASSEMBLY_DEGREE)["wdet"] * f)) + params.c1
+    e2 = 0.5 * float(u @ m_u) + params.c2
     if not (e1 > 0.0 and e2 > 0.0):  # a NaN fails too
         raise NonpositiveEnergyError(f"shifted energies must be positive, got {e1}, {e2}")
     return e1, e2
 
 
 def _norm(tab: dict, q: np.ndarray) -> float:
-    """L2 norm of a field given at the table's quadrature points: (nt, ncomp, nq)."""
+    """L2 norm of a field given at the table's quadrature points: (nq, ncomp, nt)."""
     return float(np.sqrt(np.sum(tab["wdet"] * np.sum(q ** 2, axis=1))))
 
 
@@ -441,7 +433,7 @@ def l2_error(space: FeSpace, coeffs, exact=None) -> float:
     Without a reference it is the field's L2 norm.
     """
     tab = _tables(space, NORM_DEGREE)
-    diff = _values(space, coeffs, tab)
+    diff, _ = evaluate(space, coeffs, gradient=False, degree=NORM_DEGREE)
     if exact is not None:
         diff = diff - _at_points(exact, tab, space.ncomp)
     return _norm(tab, diff)
@@ -451,7 +443,8 @@ def h1_seminorm_error(space: FeSpace, coeffs, exact_grad=None) -> float:
     """L2 distance between a field's gradient and an analytic one ([c][d] for vector fields)."""
     tab = _tables(space, NORM_DEGREE)
     ncomp = 2 * space.ncomp
-    diff = _gradients(space, coeffs, tab).reshape(-1, ncomp, tab["vals"].shape[0])
+    _, grads = evaluate(space, coeffs, degree=NORM_DEGREE)
+    diff = grads.reshape(ncomp, *tab["wdet"].shape).swapaxes(0, 1)  # (nq, [c][d], nt)
     if exact_grad is not None:
         diff = diff - _at_points(exact_grad, tab, ncomp)
     return _norm(tab, diff)

@@ -34,7 +34,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def _run_converge(cfg):
     s, prm = cfg.settings, cfg.params
-    out = ensure_dir(s["out_dir"])
+    out = s["out_dir"]
     records = ex.run_convergence(s["levels"], prm, t_end=prm.t_end,
                                  tau_rule=ex.tau_rule(s["tau_factor"]))
     write_error_table_csv(records, os.path.join(out, "l2_errors.csv"))
@@ -57,7 +57,7 @@ def _write_snapshots(run, out):
 def _run_dissipative(cfg):
     """A coarsen or relax run: energy.csv and snapshots, exit 1 unless the energy decays."""
     s, prm = cfg.settings, cfg.params
-    out = ensure_dir(s["out_dir"])
+    out = s["out_dir"]
     if cfg.kind == "coarsen":
         name = "coarsening"
         run = ex.run_coarsening(s["seed"], s["nx"], prm.tau, prm.t_end,
@@ -75,7 +75,7 @@ def _run_dissipative(cfg):
 
 def _run_stability(cfg):
     s, prm = cfg.settings, cfg.params
-    out = ensure_dir(s["out_dir"])
+    out = s["out_dir"]
     runs = ex.run_stability_sweep(s["tau_list"], s["seed"], s["nx"], prm.t_end, params=prm)
     ok = True
     for tau, run in runs.items():
@@ -124,6 +124,11 @@ def main(argv=None) -> int:
                 overrides["nx"], = nxs
 
         cfg = parse_config(args.command, args.config, overrides)
+        try:
+            ensure_dir(cfg.settings["out_dir"])
+        except OSError as exc:
+            raise ConfigError(f"cannot make output directory {cfg.settings['out_dir']!r}: "
+                              f"{exc.strerror}") from None
         if args.command == "converge":
             return _run_converge(cfg)
         if args.command == "stability":

@@ -4,9 +4,10 @@ Matrices are scipy CSR (row_offsets = indptr, column_indices = indices,
 values = data). Every solve has one call shape: the matrix, the
 right-hand side, a relative tolerance and the matrix's solver data, and it
 returns (x, iterations) with ||b - Ax|| <= tol ||b||, re-verified by one
-explicit matrix-vector product. Each first scales b exactly by a power
-of two (`_unit_scaled`), so a tiny b neither underflows nor passes for
-zero. The iteration limit is 10 n (BiCGStab's first attempt gets fewer).
+explicit matrix-vector product; `solve_spd` may start from a first
+iterate. Each first scales b exactly by a power of two (`_unit_scaled`),
+so a tiny b neither underflows nor passes for zero. The iteration limit
+is 10 n (BiCGStab's first attempt gets fewer).
 
 The symmetric solves, SPD (`solve_spd`) and singular Neumann
 (`solve_neumann_zero_mean`), run one preconditioned conjugate gradient
@@ -192,21 +193,26 @@ def jacobi(a: sp.csr_matrix):
     return partial(np.multiply, _inv_diagonal(a))
 
 
-def _pcg(a, b, precondition, tol, project=None):
-    """Preconditioned conjugate gradients from x = 0 to ||b - Ax|| <= tol; returns (x, k).
+def _pcg(a, b, precondition, tol, project=None, x0=None):
+    """Preconditioned conjugate gradients to ||b - Ax|| <= tol; returns (x, k).
 
-    k counts the iterations. `project`, if given, maps a vector to the
-    subspace the iteration stays in: it is applied to each preconditioned
-    residual and to the verified residual. Raises SolverError at the first
-    non-finite residual, or after 10 n iterations.
+    The iteration starts from x0, which it overwrites, if given, else from
+    zero. k counts the iterations. `project`, if given, maps a vector to
+    the subspace the iteration stays in: it is applied to each
+    preconditioned residual and to the verified residual. Raises
+    SolverError at the first non-finite residual, or after 10 n iterations.
     """
     def keep(v):
         return v if project is None else project(v)
 
     name = "conjugate gradients" if project is None else "projected conjugate gradients"
     times = _product(a)
-    x = np.zeros_like(b)
-    r = b.copy()
+    if x0 is None:
+        x, r = np.zeros_like(b), b.copy()
+    else:
+        x, r = x0, b - times(x0)
+        if np.linalg.norm(r) <= tol:
+            return x, 0
     z = keep(precondition(r))
     p = z.copy()
     rz = r @ z
@@ -235,17 +241,20 @@ def _pcg(a, b, precondition, tol, project=None):
                       np.linalg.norm(b - times(x)) / np.linalg.norm(b))
 
 
-def solve_spd(a: sp.csr_matrix, b: np.ndarray, tol: float, precondition) -> tuple[np.ndarray, int]:
+def solve_spd(a: sp.csr_matrix, b: np.ndarray, tol: float, precondition,
+              x0: np.ndarray | None = None) -> tuple[np.ndarray, int]:
     """Preconditioned conjugate gradients for SPD systems; returns (x, iterations).
 
     `precondition` maps a residual to its preconditioned form: keep one per
-    matrix and pass it to every solve with that matrix.
+    matrix and pass it to every solve with that matrix. The iteration starts
+    from x0, scaled with b, when given, else from zero.
     """
     b, e = _unit_scaled(b)
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return np.zeros_like(b), 0
-    x, k = _pcg(a, b, precondition, tol * bnorm)
+    x0 = None if x0 is None else np.ldexp(x0, -e, dtype=float)
+    x, k = _pcg(a, b, precondition, tol * bnorm, x0=x0)
     return np.ldexp(x, e), k
 
 

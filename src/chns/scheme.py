@@ -74,6 +74,8 @@ class Params:
                 raise ValueError(f"parameter {name} must be positive")
         if self.tau > self.t_end:
             raise ValueError("time step exceeds final time")
+        if self.tau * self.tau == float("inf"):  # the tau^2 ||grad p||^2 of the energy
+            raise ValueError(f"time step {self.tau!r} is too large: its square overflows")
         if not 0.0 < self.solver_tol < 1.0:
             raise ValueError(f"solver_tol must lie in (0, 1), got {self.solver_tol!r}")
 
@@ -297,13 +299,14 @@ def init_state(ops: Operators, phi0, u0, p0, mu0=None) -> State:
     p = zero_mean(ops.forms, _as_coeffs(ops.p1, p0))
     params = ops.params
     with naming_failures("step 0"):  # the initial state
-        e1h, e2h = asm.compute_discrete_energies(ops.p1, ops.forms.m_v, phi, u, params)
+        phiq, _ = asm.evaluate(ops.p1, phi, gradient=False)
+        e1h, e2h = asm.compute_discrete_energies(ops.p1, phiq, u, ops.forms.m_v @ u, params)
         if mu0 is not None:
             mu = _as_coeffs(ops.p1, mu0)
         else:
             rhs = params.lam * (ops.forms.k_p1 @ phi) \
                 + params.lam * params.gamma * (ops.forms.m_p1 @ phi) \
-                + params.lam * asm.fprime_load(ops.p1, phi, params.eps, params.gamma)
+                + params.lam * asm.fprime_load(ops.p1, phiq, params.eps, params.gamma)
             mu, _ = solve_spd(ops.forms.m_p1, rhs, params.solver_tol, jacobi(ops.forms.m_p1))
     return State(step=0, phi=phi, mu=mu, u_tilde=u.copy(), u=u,
                  p=p, r=float(np.sqrt(e1h)), rho=float(np.sqrt(e2h)))
@@ -317,6 +320,7 @@ class ExplicitTerms:
     e2h: float                      # E2(u^n) + c2
     sqrt_e1: float
     sqrt_e2: float
+    m_u: np.ndarray                 # M u^n
     conv_scalar: np.ndarray         # (u^n . grad phi^n, w)
     fp: np.ndarray                  # (F'(phi^n), w)
     capillary: np.ndarray           # (mu^n grad phi^n, v)
@@ -327,17 +331,24 @@ class ExplicitTerms:
 
 
 def explicit_terms(ops: Operators, state: State, forcing: Forcing | None = None) -> ExplicitTerms:
-    """Assemble the explicit data of the step that starts from state."""
+    """Assemble the explicit data of the step that starts from state; each field
+    (u, grad u, phi, grad phi, mu) is evaluated at the quadrature points once."""
     # each load is looked up on the assembly module at call time, so a
     # wrapper installed there sees every call
     params = ops.params
-    e1h, e2h = asm.compute_discrete_energies(ops.p1, ops.forms.m_v, state.phi, state.u, params)
+    uq, gu = asm.evaluate(ops.p2v, state.u)
+    convection = asm.convective_load_vector(ops.p2v, uq, gu)
+    del gu  # the largest evaluation: freed before the next one
+    phiq, gphi = asm.evaluate(ops.p1, state.phi)
+    muq, _ = asm.evaluate(ops.p1, state.mu, gradient=False)
+    m_u = ops.forms.m_v @ state.u
+    e1h, e2h = asm.compute_discrete_energies(ops.p1, phiq, state.u, m_u, params)
     terms = ExplicitTerms(
-        e1h=e1h, e2h=e2h, sqrt_e1=np.sqrt(e1h), sqrt_e2=np.sqrt(e2h),
-        conv_scalar=asm.convective_load_scalar(ops.p2v, ops.p1, state.u, state.phi),
-        fp=asm.fprime_load(ops.p1, state.phi, params.eps, params.gamma),
-        capillary=asm.mu_grad_phi_load(ops.p2v, ops.p1, state.mu, state.phi),
-        convection=asm.convective_load_vector(ops.p2v, state.u),
+        e1h=e1h, e2h=e2h, sqrt_e1=np.sqrt(e1h), sqrt_e2=np.sqrt(e2h), m_u=m_u,
+        conv_scalar=asm.convective_load_scalar(ops.p1, uq, gphi),
+        fp=asm.fprime_load(ops.p1, phiq, params.eps, params.gamma),
+        capillary=asm.mu_grad_phi_load(ops.p2v, muq, gphi),
+        convection=convection,
         grad_p=asm.grad_p_load(ops.forms, state.p),
         g_phi_load=None, g_u_load=None)
     if forcing is not None:
@@ -375,17 +386,20 @@ def velocity_split_solve(ops: Operators, u_n: np.ndarray, terms: ExplicitTerms,
 
     Y0 carries the explicit data with the step's boundary values; Y1 and
     Y2 (the r- and rho-scaled parts) use homogeneous conditions so the
-    combination Y0 + r Y1 + rho Y2 keeps the prescribed trace.
+    combination Y0 + r Y1 + rho Y2 keeps the prescribed trace. Y0's solve
+    starts from u_n with the step's boundary values, Y1's and Y2's from zero.
     """
-    rhs0 = ops.forms.m_v @ u_n / ops.params.tau - terms.grad_p
+    rhs0 = terms.m_u / ops.params.tau - terms.grad_p
     if terms.g_u_load is not None:
         rhs0 += terms.g_u_load
-    rhs = (ops.velocity.prepare_rhs(rhs0, bc_values),
-           ops.velocity.prepare_rhs(terms.capillary / terms.sqrt_e1),
-           ops.velocity.prepare_rhs(-terms.convection / terms.sqrt_e2))
+    start = u_n.copy()
+    start[ops.velocity.dofs] = 0.0 if bc_values is None else bc_values
+    rhs = ((ops.velocity.prepare_rhs(rhs0, bc_values), start),
+           (ops.velocity.prepare_rhs(terms.capillary / terms.sqrt_e1), None),
+           (ops.velocity.prepare_rhs(-terms.convection / terms.sqrt_e2), None))
     (y0, k0), (y1, k1), (y2, k2) = (
-        solve_spd(ops.velocity.matrix, b, ops.params.solver_tol, ops.velocity_precondition)
-        for b in rhs)
+        solve_spd(ops.velocity.matrix, b, ops.params.solver_tol, ops.velocity_precondition, x0)
+        for b, x0 in rhs)
     if iterations is not None:
         iterations.update(vel_y0=k0, vel_y1=k1, vel_y2=k2)
     return y0, y1, y2
@@ -435,18 +449,19 @@ def affine_reduction(r_n: float, tau: float, kappa0: float, kappa1: float,
     return (r_n / tau + kappa0) / denom, kappa_rho / denom
 
 
-def closest_ratio_root(roots, velocity_of, m_v: Planar, c2: float):
+def closest_ratio_root(roots, form, c2: float) -> tuple[float, float]:
     """Pick the root whose ratio rho / sqrt(E2(u_tilde) + c2) lies nearest 1.
 
-    u_tilde = velocity_of(rho); the first of two equally near roots wins.
-    Returns (rho, u_tilde, ratio).
+    u_tilde = z0 + rho z1 and form = (z0 . M z0, z0 . M z1, z1 . M z1), so
+    2 E2(u_tilde) = form[0] + 2 rho form[1] + rho^2 form[2]. The first of two
+    equally near roots wins. Returns (rho, ratio).
     """
+    q00, q01, q11 = form
     best = None
     for root in roots:
-        ut = velocity_of(root)
-        ratio = root / np.sqrt(0.5 * (ut @ (m_v @ ut)) + c2)
-        if best is None or abs(ratio - 1.0) < abs(best[2] - 1.0):
-            best = (root, ut, ratio)
+        ratio = root / np.sqrt(0.5 * (q00 + root * (2.0 * q01 + root * q11)) + c2)
+        if best is None or abs(ratio - 1.0) < abs(best[1] - 1.0):
+            best = (root, ratio)
     return best
 
 
@@ -475,15 +490,18 @@ def scalar_reduction(ops: Operators, state: State, terms: ExplicitTerms, ch, vel
     mz0 = m_v @ z0
     mz1 = m_v @ z1
     du = z0 - state.u
+    z1mz1, z0mz1 = z1 @ mz1, z0 @ mz1
 
-    a2 = 2.0 / tau - (z1 @ mz1) / tau - 2.0 * (terms.convection @ z1) / terms.sqrt_e2
-    a1 = (-2.0 * state.rho / tau - ((du @ mz1) + (z0 @ mz1)) / tau
+    a2 = 2.0 / tau - z1mz1 / tau - 2.0 * (terms.convection @ z1) / terms.sqrt_e2
+    a1 = (-2.0 * state.rho / tau - ((du @ mz1) + z0mz1) / tau
           - 2.0 * (terms.convection @ z0) / terms.sqrt_e2)
     a0 = -(du @ mz0) / tau
-    disc = a1 * a1 - 4.0 * a2 * a0
+    # only reported: an overflow reads inf, and solve_quadratic scales first
+    with np.errstate(over="ignore", invalid="ignore"):
+        disc = a1 * a1 - 4.0 * a2 * a0
     roots = solve_quadratic(a2, a1, a0)
-    rho, u_tilde, ratio = closest_ratio_root(roots, lambda root: z0 + root * z1,
-                                             m_v, ops.params.c2)
+    rho, ratio = closest_ratio_root(roots, (z0 @ mz0, z0mz1, z1mz1), ops.params.c2)
+    u_tilde = z0 + rho * z1
     r = alpha + beta * rho
 
     diag = {"alpha": alpha, "beta": beta, "a2": a2, "a1": a1, "a0": a0,
@@ -491,37 +509,39 @@ def scalar_reduction(ops: Operators, state: State, terms: ExplicitTerms, ch, vel
     return r, rho, u_tilde, diag
 
 
-def pressure_correction(ops: Operators, u_tilde: np.ndarray, p_n: np.ndarray,
-                        iterations: dict | None = None):
+def pressure_correction(ops: Operators, u_tilde: np.ndarray, m_u_tilde: np.ndarray,
+                        p_n: np.ndarray, iterations: dict | None = None):
     """Project the tentative velocity and update the zero-mean pressure.
 
     psi solves (grad psi, grad q) = -(div u_tilde, q)/tau; the end-of-step
     velocity is the constrained L2 projection of u_tilde - tau grad psi,
-    keeping the tentative trace on the boundary.
+    keeping the tentative trace on the boundary. m_u_tilde is M u_tilde; the
+    projection's solve starts from u_tilde.
     """
     tau, tol = ops.params.tau, ops.params.solver_tol
     rhs = -asm.div_load(ops.forms, u_tilde) / tau
     psi, k_p = solve_neumann_zero_mean(ops.forms.k_p1, rhs, ops.forms.lumped_p1, tol,
                                        ops.pressure_precondition)
     p_new = zero_mean(ops.forms, p_n + psi)
-    rhs_u = ops.forms.m_v @ u_tilde - tau * asm.grad_p_load(ops.forms, psi)
+    rhs_u = m_u_tilde - tau * asm.grad_p_load(ops.forms, psi)
     bvals = u_tilde[ops.p2v.boundary_dofs]
     u_new, k_m = solve_spd(ops.projection.matrix, ops.projection.prepare_rhs(rhs_u, bvals),
-                           tol, ops.projection_precondition)
+                           tol, ops.projection_precondition, u_tilde)
     if iterations is not None:
         iterations.update(pressure=k_p, mass_projection=k_m)
     return u_new, p_new, psi
 
 
-def modified_energy(ops: Operators, state: State) -> float:
-    """Discrete Lyapunov functional that the scheme dissipates."""
+def modified_energy(ops: Operators, state: State, m_u: np.ndarray | None = None) -> float:
+    """Discrete Lyapunov functional that the scheme dissipates; m_u is M state.u if given."""
     f, lam, gamma, tau = ops.forms, ops.params.lam, ops.params.gamma, ops.params.tau
-    return (lam * float(state.phi @ (f.k_p1 @ state.phi))
-            + lam * gamma * float(state.phi @ (f.m_p1 @ state.phi))
-            + 2.0 * lam * state.r ** 2
-            + 0.5 * quad(f.m_v, state.u)
-            + tau ** 2 * float(state.p @ (f.k_p1 @ state.p))
-            + state.rho ** 2)
+    m_u = f.m_v @ state.u if m_u is None else m_u
+    return (lam * quad(f.k_p1, state.phi)
+            + lam * gamma * quad(f.m_p1, state.phi)
+            + 2.0 * lam * state.r * state.r
+            + 0.5 * float(state.u @ m_u)
+            + tau * tau * quad(f.k_p1, state.p)
+            + state.rho * state.rho)
 
 
 def dissipation(ops: Operators, new: State) -> float:
@@ -531,25 +551,27 @@ def dissipation(ops: Operators, new: State) -> float:
             + 2.0 * params.nu * params.tau * quad(f.k_v, new.u_tilde))
 
 
-def energy_identity_residual(ops: Operators, old: State, new: State) -> float:
+def energy_identity_residual(ops: Operators, old: State, new: State, energies, mass) -> float:
     """Signed defect of the exact per-step energy balance (zero in exact arithmetic).
 
     The balance is the change of `modified_energy`, plus the numerical
-    dissipation of the increments, plus `dissipation`. For the conforming
+    dissipation of the increments, plus `dissipation`: energies holds the
+    three, mass = (M old.u, M new.u_tilde, M new.u). For the conforming
     projection used here the exact chain carries -1/2 ||u_tilde - u||^2 in
     place of the formal tau^2 ||grad(p_new - p_old)||^2 term of the
     semi-discrete argument; both forms agree up to O(tau^2) but only this
     one closes identically.
     """
     f, lam = ops.forms, ops.params.lam
+    energy_before, energy_after, dissipated = energies
+    m_u_old, m_u_tilde, m_u_new = mass
     dphi = new.phi - old.phi
     increments = (lam * (quad(f.k_p1, dphi) + ops.params.gamma * quad(f.m_p1, dphi))
                   + 2.0 * lam * (new.r - old.r) ** 2
-                  + 0.5 * quad(f.m_v, new.u_tilde - old.u)
-                  - 0.5 * quad(f.m_v, new.u_tilde - new.u)
+                  + 0.5 * float((new.u_tilde - old.u) @ (m_u_tilde - m_u_old))
+                  - 0.5 * float((new.u_tilde - new.u) @ (m_u_tilde - m_u_new))
                   + (new.rho - old.rho) ** 2)
-    return (modified_energy(ops, new) - modified_energy(ops, old)
-            + increments + dissipation(ops, new))
+    return energy_after - energy_before + increments + dissipated
 
 
 def quad(a, x: np.ndarray) -> float:
@@ -565,11 +587,12 @@ def step(state: State, ops: Operators, forcing: Forcing | None = None,
     """Advance one time level with the constants `ops` was built from, and
     report the step diagnostics.
 
+    Each product with M (of u^n, z0, z1, u_tilde, u^{n+1}) is formed once.
     A SolverError, ReductionError or NonpositiveEnergyError raised on the
     way names the step it stopped (`naming_failures`).
     """
     iterations: dict = {}
-
+    m_v = ops.forms.m_v
     with naming_failures(f"step {state.step + 1}"):
         terms = explicit_terms(ops, state, forcing)
         ch = ch_split_solve(ops, state.phi, terms, iterations)
@@ -580,19 +603,22 @@ def step(state: State, ops: Operators, forcing: Forcing | None = None,
         (phi0, mu0), (phi1, mu1) = ch
         phi_new = phi0 + r * phi1
         mu_new = mu0 + r * mu1
-        u_new, p_new, _psi = pressure_correction(ops, u_tilde, state.p, iterations)
+        m_u_tilde = m_v @ u_tilde
+        u_new, p_new, _psi = pressure_correction(ops, u_tilde, m_u_tilde, state.p, iterations)
     new = State(step=state.step + 1, phi=phi_new, mu=mu_new, u_tilde=u_tilde,
                 u=u_new, p=p_new, r=r, rho=rho)
-    res_r, res_rho = scalar_equation_residuals(ops, state, new, terms)
+    m_u_new = m_v @ u_new
+    res_r, res_rho = scalar_equation_residuals(ops, state, new, terms, m_u_tilde)
 
-    energy_before = modified_energy(ops, state)
-    energy_after = modified_energy(ops, new)
-    residual = energy_identity_residual(ops, state, new) \
+    energies = (modified_energy(ops, state, terms.m_u), modified_energy(ops, new, m_u_new),
+                dissipation(ops, new))
+    residual = energy_identity_residual(ops, state, new, energies,
+                                        (terms.m_u, m_u_tilde, m_u_new)) \
         if forcing is None and bc is None else float("nan")
 
     report = StepReport(
-        energy_before=energy_before, energy_after=energy_after,
-        dissipation=dissipation(ops, new), identity_residual=residual,
+        energy_before=energies[0], energy_after=energies[1],
+        dissipation=energies[2], identity_residual=residual,
         chosen_root=rho, r_eq_residual=res_r, rho_eq_residual=res_rho,
         div_norm=float(np.linalg.norm(asm.div_load(ops.forms, u_new))),
         e1h=terms.e1h, e2h=terms.e2h, iterations=iterations, **diag,
@@ -601,10 +627,11 @@ def step(state: State, ops: Operators, forcing: Forcing | None = None,
 
 
 def scalar_equation_residuals(ops: Operators, old: State, new: State,
-                              terms: ExplicitTerms) -> tuple[float, float]:
+                              terms: ExplicitTerms, m_u_tilde: np.ndarray) -> tuple[float, float]:
     """Residuals of the r and rho equations that the scalar reduction eliminated.
 
-    Each is |lhs - rhs| / max(1, |lhs|, |rhs|) for the step old -> new.
+    Each is |lhs - rhs| / max(1, |lhs|, |rhs|) for the step old -> new;
+    m_u_tilde is M new.u_tilde.
     """
     tau, lam = ops.params.tau, ops.params.lam
     lhs_r = (new.r - old.r) / tau
@@ -612,7 +639,7 @@ def scalar_equation_residuals(ops: Operators, old: State, new: State,
              - (terms.capillary @ new.u_tilde) / lam) / (2.0 * terms.sqrt_e1)
     res_r = abs(lhs_r - rhs_r) / max(1.0, abs(lhs_r), abs(rhs_r))
     lhs_rho = 2.0 * new.rho * (new.rho - old.rho) / tau
-    rhs_rho = ((new.u_tilde - old.u) @ (ops.forms.m_v @ new.u_tilde)) / tau \
+    rhs_rho = ((new.u_tilde - old.u) @ m_u_tilde) / tau \
         + 2.0 * new.rho * (terms.convection @ new.u_tilde) / terms.sqrt_e2
     res_rho = abs(lhs_rho - rhs_rho) / max(1.0, abs(lhs_rho), abs(rhs_rho))
     return res_r, res_rho

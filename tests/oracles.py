@@ -5,11 +5,12 @@ import scipy.sparse as sp
 
 from chns import assembly as asm
 from chns.experiments import rate
-from chns.fem import NORM_DEGREE, FeSpace, build_space
+from chns.fem import NORM_DEGREE, FeSpace, build_space, p1_tables, p2_tables, \
+    triangle_quadrature
 from chns.linsolve import SolverError, jacobi, solve_general, solve_neumann_zero_mean, \
     solve_spd
 from chns.mesh import Mesh, build_uniform_mesh, mesh_size
-from chns.scheme import State, ch_split_solve, closest_ratio_root, explicit_terms, \
+from chns.scheme import State, ch_split_solve, closest_ratio_root, explicit_terms, quad, \
     scalar_equation_residuals, scalar_reduction
 
 
@@ -59,8 +60,9 @@ def picard_step(state, ops, forcing=None, tol=1e-12, max_iter=400):
         sq = np.sqrt(disc)
         q = -0.5 * (a1 + np.copysign(sq, a1)) if a1 != 0.0 else -0.5 * sq
         candidates = [q / a2, a0 / q] if q != 0.0 else [0.0]
-        rho_new, _, _ = closest_ratio_root(candidates, lambda root: u_tilde,
-                                           m_v, params.c2)
+        # u_tilde frozen: its energy does not vary with the root
+        rho_new, _ = closest_ratio_root(candidates, (u_tilde @ (m_v @ u_tilde), 0.0, 0.0),
+                                        params.c2)
 
         done = (abs(r_new - r) <= tol * max(1.0, abs(r))
                 and abs(rho_new - rho) <= tol * max(1.0, abs(rho)))
@@ -115,8 +117,84 @@ def scheme_residuals(ops, old, new, forcing=None):
     interior = np.setdiff1d(np.arange(ops.p2v.ndofs), ops.p2v.boundary_dofs)
     res_u = rel(r4[interior], f.m_v @ old.u / tau)
 
-    res_r, res_rho = scalar_equation_residuals(ops, old, new, terms)
+    res_r, res_rho = scalar_equation_residuals(ops, old, new, terms, f.m_v @ new.u_tilde)
     return {"phi": res_phi, "mu": res_mu, "r": res_r, "u": res_u, "rho": res_rho}
+
+
+# ---------------------------------------------------------------------------
+# a step's diagnostics, each formed afresh
+
+
+def modified_energy(ops, state):
+    """The discrete Lyapunov functional, every product formed afresh."""
+    f, lam, gamma, tau = ops.forms, ops.params.lam, ops.params.gamma, ops.params.tau
+    return (lam * quad(f.k_p1, state.phi) + lam * gamma * quad(f.m_p1, state.phi)
+            + 2.0 * lam * state.r ** 2 + 0.5 * quad(f.m_v, state.u)
+            + tau ** 2 * quad(f.k_p1, state.p) + state.rho ** 2)
+
+
+def dissipation(ops, new):
+    params = ops.params
+    return 2.0 * params.tau * (params.mobility * quad(ops.forms.k_p1, new.mu)
+                               + params.nu * quad(ops.forms.k_v, new.u_tilde))
+
+
+def energy_identity_residual(ops, old, new):
+    """The per-step energy balance, every product and energy formed afresh."""
+    f, params, lam = ops.forms, ops.params, ops.params.lam
+    dphi = new.phi - old.phi
+    increments = (lam * (quad(f.k_p1, dphi) + params.gamma * quad(f.m_p1, dphi))
+                  + 2.0 * lam * (new.r - old.r) ** 2
+                  + 0.5 * quad(f.m_v, new.u_tilde - old.u)
+                  - 0.5 * quad(f.m_v, new.u_tilde - new.u)
+                  + (new.rho - old.rho) ** 2)
+    return (modified_energy(ops, new) - modified_energy(ops, old) + increments
+            + dissipation(ops, new))
+
+
+def step_diagnostics(ops, old, new, forcing=None, bc=None):
+    """The StepReport fields of the step old -> new that the states determine, each
+    from its defining formula: the fields evaluated point by point (einsum), every
+    mass product and energy formed afresh."""
+    f, params = ops.forms, ops.params
+    tab = _table(ops.p1)
+    phiq = einsum_eval_scalar(ops.p1, old.phi)
+    e1h = float(np.einsum("tq,tq->", tab["wdet"],
+                          asm.free_energy_density(phiq, params.eps, params.gamma))) + params.c1
+    e2h = 0.5 * quad(f.m_v, old.u) + params.c2
+    terms = explicit_terms(ops, old, forcing)
+    res_r, res_rho = scalar_equation_residuals(ops, old, new, terms, f.m_v @ new.u_tilde)
+    unforced = forcing is None and bc is None
+    return {
+        "energy_before": modified_energy(ops, old),
+        "energy_after": modified_energy(ops, new),
+        "dissipation": dissipation(ops, new),
+        "identity_residual": energy_identity_residual(ops, old, new) if unforced else np.nan,
+        "root_ratio": new.rho / np.sqrt(0.5 * quad(f.m_v, new.u_tilde) + params.c2),
+        "r_eq_residual": res_r, "rho_eq_residual": res_rho,
+        "div_norm": float(np.linalg.norm(f.div_coupling @ new.u)),
+        "e1h": e1h, "e2h": e2h,
+    }
+
+
+# ---------------------------------------------------------------------------
+# the nonlinear loads of coefficient vectors, as explicit_terms makes them
+
+
+def convective_load_scalar(p2v, p1, u, phi):
+    return asm.convective_load_scalar(p1, asm.evaluate(p2v, u)[0], asm.evaluate(p1, phi)[1])
+
+
+def convective_load_vector(p2v, u):
+    return asm.convective_load_vector(p2v, *asm.evaluate(p2v, u))
+
+
+def mu_grad_phi_load(p2v, p1, mu, phi):
+    return asm.mu_grad_phi_load(p2v, asm.evaluate(p1, mu)[0], asm.evaluate(p1, phi)[1])
+
+
+def fprime_load(p1, phi, eps, gamma):
+    return asm.fprime_load(p1, asm.evaluate(p1, phi)[0], eps, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -129,10 +207,21 @@ def _planar_dofs(space):
     return np.stack([dofs, dofs + n], axis=-1)
 
 
+def _table(space, degree=5):
+    """A space's quadrature data in the cell-first layout the einsum forms index:
+    wdet, x and y (nt, nq), the basis values (nq, nloc) and reference gradients
+    (nq, nloc, 2), and the inverse Jacobians (nt, 2, 2)."""
+    rule = triangle_quadrature(degree)
+    vals, gref = (p1_tables if space.kind == "p1" else p2_tables)(rule.points)
+    tab = asm._tables(space, degree)
+    return {"wdet": tab["wdet"].T, "x": tab["x"].T, "y": tab["y"].T, "vals": vals,
+            "gref": gref, "inv": asm._geometry(space.mesh)["inv"].transpose(2, 0, 1)}
+
+
 def basis_gradients(tab):
     """Physical basis gradients grad_i = J^{-T} gref_i at every point of a table: (nt, nq, nloc, 2)."""
-    nloc, nq = tab["gref"].shape[0], tab["vals"].shape[0]
-    gref = tab["gref"].reshape(nloc, 2, nq).transpose(1, 2, 0).reshape(2, nq * nloc)  # [d, (q, i)]
+    nq, nloc, _ = tab["gref"].shape
+    gref = tab["gref"].transpose(2, 0, 1).reshape(2, nq * nloc)  # [d, (q, i)]
     inv = tab["inv"]  # (nt, 2, 2)
     out = np.empty((inv.shape[0], nq, nloc, 2))
     for e in range(2):
@@ -162,28 +251,28 @@ def einsum_points(mesh, rule):
 
 
 def einsum_eval_scalar(space, coeffs, degree=5):
-    tab = asm._tables(space, degree)
+    tab = _table(space, degree)
     return np.einsum("ti,qi->tq", _einsum_gather(space, coeffs), tab["vals"])
 
 
 def einsum_eval_scalar_grad(space, coeffs, degree=5):
-    tab = asm._tables(space, degree)
+    tab = _table(space, degree)
     return np.einsum("ti,tqid->tqd", _einsum_gather(space, coeffs), basis_gradients(tab))
 
 
 def einsum_eval_vector(space, coeffs, degree=5):
-    tab = asm._tables(space, degree)
+    tab = _table(space, degree)
     return np.einsum("tic,qi->tqc", _einsum_gather(space, coeffs), tab["vals"])
 
 
 def einsum_eval_vector_grad(space, coeffs, degree=5):
-    tab = asm._tables(space, degree)
+    tab = _table(space, degree)
     return np.einsum("tic,tqid->tqcd", _einsum_gather(space, coeffs), basis_gradients(tab))
 
 
 def einsum_load(space, integrand, degree=5):
     """Entries (integrand, basis_i) from values (nt, nq) or (nt, nq, 2)."""
-    tab = asm._tables(space, degree)
+    tab = _table(space, degree)
     if space.ncomp == 1:
         cellwise = np.einsum("tq,tq,qi->ti", tab["wdet"], integrand, tab["vals"])
     else:
@@ -192,7 +281,7 @@ def einsum_load(space, integrand, degree=5):
 
 
 def einsum_assemble_load(space, f, degree=5):
-    tab = asm._tables(space, degree)
+    tab = _table(space, degree)
     if space.ncomp == 1:
         return einsum_load(space, np.broadcast_to(f(tab["x"], tab["y"]), tab["x"].shape), degree)
     fx, fy = f(tab["x"], tab["y"])
@@ -234,7 +323,7 @@ def _einsum_reference(tab, f, shape):
 
 def einsum_l2_error(space, coeffs, exact=None, degree=8):
     """L2 distance from an analytic field (the norm without one), point by point."""
-    tab = asm._tables(space, degree)
+    tab = _table(space, degree)
     if space.ncomp == 1:
         diff = einsum_eval_scalar(space, coeffs, degree)
         if exact is not None:
@@ -248,7 +337,7 @@ def einsum_l2_error(space, coeffs, exact=None, degree=8):
 
 def einsum_h1_seminorm_error(space, coeffs, exact_grad=None, degree=8):
     """L2 distance from an analytic gradient ([c][d] for vector fields), point by point."""
-    tab = asm._tables(space, degree)
+    tab = _table(space, degree)
     if space.ncomp == 1:
         diff = einsum_eval_scalar_grad(space, coeffs, degree)
         if exact_grad is not None:
@@ -376,7 +465,7 @@ def assemble_forms_by_hand(p1, p2v):
     """assemble_forms as quadrature sums over physical basis gradients at every
     point, with the divergence block's planar velocity dofs numbered from the
     scalar ones by hand."""
-    tab1, tab2 = asm._tables(p1, 5), asm._tables(p2v, 5)
+    tab1, tab2 = _table(p1, 5), _table(p2v, 5)
 
     def mass(space, tab):
         return asm._matrix_from_cells(space, np.einsum("tq,qi,qj->tij", tab["wdet"],
@@ -412,7 +501,7 @@ def with_cell_zeros(a, row_dofs, col_dofs):
 def pressure_gradient_by_hand(p1, p2v):
     """G[i, k] = (grad q_k, v_i) assembled as its own form: P1 gradients are
     constant per triangle, so each entry is grad q_k times the integral of v_i."""
-    tab1, tab2 = asm._tables(p1, 5), asm._tables(p2v, 5)
+    tab1, tab2 = _table(p1, 5), _table(p2v, 5)
     vdofs = _planar_dofs(p2v).transpose(0, 2, 1)
     intn2 = np.einsum("tq,qm->tm", tab2["wdet"], tab2["vals"])
     elem = np.einsum("tm,tkc->tcmk", intn2, basis_gradients(tab1)[:, 0])
@@ -451,7 +540,7 @@ def ritz_projection(p1, grad, integral: float = 0.0) -> np.ndarray:
 
 def grad_load(p1, grad) -> np.ndarray:
     """Entries (grad f, grad w_i) assembled from an analytic gradient."""
-    tab = asm._tables(p1, NORM_DEGREE)
+    tab = _table(p1, NORM_DEGREE)
     g = asm._at_points(grad, tab, 2)
     cellwise = np.einsum("tq,tdq,tqid->ti", tab["wdet"], g, basis_gradients(tab))
     return np.bincount(p1.scalar_cell_dofs.ravel(), weights=cellwise.ravel(),

@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -322,6 +323,7 @@ def test_cli_relax_not_monotone_exits_1(tmp_path, monkeypatch):
     ["converge", "--nx", "4,0"],
     ["stability", "--tau", "1e-2,-1"],
     ["coarsen", "--tau", "1", "--t-end", "0.1"],
+    ["relax", "--nx", "2", "--tau", "1e300", "--t-end", "1e300"],  # tau^2 overflows
     ["stability", "--tau", "1e-2,1", "--t-end", "0.1"],
     # a trailing dict is written to a JSON file passed with --config
     ["coarsen", {"nx": "abc"}],
@@ -423,6 +425,33 @@ def test_cli_run_failures_exit_3_with_one_line(exc, tmp_path, capsys, monkeypatc
     assert main(argv + ["--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
     assert err.startswith(expected) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("out", ["afile/x", {"out_dir": ""}], ids=["under-a-file", "empty"])
+def test_an_unusable_output_directory_exits_2_with_one_line(out, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("")
+    if isinstance(out, dict):
+        (tmp_path / "cfg.json").write_text(json.dumps(out))
+        flags = ["--config", "cfg.json"]
+    else:
+        flags = ["--out", out]
+    assert main(["coarsen", "--nx", "2", "--tau", "0.01", "--t-end", "0.01"] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot make output directory")
+    assert captured.err.count("\n") == 1
+
+
+def test_an_overflowing_discriminant_is_reported_without_a_warning(tmp_path, capsys):
+    # a1^2 overflows at tau = 1e-300; the roots come from scaled coefficients
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["coarsen", "--nx", "2", "--tau", "1e-300", "--t-end", "1e-300",
+                     "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    row = (tmp_path / "energy.csv").read_text().splitlines()[1].split(",")
+    assert row[ENERGY_HEADER.split(",").index("discriminant")] == "inf"
 
 
 def test_a_failure_inside_a_step_names_the_step(tmp_path, capsys, monkeypatch):

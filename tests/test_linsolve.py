@@ -64,6 +64,30 @@ def test_cg_manufactured_dirichlet_stiffness():
     assert np.linalg.norm(b - a2 @ x) <= 1e-12 * np.linalg.norm(b)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
+def test_cg_from_a_first_iterate_verifies_the_residual_of_the_original_rhs(scale):
+    mesh = build_uniform_mesh(8, 8)
+    p1 = build_space(mesh, "p1")
+    a = asm._eliminated_matrix(asm.assemble_stiffness(p1), p1.boundary_dofs)
+    field = interpolate(p1, lambda x, y: x * y + 0.3 * x)
+    b = scale * (a @ field)
+    near = scale * (field + 1e-8 * np.random.default_rng(2).standard_normal(p1.ndofs))
+    given = near.copy()
+    x, iterations = solve_spd(a, b, 1e-12, jacobi(a), near)
+    assert np.linalg.norm(b - a @ x) <= 1e-12 * np.linalg.norm(b)
+    assert 1 <= iterations < solve_spd(a, b, 1e-12, jacobi(a))[1]
+    assert np.array_equal(near, given)
+
+
+def test_cg_from_a_first_iterate_that_meets_tol_takes_no_iteration():
+    a = _small_spd()
+    x_true = np.arange(1.0, 6.0)
+    for start in (x_true, x_true * (1.0 + 1e-13)):
+        with np.errstate(all="raise"):  # no 0/0 from a zero residual
+            x, iterations = solve_spd(a, a @ x_true, 1e-10, jacobi(a), start)
+        assert iterations == 0 and np.array_equal(x, start)
+
+
 def _small_spd(n=5, seed=77):
     q = np.random.default_rng(seed).standard_normal((n, n))
     return sp.csr_matrix(q @ q.T + n * np.eye(n))
@@ -224,7 +248,7 @@ def test_stiff_ch_block_skips_bicgstab_and_builds_presb_once(monkeypatch):
     n = p1.ndofs
     iterations = {}
     phi_n = rng.standard_normal(n)
-    terms = ExplicitTerms(e1h=1.0, e2h=1.0, sqrt_e1=1.0, sqrt_e2=1.0,
+    terms = ExplicitTerms(e1h=1.0, e2h=1.0, sqrt_e1=1.0, sqrt_e2=1.0, m_u=None,
                           conv_scalar=rng.standard_normal(n), fp=rng.standard_normal(n),
                           capillary=None, convection=None, grad_p=None,
                           g_phi_load=None, g_u_load=None)
@@ -255,7 +279,7 @@ def _ch_rhs(ops, params, seed):
     """The two right-hand sides of the phase block for a random phase field."""
     n = ops.p1.ndofs
     phi = random_phase_field(seed, n)
-    fp = asm.fprime_load(ops.p1, phi, params.eps, params.gamma)
+    fp = oracles.fprime_load(ops.p1, phi, params.eps, params.gamma)
     return (np.concatenate([ops.forms.m_p1 @ phi / params.tau, np.zeros(n)]),
             np.concatenate([np.zeros(n), params.lam * fp]))
 
@@ -330,7 +354,7 @@ def test_bicgstab_iterates_match_loop_oracle(params, spaces16):
     ops = build_operators(p1, p2v, params)
     n = p1.ndofs
     phi = random_phase_field(3, n)
-    fp = asm.fprime_load(p1, phi, params.eps, params.gamma)
+    fp = oracles.fprime_load(p1, phi, params.eps, params.gamma)
     for b in (np.concatenate([ops.forms.m_p1 @ phi / params.tau, np.zeros(n)]),
               np.concatenate([np.zeros(n), params.lam * fp])):
         for max_it in (300, 7):  # converged, and stopped by the iteration limit

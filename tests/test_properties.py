@@ -186,14 +186,15 @@ def split_ops(request):
 def _random_loads(ops, rng):
     """The old level and the explicit loads of a step, drawn at random."""
     n1, n2 = ops.p1.ndofs, ops.p2v.ndofs
+    phi_n, u_n = rng.standard_normal(n1), rng.standard_normal(n2)
     terms = ExplicitTerms(
-        e1h=4.0, e2h=9.0, sqrt_e1=2.0, sqrt_e2=3.0,
+        e1h=4.0, e2h=9.0, sqrt_e1=2.0, sqrt_e2=3.0, m_u=ops.forms.m_v @ u_n,
         conv_scalar=rng.standard_normal(n1), fp=rng.standard_normal(n1),
         capillary=rng.standard_normal(n2), convection=rng.standard_normal(n2),
         grad_p=rng.standard_normal(n2), g_phi_load=rng.standard_normal(n1),
         g_u_load=rng.standard_normal(n2))
     bc = rng.standard_normal(ops.p2v.boundary_dofs.size)
-    return rng.standard_normal(n1), rng.standard_normal(n2), terms, bc
+    return phi_n, u_n, terms, bc
 
 
 def _combine(a, x, b, y):
@@ -234,28 +235,21 @@ def test_split_solves_are_linear_in_their_loads(split_ops, seed, a, b):
        roots=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=2),
        c2=st.floats(1e-3, 1.0))
 def test_the_root_whose_ratio_is_nearest_one_is_chosen(coarsening_ops, seed, roots, c2):
+    # the expanded quadratic form gives each ratio to rounding: the chosen one is
+    # nearest 1 among the ratios of u_tilde = z0 + root z1 formed afresh
     ops = coarsening_ops
     m_v = ops.forms.m_v
     rng = np.random.default_rng(seed)
     z0, z1 = rng.standard_normal((2, ops.p2v.ndofs))
-    rho, u_tilde, ratio = closest_ratio_root(roots, lambda root: z0 + root * z1, m_v, c2)
-    ratios = [root / np.sqrt(0.5 * (u @ (m_v @ u)) + c2)
-              for root, u in ((root, z0 + root * z1) for root in roots)]
-    best = int(np.argmin([abs(q - 1.0) for q in ratios]))  # the first of equal ones
-    assert (rho, ratio) == (roots[best], ratios[best])
-    assert np.array_equal(u_tilde, z0 + rho * z1)
+    form = (z0 @ (m_v @ z0), z0 @ (m_v @ z1), z1 @ (m_v @ z1))
+    rho, ratio = closest_ratio_root(roots, form, c2)
+    ratios = {root: root / np.sqrt(0.5 * (u @ (m_v @ u)) + c2)
+              for root, u in ((root, z0 + root * z1) for root in roots)}
+    assert rho in ratios and abs(ratio - ratios[rho]) <= 1e-12 * max(1.0, abs(ratios[rho]))
+    assert abs(ratios[rho] - 1.0) <= min(abs(q - 1.0) for q in ratios.values()) + 1e-12
 
 
-def test_the_first_of_two_equally_near_roots_is_chosen(coarsening_ops):
-    # a double root: both candidates give the same ratio, and the first one's
-    # velocity comes back
-    ops = coarsening_ops
-    u = np.random.default_rng(3).standard_normal(ops.p2v.ndofs)
-    made = []
-
-    def velocity_of(root):
-        made.append(u.copy())
-        return made[-1]
-
-    _, u_tilde, _ = closest_ratio_root((0.7, 0.7), velocity_of, ops.forms.m_v, 0.1)
-    assert len(made) == 2 and u_tilde is made[0]
+def test_the_first_of_two_equally_near_roots_is_chosen():
+    # with form 0 and c2 = 1 the ratio is the root: 0.5 and 1.5 lie equally near 1
+    assert closest_ratio_root((0.5, 1.5), (0.0, 0.0, 0.0), 1.0) == (0.5, 0.5)
+    assert closest_ratio_root((1.5, 0.5), (0.0, 0.0, 0.0), 1.0) == (1.5, 1.5)

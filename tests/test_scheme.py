@@ -5,14 +5,15 @@ import pytest
 
 import oracles
 from chns import assembly as asm
-from chns.experiments import default_cross_polygon, points_in_polygon, \
+from chns import scheme
+from chns.experiments import coarsening_params, default_cross_polygon, points_in_polygon, \
     random_phase_field, relaxation_params
 from chns.fem import build_space, interpolate
 from chns.mesh import build_uniform_mesh
 from chns.mms import trig_case
 from chns.scheme import Forcing, Params, ReductionError, build_operators, \
-    energy_identity_residual, explicit_terms, init_state, modified_energy, \
-    pressure_correction, quad, solve_quadratic, step
+    explicit_terms, init_state, modified_energy, pressure_correction, quad, solve_quadratic, \
+    step
 
 
 def _terms(ops, phi, u=None, mu=None):
@@ -237,14 +238,15 @@ def test_velocity_split_residual_and_bc(small_ops, coarsen_params):
 def test_pressure_correction_examples(small_ops):
     ops = small_ops
     p0 = np.zeros(ops.p1.ndofs)
-    u_new, p_new, psi = pressure_correction(ops, np.zeros(ops.p2v.ndofs), p0)
+    zero_u = np.zeros(ops.p2v.ndofs)
+    u_new, p_new, psi = pressure_correction(ops, zero_u, zero_u, p0)
     assert np.abs(u_new).max() == 0.0
     assert np.abs(psi).max() == 0.0
     assert np.array_equal(p_new, p0)
 
     # pointwise divergence-free linear field passes through untouched
     lin = interpolate(ops.p2v, lambda x, y: (x, -y))
-    u_new, p_new, psi = pressure_correction(ops, lin, p0)
+    u_new, p_new, psi = pressure_correction(ops, lin, ops.forms.m_v @ lin, p0)
     assert np.abs(psi).max() <= 1e-10
     assert np.allclose(u_new, lin, atol=1e-9)
 
@@ -269,7 +271,7 @@ def test_pressure_correction_recovers_potential(nx_pair):
         p2v = build_space(mesh, "p2vec")
         ops = build_operators(p1, p2v, prm)
         ut = interpolate(p2v, grad_chi)
-        _, _, psi = pressure_correction(ops, ut, np.zeros(p1.ndofs))
+        _, _, psi = pressure_correction(ops, ut, ops.forms.m_v @ ut, np.zeros(p1.ndofs))
         errs.append(asm.l2_error(p1, psi, chi))  # chi already has zero mean
     order = np.log2(errs[0] / errs[1])
     assert order >= 1.8
@@ -448,5 +450,78 @@ def test_energy_identity_zero_for_fixed_point(small_ops):
     ops = small_ops
     s0 = init_state(ops, np.zeros(ops.p1.ndofs), np.zeros(ops.p2v.ndofs),
                     np.zeros(ops.p1.ndofs))
-    s1, _ = step(s0, ops)
-    assert energy_identity_residual(ops, s0, s1) == pytest.approx(0.0, abs=1e-13)
+    s1, report = step(s0, ops)
+    assert report.identity_residual == pytest.approx(0.0, abs=1e-13)
+    assert oracles.energy_identity_residual(ops, s0, s1) == pytest.approx(0.0, abs=1e-13)
+
+
+# -- a step forms each field, mass product and energy once ---------------------
+
+
+def _coarsen_start(nx):
+    """A coarsening state with a random interior velocity and pressure."""
+    mesh = build_uniform_mesh(nx, nx)
+    ops = build_operators(build_space(mesh, "p1"), build_space(mesh, "p2vec"),
+                          replace(coarsening_params(), tau=1e-3))
+    rng = np.random.default_rng(8)
+    u = 0.1 * rng.standard_normal(ops.p2v.ndofs)
+    u[ops.p2v.boundary_dofs] = 0.0
+    phi0 = random_phase_field(8, ops.p1.ndofs)
+    s = init_state(ops, phi0, u, rng.standard_normal(ops.p1.ndofs), mu0=phi0.copy())
+    return ops, s, {}
+
+
+class _CountedProducts:
+    """An operator that counts its products."""
+
+    def __init__(self, a):
+        self.a, self.calls = a, 0
+
+    def __matmul__(self, x):
+        self.calls += 1
+        return self.a @ x
+
+
+def test_an_unforced_step_forms_each_product_energy_and_field_once(monkeypatch):
+    ops, s, _ = _coarsen_start(4)
+    m_v = _CountedProducts(ops.forms.m_v)
+    monkeypatch.setitem(ops.forms.__dict__, "m_v", m_v)  # the cached property's slot
+    calls = {"modified_energy": 0, "dissipation": 0}
+    for name in calls:
+        def counted(*args, real=getattr(scheme, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(scheme, name, counted)
+    evaluated = []
+    real_evaluate = asm.evaluate
+
+    def evaluate(space, coeffs, *args, **kwargs):
+        evaluated.append(coeffs)
+        return real_evaluate(space, coeffs, *args, **kwargs)
+
+    monkeypatch.setattr(asm, "evaluate", evaluate)
+    _, report = step(s, ops)
+    # M u^n, M z0, M z1, M u_tilde and M u^{n+1}
+    assert m_v.calls <= 5
+    assert calls == {"modified_energy": 2, "dissipation": 1}
+    assert len(evaluated) == 3 and all(any(c is f for c in evaluated) for f in (s.u, s.phi, s.mu))
+    assert not np.isnan(report.identity_residual)
+
+
+@pytest.mark.parametrize("start", [lambda: _coarsen_start(4), lambda: _relax_start(8),
+                                   lambda: _mms_start(4)],
+                         ids=["coarsen4", "relax8_boundary_driven", "mms4_forced"])
+def test_step_diagnostics_match_their_formulas_formed_afresh(start):
+    ops, s, kwargs = start()
+    for _ in range(2):
+        new, report = step(s, ops, **kwargs)
+        want = oracles.step_diagnostics(ops, s, new, **kwargs)
+        for name, value in want.items():
+            got = getattr(report, name)
+            if name == "identity_residual" and kwargs:
+                assert np.isnan(got) and np.isnan(value)
+                continue
+            # the residuals are defects of terms the size of the energy
+            scale = report.energy_before if name == "identity_residual" else abs(value)
+            assert abs(got - value) <= 1e-12 * max(1.0, scale), name
+        s = new
