@@ -1,6 +1,6 @@
 """Finite element solver for two-phase flow with an energy-stable split scheme."""
 
-from .mesh import Mesh, build_uniform_mesh, mesh_size
+from .mesh import Mesh, build_uniform_mesh
 from .fem import FeSpace, QuadratureRule, build_space, interpolate, triangle_quadrature
 from .scheme import Forcing, Operators, Params, State, StepReport, build_operators, \
     init_state, modified_energy, step
@@ -8,7 +8,7 @@ from .scheme import Forcing, Operators, Params, State, StepReport, build_operato
 __version__ = "0.1.0"
 
 __all__ = [
-    "Mesh", "build_uniform_mesh", "mesh_size",
+    "Mesh", "build_uniform_mesh",
     "FeSpace", "QuadratureRule", "build_space", "interpolate", "triangle_quadrature",
     "Forcing", "Operators", "Params", "State", "StepReport",
     "build_operators", "init_state", "modified_energy", "step",

@@ -1,4 +1,4 @@
-"""Command-line entry points for the experiments and the self-test suite."""
+"""Command-line entry points for the experiments."""
 
 from __future__ import annotations
 
@@ -28,7 +28,6 @@ def _parser() -> argparse.ArgumentParser:
 
     for name in ("converge", "coarsen", "relax", "stability"):
         common(sub.add_parser(name))
-    sub.add_parser("selftest")
     return parser
 
 
@@ -86,11 +85,6 @@ def _run_stability(cfg):
     return 0 if ok else 1
 
 
-def _selftest() -> int:
-    from . import selftest
-    return selftest.run()
-
-
 def _numbers(text: str, kind, flag: str, command: str, list_command: str) -> list:
     """Comma-separated numbers of one type, more than one only for `list_command`;
     anything else, an empty value too, is a ConfigError."""
@@ -105,9 +99,6 @@ def _numbers(text: str, kind, flag: str, command: str, list_command: str) -> lis
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    if args.command == "selftest":
-        return _selftest()
-
     overrides = {"out_dir": args.out, "seed": args.seed, "t_end": args.t_end}
     try:
         if args.tau is not None:
@@ -140,6 +131,9 @@ def main(argv=None) -> int:
     except RUN_FAILURES as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

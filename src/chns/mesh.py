@@ -20,10 +20,8 @@ class Mesh:
     vertices: np.ndarray          # (nv, 2) coordinates
     triangles: np.ndarray         # (nt, 3) vertex indices, counter-clockwise
     edges: np.ndarray             # (ne, 2) vertex pairs, sorted within each pair
-    edge_triangles: np.ndarray    # (ne, 2) adjacent triangle indices, -1 if none
     boundary_vertices: np.ndarray
-    boundary_edges: np.ndarray
-    h: float
+    boundary_edges: np.ndarray    # indices of the edges that lie in one triangle only
     grid: tuple[int, int] | None = None  # (nx, ny) cells of a uniform grid, None otherwise
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -60,65 +58,25 @@ def build_uniform_mesh(nx: int, ny: int,
     v01 = v00 + (nx + 1)
     tris = np.stack([v00, v00 + 1, v01 + 1, v00, v01 + 1, v01], axis=1).reshape(-1, 3)
 
-    edges, edge_tris = _edge_table(tris)
-    boundary_edges = np.flatnonzero(edge_tris[:, 1] < 0)
-    boundary_vertices = np.unique(edges[boundary_edges].ravel())
-
+    edges, boundary_edges = _edge_table(tris)
     mesh = Mesh(
         vertices=vertices,
         triangles=tris,
         edges=edges,
-        edge_triangles=edge_tris,
-        boundary_vertices=boundary_vertices,
+        boundary_vertices=np.unique(edges[boundary_edges].ravel()),
         boundary_edges=boundary_edges,
-        h=0.0,
         grid=(nx, ny),
     )
-    mesh.h = mesh_size(mesh)
-    for arr in (mesh.vertices, mesh.triangles, mesh.edges, mesh.edge_triangles,
+    for arr in (mesh.vertices, mesh.triangles, mesh.edges,
                 mesh.boundary_vertices, mesh.boundary_edges):
         arr.flags.writeable = False
     return mesh
 
 
 def _edge_table(tris: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unique sorted vertex pairs plus the (at most two) triangles sharing each.
-
-    Edges are ordered by their (low, high) vertex pair; each edge lists first
-    the triangle whose edge slot comes first in the order (all slot-0 edges,
-    then slot 1, then slot 2, each by triangle).
-    """
-    nt = tris.shape[0]
+    """Unique vertex pairs, ordered by (low, high), and the indices of those
+    that occur in one triangle only: the boundary edges."""
     nv = int(tris.max()) + 1
     raw = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-    keys = raw.min(axis=1) * nv + raw.max(axis=1)
-    keys, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    edges = np.stack([keys // nv, keys % nv], axis=1)
-
-    edge_tris = np.full((keys.shape[0], 2), -1, dtype=np.int64)
-    edge_tris[:, 0] = first % nt
-    # raw slots grouped by edge, in slot order within each group
-    order = np.argsort(inverse, kind="stable")
-    grouped = inverse[order]
-    second = np.flatnonzero(grouped[1:] == grouped[:-1]) + 1
-    edge_tris[grouped[second], 1] = order[second] % nt
-    return edges, edge_tris
-
-
-def triangle_areas(mesh: Mesh) -> np.ndarray:
-    """Signed areas of all triangles (positive for counter-clockwise)."""
-    p = mesh.vertices[mesh.triangles]
-    d1 = p[:, 1] - p[:, 0]
-    d2 = p[:, 2] - p[:, 0]
-    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-
-
-def mesh_size(mesh: Mesh) -> float:
-    """Maximum triangle diameter, i.e. the longest edge over all triangles."""
-    p = mesh.vertices[mesh.triangles]
-    lengths = np.stack([
-        np.linalg.norm(p[:, 1] - p[:, 0], axis=1),
-        np.linalg.norm(p[:, 2] - p[:, 1], axis=1),
-        np.linalg.norm(p[:, 0] - p[:, 2], axis=1),
-    ])
-    return float(lengths.max())
+    keys, counts = np.unique(raw.min(axis=1) * nv + raw.max(axis=1), return_counts=True)
+    return np.stack([keys // nv, keys % nv], axis=1), np.flatnonzero(counts == 1)

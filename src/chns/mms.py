@@ -192,40 +192,3 @@ def trig_case(params) -> MmsCase:
     return MmsCase(phi=phi, mu=mu, u=u, p=p,
                    grad_phi=grad_phi, grad_mu=grad_mu, grad_u=grad_u, grad_p=grad_p,
                    g_phi=g_phi, g_u=g_u)
-
-
-def finite_difference_forcing(case: MmsCase, params, t, x, y,
-                              dx: float = 1e-5, dt: float = 1e-6):
-    """Forcing recomputed by central differences on the analytic fields.
-
-    Independent cross-check of the closed-form derivatives in g_phi/g_u;
-    agreement is limited by the stencil, not the implementation.
-    """
-    mob, nu = params.mobility, params.nu
-
-    def ddt(f):
-        return (np.asarray(f(t + dt, x, y)) - np.asarray(f(t - dt, x, y))) / (2 * dt)
-
-    def grad_fd(f):
-        return ((np.asarray(f(t, x + dx, y)) - np.asarray(f(t, x - dx, y))) / (2 * dx),
-                (np.asarray(f(t, x, y + dx)) - np.asarray(f(t, x, y - dx))) / (2 * dx))
-
-    def laplace_fd(f):
-        return (np.asarray(f(t, x + dx, y)) + np.asarray(f(t, x - dx, y))
-                + np.asarray(f(t, x, y + dx)) + np.asarray(f(t, x, y - dx))
-                - 4.0 * np.asarray(f(t, x, y))) / dx ** 2
-
-    u1, u2 = case.u(t, x, y)
-    gpx, gpy = grad_fd(case.phi)
-    g_phi = ddt(case.phi) + u1 * gpx + u2 * gpy - mob * laplace_fd(case.mu)
-
-    ut = ddt(case.u)
-    gu1 = grad_fd(lambda tt, xx, yy: case.u(tt, xx, yy)[0])
-    gu2 = grad_fd(lambda tt, xx, yy: case.u(tt, xx, yy)[1])
-    lu1 = laplace_fd(lambda tt, xx, yy: case.u(tt, xx, yy)[0])
-    lu2 = laplace_fd(lambda tt, xx, yy: case.u(tt, xx, yy)[1])
-    gp = grad_fd(case.p)
-    m = case.mu(t, x, y)
-    g1 = ut[0] + u1 * gu1[0] + u2 * gu1[1] - nu * lu1 + gp[0] - m * gpx
-    g2 = ut[1] + u1 * gu2[0] + u2 * gu2[1] - nu * lu2 + gp[1] - m * gpy
-    return g_phi, (g1, g2)

@@ -9,7 +9,7 @@ from chns.fem import NORM_DEGREE, FeSpace, build_space, p1_tables, p2_tables, \
     triangle_quadrature
 from chns.linsolve import SolverError, jacobi, solve_general, solve_neumann_zero_mean, \
     solve_spd
-from chns.mesh import Mesh, build_uniform_mesh, mesh_size
+from chns.mesh import Mesh, build_uniform_mesh
 from chns.scheme import State, ch_split_solve, closest_ratio_root, explicit_terms, quad, \
     scalar_equation_residuals, scalar_reduction
 
@@ -414,11 +414,17 @@ def loop_uniform_mesh(nx, ny, rect=(0.0, 0.0, 1.0, 1.0)):
         else:
             edge_tris[e, 1] = t
     boundary_edges = np.flatnonzero(edge_tris[:, 1] < 0)
-    mesh = Mesh(vertices=vertices, triangles=tris, edges=edges, edge_triangles=edge_tris,
+    return Mesh(vertices=vertices, triangles=tris, edges=edges,
                 boundary_vertices=np.unique(edges[boundary_edges].ravel()),
-                boundary_edges=boundary_edges, h=0.0)
-    mesh.h = mesh_size(mesh)
-    return mesh
+                boundary_edges=boundary_edges)
+
+
+def triangle_areas(mesh):
+    """Signed areas of all triangles (positive for counter-clockwise)."""
+    p = mesh.vertices[mesh.triangles]
+    d1 = p[:, 1] - p[:, 0]
+    d2 = p[:, 2] - p[:, 0]
+    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
 
 def dict_space(mesh, kind):
@@ -752,3 +758,39 @@ def p1_to_p2(mesh: Mesh) -> sp.csr_matrix:
     cols = np.concatenate([np.arange(nv), mesh.edges.ravel()])
     vals = np.concatenate([np.ones(nv), np.full(2 * ne, 0.5)])
     return sp.csr_matrix((vals, (rows, cols)), shape=(nv + ne, nv))
+
+
+def finite_difference_forcing(case, params, t, x, y, dx: float = 1e-5, dt: float = 1e-6):
+    """Forcing recomputed by central differences on the analytic fields.
+
+    Independent cross-check of the closed-form derivatives in g_phi/g_u;
+    agreement is limited by the stencil, not the implementation.
+    """
+    mob, nu = params.mobility, params.nu
+
+    def ddt(f):
+        return (np.asarray(f(t + dt, x, y)) - np.asarray(f(t - dt, x, y))) / (2 * dt)
+
+    def grad_fd(f):
+        return ((np.asarray(f(t, x + dx, y)) - np.asarray(f(t, x - dx, y))) / (2 * dx),
+                (np.asarray(f(t, x, y + dx)) - np.asarray(f(t, x, y - dx))) / (2 * dx))
+
+    def laplace_fd(f):
+        return (np.asarray(f(t, x + dx, y)) + np.asarray(f(t, x - dx, y))
+                + np.asarray(f(t, x, y + dx)) + np.asarray(f(t, x, y - dx))
+                - 4.0 * np.asarray(f(t, x, y))) / dx ** 2
+
+    u1, u2 = case.u(t, x, y)
+    gpx, gpy = grad_fd(case.phi)
+    g_phi = ddt(case.phi) + u1 * gpx + u2 * gpy - mob * laplace_fd(case.mu)
+
+    ut = ddt(case.u)
+    gu1 = grad_fd(lambda tt, xx, yy: case.u(tt, xx, yy)[0])
+    gu2 = grad_fd(lambda tt, xx, yy: case.u(tt, xx, yy)[1])
+    lu1 = laplace_fd(lambda tt, xx, yy: case.u(tt, xx, yy)[0])
+    lu2 = laplace_fd(lambda tt, xx, yy: case.u(tt, xx, yy)[1])
+    gp = grad_fd(case.p)
+    m = case.mu(t, x, y)
+    g1 = ut[0] + u1 * gu1[0] + u2 * gu1[1] - nu * lu1 + gp[0] - m * gpx
+    g2 = ut[1] + u1 * gu2[0] + u2 * gu2[1] - nu * lu2 + gp[1] - m * gpy
+    return g_phi, (g1, g2)

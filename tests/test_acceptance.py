@@ -18,11 +18,12 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import finite_difference_forcing, triangle_areas
 from chns import assembly as asm
 from chns.experiments import rate, random_phase_field, run_coarsening, run_convergence_level
 from chns.fem import build_space, p1_basis, p2_basis, triangle_quadrature
-from chns.mesh import build_uniform_mesh, triangle_areas
-from chns.mms import finite_difference_forcing, trig_case
+from chns.mesh import build_uniform_mesh
+from chns.mms import trig_case
 from chns.scheme import Forcing, Params, build_operators, init_state, solve_quadratic, step
 
 

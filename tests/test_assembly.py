@@ -28,10 +28,8 @@ def single_reference_triangle():
     vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     tris = np.array([[0, 1, 2]])
     edges = np.array([[0, 1], [0, 2], [1, 2]])
-    edge_tris = np.array([[0, -1], [0, -1], [0, -1]])
-    return Mesh(vertices=vertices, triangles=tris, edges=edges, edge_triangles=edge_tris,
-                boundary_vertices=np.array([0, 1, 2]), boundary_edges=np.array([0, 1, 2]),
-                h=np.sqrt(2.0))
+    return Mesh(vertices=vertices, triangles=tris, edges=edges,
+                boundary_vertices=np.array([0, 1, 2]), boundary_edges=np.array([0, 1, 2]))
 
 
 def test_p1_element_mass_matrix():
@@ -94,9 +92,8 @@ def test_assembly_order_invariance():
     rng = np.random.default_rng(0)
     perm = rng.permutation(mesh.num_triangles)
     shuffled = Mesh(vertices=mesh.vertices.copy(), triangles=mesh.triangles[perm].copy(),
-                    edges=mesh.edges.copy(), edge_triangles=mesh.edge_triangles.copy(),
-                    boundary_vertices=mesh.boundary_vertices.copy(),
-                    boundary_edges=mesh.boundary_edges.copy(), h=mesh.h)
+                    edges=mesh.edges.copy(), boundary_vertices=mesh.boundary_vertices.copy(),
+                    boundary_edges=mesh.boundary_edges.copy())
     k2 = asm.assemble_stiffness(build_space(shuffled, "p1")).toarray()
     assert np.abs(k - k2).max() <= 1e-13 * np.abs(k).max()
 
@@ -401,9 +398,8 @@ def jittered_spaces():
     vertices = mesh.vertices.copy()
     vertices[interior] += np.random.default_rng(11).uniform(-0.04, 0.04, (interior.size, 2))
     jittered = Mesh(vertices=vertices, triangles=mesh.triangles.copy(),
-                    edges=mesh.edges.copy(), edge_triangles=mesh.edge_triangles.copy(),
-                    boundary_vertices=mesh.boundary_vertices.copy(),
-                    boundary_edges=mesh.boundary_edges.copy(), h=mesh.h)
+                    edges=mesh.edges.copy(), boundary_vertices=mesh.boundary_vertices.copy(),
+                    boundary_edges=mesh.boundary_edges.copy())
     geom = asm._geometry(jittered)
     assert geom["det"].min() > 0.0
     assert np.unique(geom["inv"].round(12), axis=2).shape[2] == jittered.num_triangles

@@ -427,6 +427,15 @@ def test_cli_run_failures_exit_3_with_one_line(exc, tmp_path, capsys, monkeypatc
     assert err.startswith(expected) and err.count("\n") == 1
 
 
+def test_an_interrupt_exits_130_with_one_line(tmp_path, capsys, monkeypatch):
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+    monkeypatch.setattr(cli.ex, "run_coarsening", interrupt)
+    assert main(["coarsen", "--out", str(tmp_path / "o")]) == 130
+    err = capsys.readouterr().err
+    assert err == "error: interrupted\n"
+
+
 @pytest.mark.parametrize("out", ["afile/x", {"out_dir": ""}], ids=["under-a-file", "empty"])
 def test_an_unusable_output_directory_exits_2_with_one_line(out, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -492,8 +501,10 @@ def test_a_nan_in_phi_stops_the_run_before_any_solve(tmp_path, capsys, monkeypat
     assert err.count("\n") == 1
 
 
-def test_cli_selftest_passes():
-    assert main(["selftest"]) == 0
+def test_cli_selftest_is_gone():
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest"])
+    assert exc.value.code == 2
 
 
 def test_cli_no_args_usage_exit_2(capsys):

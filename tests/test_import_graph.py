@@ -93,9 +93,12 @@ def _names_used(node) -> set:
 
 def test_every_top_level_function_and_class_is_used_in_src():
     # a definition counts as used when any other top-level statement of
-    # src/chns reads its name (an import into __init__ included)
+    # src/chns reads its name; an import into __init__ alone does not count,
+    # since only the package namespace would then name it
     statements = []
     for path in sorted(glob.glob(os.path.join(SRC, "chns", "*.py"))):
+        if os.path.basename(path) == "__init__.py":
+            continue
         with open(path) as fh:
             module = ast.parse(fh.read(), path)
         statements += [(os.path.basename(path), node, _names_used(node)) for node in module.body]

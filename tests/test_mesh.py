@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 import oracles
-from chns.mesh import build_uniform_mesh, mesh_size, triangle_areas
+from oracles import triangle_areas
+from chns.mesh import build_uniform_mesh
 
-MESH_ARRAYS = ("vertices", "triangles", "edges", "edge_triangles",
-               "boundary_vertices", "boundary_edges")
+MESH_ARRAYS = ("vertices", "triangles", "edges", "boundary_vertices", "boundary_edges")
 
 
 def test_smallest_mesh_counts():
@@ -29,12 +29,6 @@ def test_2x1_counts():
     assert m.num_triangles == 4
 
 
-def test_mesh_size_values():
-    assert mesh_size(build_uniform_mesh(4, 4)) == pytest.approx(np.sqrt(2.0) / 4, rel=1e-14)
-    assert mesh_size(build_uniform_mesh(1, 1)) == pytest.approx(np.sqrt(2.0), rel=1e-14)
-    assert mesh_size(build_uniform_mesh(2, 1)) == pytest.approx(np.sqrt(1.25), rel=1e-14)
-
-
 @pytest.mark.parametrize("nx,ny", [(n, m) for n in range(1, 17, 5) for m in range(1, 17, 5)])
 def test_area_euler_boundary_sweep(nx, ny):
     m = build_uniform_mesh(nx, ny)
@@ -54,12 +48,17 @@ def test_full_sweep_area_and_euler():
 
 def test_edge_triangle_incidence():
     m = build_uniform_mesh(3, 5)
-    interior = m.edge_triangles[:, 1] >= 0
-    assert (m.edge_triangles[:, 0] >= 0).all()
-    assert set(np.flatnonzero(~interior)) == set(m.boundary_edges)
-    # every interior edge names two distinct triangles
-    et = m.edge_triangles[interior]
-    assert (et[:, 0] != et[:, 1]).all()
+    # the triangles each edge lies in, counted by triangle
+    incident = [set() for _ in range(m.num_edges)]
+    index = {tuple(e): k for k, e in enumerate(m.edges.tolist())}
+    for t, tri in enumerate(m.triangles.tolist()):
+        for a, b in ((0, 1), (1, 2), (2, 0)):
+            incident[index[tuple(sorted((tri[a], tri[b])))]].add(t)
+    counts = np.array([len(s) for s in incident])
+    boundary = np.zeros(m.num_edges, dtype=bool)
+    boundary[m.boundary_edges] = True
+    assert (counts[boundary] == 1).all()
+    assert (counts[~boundary] == 2).all()
 
 
 def test_rectangle_scaling():
@@ -100,4 +99,3 @@ def test_mesh_matches_loop_oracle(nx, ny, rect):
     for name in MESH_ARRAYS:
         assert oracles.identical(getattr(mesh, name), getattr(ref, name)), name
         assert not getattr(mesh, name).flags.writeable, name
-    assert mesh.h == ref.h

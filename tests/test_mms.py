@@ -3,11 +3,12 @@ import gc
 import numpy as np
 import pytest
 
+from oracles import finite_difference_forcing
 from chns import assembly as asm
 from chns import mms
 from chns.fem import build_space, interpolate
 from chns.mesh import build_uniform_mesh
-from chns.mms import finite_difference_forcing, trig_case
+from chns.mms import trig_case
 from chns.scheme import Params
 
 
