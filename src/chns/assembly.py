@@ -80,7 +80,6 @@ def _tables(space: FeSpace, degree: int) -> dict:
         x, y = _points(space.mesh, rule)
         nq, nloc = vals.shape
         tab = {
-            "rule": rule,
             "wdet": rule.weights[:, None] * geom["det"],  # (nq, nt)
             "x": x,
             "y": y,

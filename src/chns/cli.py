@@ -8,8 +8,8 @@ import sys
 
 from . import experiments as ex
 from .config import ConfigError, parse_config
-from .io import ensure_dir, write_energy_csv, write_error_table_csv, \
-    write_h1_error_table_csv, write_vtk_snapshot
+from .io import write_energy_csv, write_error_table_csv, write_h1_error_table_csv, \
+    write_vtk_snapshot
 from .scheme import RUN_FAILURES
 
 
@@ -116,7 +116,7 @@ def main(argv=None) -> int:
 
         cfg = parse_config(args.command, args.config, overrides)
         try:
-            ensure_dir(cfg.settings["out_dir"])
+            os.makedirs(cfg.settings["out_dir"], exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot make output directory {cfg.settings['out_dir']!r}: "
                               f"{exc.strerror}") from None

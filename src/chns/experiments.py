@@ -180,8 +180,9 @@ def random_phase_field(seed: int, ndofs: int, amplitude: float = 0.1) -> np.ndar
 
 @dataclass
 class EnergyTrace:
-    """Per-step diagnostics of one dissipative run."""
+    """Per-step diagnostics of one dissipative run, and the energy it starts from."""
 
+    initial_energy: float
     steps: list[int] = field(default_factory=list)
     times: list[float] = field(default_factory=list)
     energy: list[float] = field(default_factory=list)
@@ -200,8 +201,9 @@ class EnergyTrace:
         self.root_ratio.append(report.root_ratio)
 
     def monotone(self, slack: float = 1e-8) -> bool:
-        e = self.energy
-        return all(e[i + 1] <= e[i] + slack * max(1.0, e[i]) for i in range(len(e) - 1))
+        """No step, the first one too, raises the energy by more than slack max(1, E)."""
+        e = [self.initial_energy] + self.energy
+        return all(b <= a + slack * max(1.0, a) for a, b in zip(e, e[1:]))
 
 
 @dataclass
@@ -210,7 +212,6 @@ class RunArtifacts:
     snapshots: list[tuple[float, State]]
     final_state: State
     ops: Operators
-    initial_energy: float
 
 
 def _march(ops: Operators, state: State, snapshot_times=(), bc=None,
@@ -219,8 +220,7 @@ def _march(ops: Operators, state: State, snapshot_times=(), bc=None,
     from .scheme import modified_energy
 
     tau = ops.params.tau
-    trace = EnergyTrace()
-    initial_energy = modified_energy(ops, state)
+    trace = EnergyTrace(modified_energy(ops, state))
     remaining = sorted(snapshot_times)
     snaps = []
     if remaining and remaining[0] <= 0.0:
@@ -234,8 +234,7 @@ def _march(ops: Operators, state: State, snapshot_times=(), bc=None,
             snaps.append((remaining.pop(0), state))
         if on_step is not None:
             on_step(state, report)
-    return RunArtifacts(trace=trace, snapshots=snaps, final_state=state,
-                        ops=ops, initial_energy=initial_energy)
+    return RunArtifacts(trace=trace, snapshots=snaps, final_state=state, ops=ops)
 
 
 def coarsening_params() -> Params:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import os
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -110,8 +109,3 @@ def write_vtk_snapshot(mesh: Mesh, fields: dict, path: str) -> None:
                 lines.append(f"{v:.12g}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def ensure_dir(path: str) -> str:
-    os.makedirs(path, exist_ok=True)
-    return path

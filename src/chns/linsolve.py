@@ -18,7 +18,8 @@ The nonsymmetric solve (`solve_general`) is of a Cahn-Hilliard block and
 takes the block's `Presb`: a stiffness-dominated block goes straight to
 restarted GMRES, written here, preconditioned by PRESB, whose two inner
 solves are V-cycles; any other block tries Jacobi BiCGStab first, and
-GMRES with the same PRESB finishes a solve BiCGStab gives up on.
+GMRES with the same PRESB finishes a solve BiCGStab gives up on or breaks
+down on: that fallback is the one recovery path.
 
 Each sparse product of a solve calls scipy's compressed-sparse kernel
 directly (`_kernel`): bit for bit `a @ x`, without the checks `@` makes.
@@ -267,97 +268,57 @@ def _unit_scaled(b) -> tuple[np.ndarray, int]:
 
 
 def _bicgstab(a, b, dinv, tol, max_it):
-    """Stabilized bi-conjugate gradients; restarts the shadow residual on
-    near-breakdown instead of failing outright. Returns (x, iterations).
+    """Jacobi-preconditioned stabilized bi-conjugate gradients; returns (x, iterations).
 
-    The vector updates write into work vectors made once per call; each
-    keeps the floating-point operations, and their order, of the textbook
-    expressions in its comment.
+    Raises SolverError when it breaks down (rho, the denominator of alpha,
+    t.t or omega near zero), diverges, or meets the iteration limit;
+    `solve_general` then finishes the solve with PRESB-GMRES.
     """
     times = _product(a)
     bnorm = np.linalg.norm(b)
     x = np.zeros_like(b)
-    r = b.copy()
-    r_shadow = r.copy()
-    shadow_norm = np.linalg.norm(r_shadow)  # constant between restarts
-    rnorm = np.linalg.norm(r)               # kept in step with r
+    r = r_shadow = b
+    rnorm = shadow_norm = bnorm  # rnorm is kept in step with r
     rho = alpha = omega = 1.0
-    v = np.zeros_like(b)
-    p = np.zeros_like(b)
-    phat, s, shat, work, work2 = (np.empty_like(b) for _ in range(5))
-    restarts = 0
-    best = np.inf
-
-    def restart():
-        nonlocal rho, alpha, omega, v, restarts, best, shadow_norm, rnorm
-        np.subtract(b, times(x), out=r)
-        rnorm = np.linalg.norm(r)
-        if not np.isfinite(rnorm) or (rnorm >= best and restarts > 2):
-            raise SolverError("bicgstab stagnated", rnorm / bnorm)
-        best = min(best, rnorm)
-        restarts += 1
-        r_shadow[:] = r
-        shadow_norm = np.linalg.norm(r_shadow)
-        rho = alpha = omega = 1.0
-        v = np.zeros_like(b)
-        p.fill(0.0)
-
+    v = p = np.zeros_like(b)
     k = 0
     while k < max_it:
         k += 1
         rho_new = r_shadow @ r
         if not np.isfinite(rnorm) or rnorm > 1e8 * bnorm:
             raise SolverError("bicgstab diverged", rnorm / bnorm)
-        scale = shadow_norm * rnorm
         # exact zeros are tested apart: the relative thresholds underflow to 0.0
-        if rho_new == 0.0 or abs(rho_new) < 1e-30 * max(scale, 1e-300) or abs(omega) < 1e-300:
-            restart()
-            continue
+        if (rho_new == 0.0 or abs(rho_new) < 1e-30 * max(shadow_norm * rnorm, 1e-300)
+                or abs(omega) < 1e-300):
+            raise SolverError("bicgstab broke down", rnorm / bnorm)
         beta = (rho_new / rho) * (alpha / omega)
         rho = rho_new
-        # p = r + beta * (p - omega * v)
-        np.multiply(v, omega, out=work)
-        p -= work
-        p *= beta
-        p += r
-        np.multiply(dinv, p, out=phat)
+        p = r + beta * (p - omega * v)
+        phat = dinv * p
         v = times(phat)
         denom = r_shadow @ v
-        scale = shadow_norm * np.linalg.norm(v)
-        if denom == 0.0 or abs(denom) < 1e-30 * max(scale, 1e-300):
-            restart()
-            continue
+        if denom == 0.0 or abs(denom) < 1e-30 * max(shadow_norm * np.linalg.norm(v), 1e-300):
+            raise SolverError("bicgstab broke down", rnorm / bnorm)
         alpha = rho / denom
-        # s = r - alpha * v
-        np.multiply(v, alpha, out=work)
-        np.subtract(r, work, out=s)
+        s = r - alpha * v
         if np.linalg.norm(s) <= tol:
-            # x += alpha * phat
-            np.multiply(phat, alpha, out=work)
-            x += work
-            np.subtract(b, times(x), out=r)
+            x += alpha * phat
+            r = b - times(x)
             rnorm = np.linalg.norm(r)
             if rnorm <= tol:
                 return x, k
             continue
-        np.multiply(dinv, s, out=shat)
+        shat = dinv * s
         t = times(shat)
         tt = t @ t
         if tt < 1e-300:
-            restart()
-            continue
+            raise SolverError("bicgstab broke down", rnorm / bnorm)
         omega = (t @ s) / tt
-        # x += alpha * phat + omega * shat
-        np.multiply(phat, alpha, out=work)
-        np.multiply(shat, omega, out=work2)
-        work += work2
-        x += work
-        # r = s - omega * t
-        np.multiply(t, omega, out=work)
-        np.subtract(s, work, out=r)
+        x += alpha * phat + omega * shat
+        r = s - omega * t
         rnorm = np.linalg.norm(r)
         if rnorm <= tol:
-            np.subtract(b, times(x), out=r)
+            r = b - times(x)
             rnorm = np.linalg.norm(r)
             if rnorm <= tol:
                 return x, k
@@ -486,7 +447,7 @@ def _presb_gmres(a, b, tol, max_it, presb: Presb):
 
 
 def _gmres_fallback(a, b, tol, max_it, presb: Presb):
-    """PRESB-preconditioned GMRES for a Cahn-Hilliard block BiCGStab gave up on."""
+    """PRESB-preconditioned GMRES for a Cahn-Hilliard block BiCGStab failed on."""
     return _presb_gmres(a, b, tol, max_it, presb)
 
 
@@ -496,8 +457,8 @@ def solve_general(a: sp.csr_matrix, b: np.ndarray, tol: float,
 
     Pass the block's `Presb` to every solve with it. A block it marks
     `direct` goes straight to PRESB-preconditioned GMRES. Any other tries
-    Jacobi BiCGStab first; if that breaks down or stagnates, GMRES
-    preconditioned by the `Presb` finishes.
+    Jacobi BiCGStab first; if that breaks down, diverges or meets its
+    iteration limit, GMRES preconditioned by the `Presb` finishes from zero.
     """
     b, e = _unit_scaled(b)
     bnorm = np.linalg.norm(b)

@@ -589,21 +589,6 @@ def bicgstab_loop(a, b, dinv, tol, max_it):
     rho = alpha = omega = 1.0
     v = np.zeros_like(b)
     p = np.zeros_like(b)
-    restarts = 0
-    best = np.inf
-
-    def restart():
-        nonlocal r, r_shadow, rho, alpha, omega, v, p, restarts, best
-        r = b - a @ x
-        res = np.linalg.norm(r)
-        if not np.isfinite(res) or (res >= best and restarts > 2):
-            raise SolverError("bicgstab stagnated", res / bnorm)
-        best = min(best, res)
-        restarts += 1
-        r_shadow = r.copy()
-        rho = alpha = omega = 1.0
-        v = np.zeros_like(b)
-        p = np.zeros_like(b)
 
     k = 0
     while k < max_it:
@@ -614,8 +599,7 @@ def bicgstab_loop(a, b, dinv, tol, max_it):
             raise SolverError("bicgstab diverged", rnorm / bnorm)
         scale = np.linalg.norm(r_shadow) * rnorm
         if rho_new == 0.0 or abs(rho_new) < 1e-30 * max(scale, 1e-300) or abs(omega) < 1e-300:
-            restart()
-            continue
+            raise SolverError("bicgstab broke down", rnorm / bnorm)
         beta = (rho_new / rho) * (alpha / omega)
         rho = rho_new
         p = r + beta * (p - omega * v)
@@ -624,8 +608,7 @@ def bicgstab_loop(a, b, dinv, tol, max_it):
         denom = r_shadow @ v
         scale = np.linalg.norm(r_shadow) * np.linalg.norm(v)
         if denom == 0.0 or abs(denom) < 1e-30 * max(scale, 1e-300):
-            restart()
-            continue
+            raise SolverError("bicgstab broke down", rnorm / bnorm)
         alpha = rho / denom
         s = r - alpha * v
         if np.linalg.norm(s) <= tol:
@@ -638,8 +621,7 @@ def bicgstab_loop(a, b, dinv, tol, max_it):
         t = a @ shat
         tt = t @ t
         if tt < 1e-300:
-            restart()
-            continue
+            raise SolverError("bicgstab broke down", rnorm / bnorm)
         omega = (t @ s) / tt
         x += alpha * phat + omega * shat
         r = s - omega * t

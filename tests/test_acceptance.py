@@ -86,7 +86,7 @@ def test_criterion_3_unconditional_stability(stability_runs):
     runs, _ = stability_runs
     gates = {}
     for tau, run in runs.items():
-        energies = [run.initial_energy] + run.trace.energy
+        energies = [run.trace.initial_energy] + run.trace.energy
         ok = all(b <= a + 1e-8 * max(1.0, a) for a, b in zip(energies, energies[1:]))
         gates[f"tau={tau:g} monotone"] = ok
     verdict("criterion 3 (unconditional energy stability)", gates)
@@ -95,7 +95,7 @@ def test_criterion_3_unconditional_stability(stability_runs):
 def test_criterion_4_energy_identity(stability_runs):
     runs, _ = stability_runs
     run = runs[1e-3]
-    energies = [run.initial_energy] + run.trace.energy
+    energies = [run.trace.initial_energy] + run.trace.energy
     residuals = run.trace.identity_residual[:50]
     worst = max(abs(res) / max(1.0, energies[i])
                 for i, res in enumerate(residuals))

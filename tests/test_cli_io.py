@@ -182,7 +182,7 @@ def test_single_record_has_no_rates(tmp_path):
 
 
 def test_energy_csv_header_and_rows(tmp_path):
-    tr = EnergyTrace()
+    tr = EnergyTrace(initial_energy=101.0)
     for i in range(3):
         tr.steps.append(i + 1)
         tr.times.append(0.001 * (i + 1))
@@ -406,7 +406,7 @@ def test_cli_input_the_command_does_not_read_exits_2_naming_it(argv, named, tmp_
 
 @pytest.mark.parametrize("exc", [
     pytest.param(exc, id=type(exc).__name__) for exc in (
-        SolverError("bicgstab stagnated", 0.5), ReductionError("no real root"),
+        SolverError("gmres stagnated", 0.5), ReductionError("no real root"),
         NonpositiveEnergyError("shifted energies must be positive"))
 ] + [pytest.param(None, id="converge")])
 def test_cli_run_failures_exit_3_with_one_line(exc, tmp_path, capsys, monkeypatch):

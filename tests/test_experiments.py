@@ -88,7 +88,7 @@ def test_coarsening_initial_data_contract():
     s = init_state(ops, expected_phi0, np.zeros(ops.p2v.ndofs),
                    np.zeros(ops.p1.ndofs), mu0=expected_phi0.copy())
     from chns.scheme import modified_energy, step
-    assert modified_energy(ops, s) == pytest.approx(run.initial_energy, rel=1e-12)
+    assert modified_energy(ops, s) == pytest.approx(run.trace.initial_energy, rel=1e-12)
     s1, _ = step(s, ops)
     assert np.array_equal(s1.phi, run.final_state.phi)
     assert np.array_equal(s1.u, run.final_state.u)
@@ -165,7 +165,7 @@ def test_relaxation_rejects_bad_polygon():
 def test_relaxation_energy_decays():
     run = run_relaxation(default_cross_polygon(), nx=16, tau=1e-3, t_end=0.01)
     assert run.trace.monotone()
-    assert run.trace.energy[-1] < run.initial_energy
+    assert run.trace.energy[-1] < run.trace.initial_energy
 
 
 def test_convergence_level_runs_fast_at_coarse_size():
@@ -225,8 +225,12 @@ def test_projection_rate_check_orders():
 
 
 def test_energy_trace_monotone_flag():
-    tr = EnergyTrace()
+    tr = EnergyTrace(initial_energy=3.0)
     tr.energy = [3.0, 2.0, 1.5]
     assert tr.monotone()
     tr.energy = [3.0, 3.5, 1.0]
     assert not tr.monotone()
+    # the first step is checked against the energy the run starts from
+    tr.energy = [3.5, 2.0, 1.5]
+    assert not tr.monotone()
+    assert EnergyTrace(initial_energy=4.0, energy=[3.5, 2.0, 1.5]).monotone()

@@ -54,7 +54,7 @@ def one_step(params):
 
 
 def gives_up(*args):
-    raise SolverError("bicgstab stagnated", 1.0)
+    raise SolverError("bicgstab broke down", 1.0)
 
 
 stiff = one_step(replace(relaxation_params(), tau=4e-3))  # median c K_ii / M_ii 1.30

@@ -10,7 +10,7 @@ from chns import assembly as asm
 from chns import linsolve
 from chns import fem
 from chns.experiments import coarsening_params, default_tau_rule, random_phase_field, \
-    relaxation_params
+    relaxation_params, run_coarsening
 from chns.fem import build_space, interpolate
 from chns.linsolve import Planar, Separable, SolverError, VCycle, jacobi, solve_general, \
     solve_neumann_zero_mean, solve_spd
@@ -311,12 +311,36 @@ def test_a_mass_dominated_block_keeps_bicgstab_bit_for_bit_and_falls_back_to_pre
     assert x.tobytes() == x_b.tobytes() and k == k_b
 
     def gives_up(*args):
-        raise SolverError("bicgstab stagnated", 1.0)
+        raise SolverError("bicgstab broke down", 1.0)
     monkeypatch.setattr(linsolve, "_bicgstab", gives_up)
     calls = _counted(monkeypatch, "_gmres_fallback", "_presb_gmres")
     x, k = solve_general(ops.a_ch, b, 1e-10, presb)
     assert calls == {"_gmres_fallback": 1, "_presb_gmres": 1} and 1 <= k <= 30
     assert np.linalg.norm(b - ops.a_ch @ x) <= tol
+
+
+def test_a_real_breakdown_is_finished_by_the_presb_fallback(monkeypatch):
+    # coarsening at nx=16 with tau=0.1 keeps its phase block mass-dominated, and
+    # BiCGStab breaks down on some of its solves: the fallback finishes each one
+    failures = []
+    bicgstab = linsolve._bicgstab
+
+    def recorded(*args):
+        try:
+            return bicgstab(*args)
+        except SolverError as exc:
+            failures.append(str(exc))
+            raise
+    monkeypatch.setattr(linsolve, "_bicgstab", recorded)
+    calls = _counted(monkeypatch, "_gmres_fallback")
+    reports = []
+    run_coarsening(2024, 16, 0.1, 1.0, on_step=lambda state, report: reports.append(report))
+    assert len(reports) == 10
+    assert any(f.startswith("bicgstab broke down") for f in failures)
+    assert calls["_gmres_fallback"] == len(failures) >= 1
+    for report in reports:
+        assert report.r_eq_residual <= 1e-8 and report.rho_eq_residual <= 1e-8
+        assert abs(report.identity_residual) <= 1e-8
 
 
 def test_presb_gmres_goes_on_until_the_unscaled_residual_passes(monkeypatch):
@@ -360,10 +384,10 @@ def test_bicgstab_iterates_match_loop_oracle(params, spaces16):
         for max_it in (300, 7):  # converged, and stopped by the iteration limit
             got = _bicgstab_outcome(linsolve._bicgstab, ops.a_ch, b, max_it)
             assert got == _bicgstab_outcome(oracles.bicgstab_loop, ops.a_ch, b, max_it)
-    # restarts on exact breakdown, then stagnation
+    # raises at the exact breakdown, the zero denominator of its second iteration
     singular = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
     got = _bicgstab_outcome(linsolve._bicgstab, singular, np.array([1.0, 0.0]), 50)
-    assert got[0].startswith("bicgstab stagnated")
+    assert got[0].startswith("bicgstab broke down") and got[1] == pytest.approx(np.sqrt(0.5))
     assert got == _bicgstab_outcome(oracles.bicgstab_loop, singular, np.array([1.0, 0.0]), 50)
 
 
