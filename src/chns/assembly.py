@@ -50,8 +50,8 @@ def _geometry(mesh: Mesh) -> dict:
 def _points(mesh: Mesh, rule) -> tuple[np.ndarray, np.ndarray]:
     """Physical quadrature points (x, y), each (nq, nt), shared by every space on the mesh.
 
-    The arrays are read-only, so `mms` may key its cached trigonometric
-    factors on them.
+    The arrays are read-only and own their data, so a manufactured case of
+    `mms` keeps its trigonometric factors of them for as long as it lives.
     """
     key = ("points", rule.exactness_degree)
     xy = mesh._cache.get(key)

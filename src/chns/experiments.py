@@ -11,6 +11,7 @@ import numpy as np
 from . import assembly as asm
 from .assembly import l2_error, h1_error
 from .fem import NORM_DEGREE, build_space
+from .io import rate
 from .mesh import build_uniform_mesh
 from .mms import MmsCase, trig_case
 from .scheme import Forcing, Operators, Params, State, StepReport, build_operators, init_state, \
@@ -33,11 +34,6 @@ class ErrorRecord:
     p_h1: float
     r_err: float
     rho_err: float
-
-
-def rate(err_coarse: float, err_fine: float) -> float:
-    """Observed order between two levels whose mesh size halves."""
-    return math.log2(err_coarse / err_fine)
 
 
 def rates_between(records: list[ErrorRecord], attr: str) -> list[float]:

@@ -21,6 +21,11 @@ def _fmt(x) -> str:
     return f"{x:.12g}"
 
 
+def rate(err_coarse: float, err_fine: float) -> float:
+    """Observed order between two levels whose mesh size halves."""
+    return math.log2(err_coarse / err_fine)
+
+
 def _write_rate_table(path: str, records: list[ErrorRecord], columns: list[tuple[str, str]]):
     lines = ["h,tau," + ",".join(f"{name},rate" for name, _ in columns)]
     for i, rec in enumerate(records):
@@ -30,8 +35,7 @@ def _write_rate_table(path: str, records: list[ErrorRecord], columns: list[tuple
             if i == 0:
                 cells.append("")
             else:
-                # the observed order between levels whose mesh size halves
-                cells.append(_fmt(math.log2(getattr(records[i - 1], attr) / getattr(rec, attr))))
+                cells.append(_fmt(rate(getattr(records[i - 1], attr), getattr(rec, attr))))
         lines.append(",".join(cells))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

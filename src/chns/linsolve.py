@@ -386,7 +386,8 @@ def _gmres(apply, b, precondition, tol, max_it, x, k=0):
         if j:
             x = x + np.linalg.solve(hess[:j, :j], g[:j]) @ search[:j]
         r = b - apply(x)
-        last, rnorm = rnorm, np.linalg.norm(r)
+        with np.errstate(over="ignore"):  # a norm that overflows is inf, caught below
+            last, rnorm = rnorm, np.linalg.norm(r)
         if rnorm >= last:  # a NaN passes on, to the non-finite test above
             raise SolverError("gmres stagnated", rnorm / bnorm)
     return x, k

@@ -9,7 +9,6 @@ pointwise residuals of the coupled model in these fields.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -31,10 +30,6 @@ class _Trig(NamedTuple):
     c2y: np.ndarray
 
 
-# (id(x), id(y)) -> (weakref to x, weakref to y, factors)
-_TRIG_CACHE: dict[tuple[int, int], tuple] = {}
-
-
 def _trig_eval(x, y) -> _Trig:
     return _Trig(np.sin(PI * x), np.cos(PI * x), np.sin(PI * y), np.cos(PI * y),
                  np.sin(2 * PI * x), np.cos(2 * PI * x), np.sin(2 * PI * y), np.cos(2 * PI * y))
@@ -42,32 +37,6 @@ def _trig_eval(x, y) -> _Trig:
 
 def _frozen(a) -> bool:
     return isinstance(a, np.ndarray) and a.flags.owndata and not a.flags.writeable
-
-
-def _drop(key, entry) -> None:
-    if _TRIG_CACHE.get(key) is entry:
-        del _TRIG_CACHE[key]
-
-
-def _trig(x, y) -> _Trig:
-    """Space factors at (x, y), kept while x and y live if both are frozen.
-
-    Frozen means read-only arrays that own their data, such as the
-    quadrature points of the assembly tables, so the values behind a kept
-    entry cannot change. An entry is dropped when either array is freed,
-    and a lookup checks both arrays' identity, so an array never gets
-    another array's factors and fresh arrays leave nothing behind.
-    """
-    if not (_frozen(x) and _frozen(y)):
-        return _trig_eval(x, y)
-    key = (id(x), id(y))
-    entry = _TRIG_CACHE.get(key)
-    if entry is None or entry[0]() is not x or entry[1]() is not y:
-        entry = (weakref.ref(x), weakref.ref(y), _trig_eval(x, y))
-        _TRIG_CACHE[key] = entry
-        weakref.finalize(x, _drop, key, entry)
-        weakref.finalize(y, _drop, key, entry)
-    return entry[2]
 
 
 @dataclass
@@ -90,10 +59,23 @@ def trig_case(params) -> MmsCase:
     """The standard trigonometric case on the unit square.
 
     Every field is polynomial in sin t, cos t and the space factors of
-    `_trig`, so on the kept quadrature points a time step evaluates no
-    trigonometric function of space.
+    `_trig`. The case keeps the factors of frozen points, read-only arrays
+    that own their data such as the quadrature points of the assembly
+    tables, for as long as it lives, so on those points a time step
+    evaluates no trigonometric function of space. Each kept entry holds
+    its arrays, so no other array can take their ids while the case lives.
+    Any other arrays are evaluated afresh.
     """
     lam, eps, mob, nu = params.lam, params.eps, params.mobility, params.nu
+    kept: dict[tuple[int, int], tuple] = {}  # (id(x), id(y)) -> (x, y, factors)
+
+    def _trig(x, y) -> _Trig:
+        if not (_frozen(x) and _frozen(y)):
+            return _trig_eval(x, y)
+        key = (id(x), id(y))
+        if key not in kept:
+            kept[key] = (x, y, _trig_eval(x, y))
+        return kept[key][2]
 
     def ax(x, y):
         tg = _trig(x, y)

@@ -463,6 +463,16 @@ def test_an_overflowing_discriminant_is_reported_without_a_warning(tmp_path, cap
     assert row[ENERGY_HEADER.split(",").index("discriminant")] == "inf"
 
 
+def test_an_overflowing_residual_norm_exits_3_without_a_warning(tmp_path, capsys):
+    # at tau = 1e154 the sum of squares of a GMRES residual overflows to inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["coarsen", "--nx", "2", "--tau", "1e154", "--t-end", "1e154",
+                     "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == ("error: SolverError: step 1: gmres stagnated "
+                                       "(relative residual inf)\n")
+
+
 def test_a_failure_inside_a_step_names_the_step(tmp_path, capsys, monkeypatch):
     real = scheme.pressure_correction
     calls = []

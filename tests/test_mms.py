@@ -1,4 +1,5 @@
 import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from oracles import finite_difference_forcing
 from chns import assembly as asm
 from chns import mms
+from chns.experiments import default_tau_rule, run_convergence_level
 from chns.fem import build_space, interpolate
 from chns.mesh import build_uniform_mesh
 from chns.mms import trig_case
@@ -122,53 +124,76 @@ def _flat(value):
     return [np.asarray(value, dtype=float)]
 
 
-def test_cached_fields_match_uncached(case):
+@pytest.fixture
+def frozen_evaluations(monkeypatch):
+    """The factors `_trig_eval` returns for frozen points, in call order."""
+    made = []
+
+    def counted(x, y):
+        factors = real(x, y)
+        if mms._frozen(x) and mms._frozen(y):
+            made.append(factors)
+        return factors
+
+    real = mms._trig_eval
+    monkeypatch.setattr(mms, "_trig_eval", counted)
+    return made
+
+
+def test_cached_fields_match_uncached(frozen_evaluations):
+    case = trig_case(Params())
     tab = asm._tables(build_space(build_uniform_mesh(6, 6), "p1"), 8)
     x, y = tab["x"], tab["y"]
     for t in (0.0, 0.03, 0.1, 1.7):
         for name in case.__dataclass_fields__:
             field = getattr(case, name)
             cached = _flat(field(t, x, y))
-            assert (id(x), id(y)) in mms._TRIG_CACHE
             # writeable copies are never kept, so this evaluates sin and cos afresh
             fresh = _flat(field(t, x.copy(), y.copy()))
             assert len(cached) == len(fresh)
             for a, b in zip(cached, fresh):
                 np.testing.assert_array_max_ulp(a, b, maxulp=4)
+    # every field at every time read the one kept evaluation
+    assert len(frozen_evaluations) == 1
 
 
-def test_new_coordinate_arrays_get_their_own_factors(case):
+def test_new_coordinate_arrays_get_their_own_factors(frozen_evaluations):
+    case = trig_case(Params())
     rng = np.random.default_rng(41)
-    values = rng.uniform(0.0, 1.0, (20, 2, 64))
-    for i, (xs, ys) in enumerate(values):
-        pair = [_frozen(xs), _frozen(ys)]
-        key = (id(pair[0]), id(pair[1]))
-        np.testing.assert_array_equal(case.p(0.2, *pair), case.p(0.2, xs, ys))
-        assert key in mms._TRIG_CACHE
-        # freeing either array drops the entry, so arrays that later get these
-        # ids cannot meet stale factors
-        pair.pop(i % 2)
-        gc.collect()
-        assert key not in mms._TRIG_CACHE
+    pairs = [(_frozen(xs), _frozen(ys)) for xs, ys in rng.uniform(0.0, 1.0, (20, 2, 64))]
+    for _ in range(2):
+        for x, y in pairs:
+            np.testing.assert_array_equal(case.p(0.2, x, y), case.p(0.2, x.copy(), y.copy()))
+    assert len(frozen_evaluations) == len(pairs)
     # arrays that can change are evaluated afresh on every call
     xs, ys = rng.uniform(0.0, 1.0, (2, 64))
     before = case.phi(0.2, xs, ys)
     xs += 0.25
     assert not np.array_equal(case.phi(0.2, xs, ys), before)
-    view, y = np.broadcast_to(xs, xs.shape), _frozen(ys)  # the view is read-only, its base is not
-    case.phi(0.2, view, y)
-    assert (id(view), id(y)) not in mms._TRIG_CACHE
+    # so are read-only views, whose base may change
+    view = np.broadcast_to(xs, xs.shape)
+    y = _frozen(ys)
+    before = case.phi(0.2, view, y)
+    xs += 0.25
+    assert not np.array_equal(case.phi(0.2, view, y), before)
+    assert len(frozen_evaluations) == len(pairs)
 
 
-def test_cache_stays_bounded(case):
-    params = Params()
-    tab = asm._tables(build_space(build_uniform_mesh(4, 4), "p1"), 5)
-    rng = np.random.default_rng(43)
-    baseline = len(mms._TRIG_CACHE)
-    for _ in range(30):
-        finite_difference_forcing(case, params, 0.05, tab["x"], tab["y"])
-        x, y = _frozen(rng.uniform(0.0, 1.0, 16)), _frozen(rng.uniform(0.0, 1.0, 16))
-        finite_difference_forcing(case, params, 0.05, x, y)
+def test_a_case_frees_its_kept_factors_with_it(frozen_evaluations):
+    case = trig_case(Params())
+    x, y = _frozen(np.linspace(0.0, 1.0, 16)), _frozen(np.linspace(1.0, 0.0, 16))
+    case.g_phi(0.05, x, y)
+    points, factor = weakref.ref(x), weakref.ref(frozen_evaluations.pop().sx)
     del x, y
-    # only the tables' own points are still alive
-    assert len(mms._TRIG_CACHE) <= baseline + 1
+    gc.collect()
+    assert points() is not None and factor() is not None  # the case holds them
+    del case
+    gc.collect()
+    assert points() is None and factor() is None
+
+
+@pytest.mark.parametrize("steps", [20, 40])
+def test_a_convergence_level_evaluates_each_frozen_point_set_once(steps, frozen_evaluations):
+    # the degree-5 points, shared by P1 and P2, and the degree-8 norm points
+    run_convergence_level(4, Params(), t_end=steps * default_tau_rule(1.0 / 4))
+    assert len(frozen_evaluations) == 2
